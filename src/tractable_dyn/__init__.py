@@ -30,8 +30,8 @@ from .simplicial1d import (AffineMap, BirkhoffResult, IntervalComplex,
                            decode_orbit_histogram, lebesgue_distribution_data,
                            metric_d, nondegenerate_repair, pl_eval, refine,
                            roundoff, theta, tractability_report_pl)
-from .two_alphabet import (Correspondence, CorrespondencePair,
-                           TwoAlphabetModel, basic_set_correspondence,
+from .two_alphabet import (Analysis, Correspondence, CorrespondencePair,
+                           TwoAlphabetModel, analyze, basic_set_correspondence,
                            build_model, ergodic_cylinder_measure_star,
                            exact_cover_matrices, induced_covers,
                            induced_relations, lift_stationary)

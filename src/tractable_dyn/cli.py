@@ -35,7 +35,7 @@ from . import markov, plot, shiftlike, simplicial1d, two_alphabet
 from .errors import (CapExceededError, CorrespondenceError, DomainError,
                      NumericalError, ValidationError)
 from .rationals import format_rational, parse_rational
-from .relation import (basic_sets, relation_from_json,
+from .relation import (basic_sets, decomposition_json, relation_from_json,
                        restrict_to_infinite_domain)
 
 _EPILOG = """\
@@ -102,17 +102,12 @@ def cmd_relation_analyze(args) -> int:
             "(the relation is acyclic)")
     decomp = basic_sets(restricted)
     removed = [e for e in relation.elements if e not in set(kept)]
-    report = {
+    report = decomposition_json(decomp)
+    report.update({
         "elements": list(relation.elements),
         "kept": list(kept),
         "removed": removed,
-        "basic_sets": [list(decomp.class_labels(c))
-                       for c in range(len(decomp.classes))],
-        "terminal": [list(decomp.class_labels(c))
-                     for c in decomp.terminal_classes()],
-        "transient": [restricted.elements[i] for i in decomp.transient],
-        "order": sorted([a, b] for a, b in decomp.order),
-    }
+    })
     if args.format == "csv":
         rows = []
         for i, label in enumerate(restricted.elements):
@@ -166,17 +161,13 @@ def cmd_subshift_report(args) -> int:
     return 0
 
 
-def _star_cylinder_rows(model: two_alphabet.TwoAlphabetModel,
-                        report: shiftlike.ShiftlikeReport,
+def _star_cylinder_rows(analysis: two_alphabet.Analysis,
                         max_length: int) -> list[list]:
     """Ergodic cylinder measures of all fine words up to a length."""
+    model = analysis.model
     rows: list[list] = []
-    successors = [[t2 for t2 in range(len(model.kstar))
-                   if model.j_map[t2] == model.gamma[t1]]
-                  for t1 in range(len(model.kstar))]
-    terminal_pairs = [p for p in report.correspondence.pairs if p.terminal]
-    for pos, pair in enumerate(terminal_pairs):
-        v_b = report.stationary[pos]
+    successors = analysis.gstar_cover.relation.successor_table()
+    for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
         stack = [((t,), Fraction(v_b[model.j_map[t]]) * model.nu[t])
                  for t in sorted(pair.star_members, reverse=True)]
         while stack:
@@ -215,7 +206,7 @@ def cmd_blockmap_approx(args) -> int:
             ["step", "f_word", "g_word", "match"], rows))
 
     if args.format == "csv":
-        rows = _star_cylinder_rows(report.model, report, args.words)
+        rows = _star_cylinder_rows(report.analysis, args.words)
         _write_text(args.out, _csv_text(["class", "word", "measure"], rows))
     else:
         _write_text(args.out, _json_text(report.to_json_dict()))
@@ -301,11 +292,10 @@ def cmd_plmap_approx(args) -> int:
             "parts_per_edge": list(roundoff_report.parts_per_edge),
         }
     if args.simulate:
-        terminal_pairs = [p for p in report.correspondence.pairs if p.terminal]
         outcomes = []
-        for pair in terminal_pairs:
+        for pair in report.analysis.terminal_pairs:
             result = simplicial1d.decode_orbit_histogram(
-                system, pair.star_members, segments=args.simulate,
+                report, pair.star_members, segments=args.simulate,
                 depth=args.depth, bins=10, seed=args.seed)
             outcomes.append({
                 "class": pair.base_class_index,

@@ -22,8 +22,7 @@ word frequencies rather than raw products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (CoverError, DomainError, ElementMismatchError,
                      NotStationaryError, NotTerminalError, NumericalError,
                      ValidationError)
 from .relation import (BasicSetDecomposition, FiniteRelation, basic_sets,
-                       check_word, endset_certificate)
+                       check_word, endset_certificate, tractability_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -497,40 +496,23 @@ class SubshiftReport:
     def to_json_dict(self) -> dict:
         rel = self.cover.relation
         decomp = self.decomposition
-        terminal = decomp.terminal_classes()
         stationary = []
-        for pos, c in enumerate(terminal):
+        for pos, c in enumerate(decomp.terminal_classes()):
             weights = {rel.elements[i]: float(self.stationary[pos].weights[i])
                        for i in decomp.classes[c]}
             stationary.append({
                 "class": list(decomp.class_labels(c)),
                 "weights": weights,
             })
-        return {
+        out = tractability_json(decomp, self.decay,
+                                "supports are pairwise disjoint")
+        out.update({
             "elements": list(rel.elements),
-            "basic_sets": [list(decomp.class_labels(c))
-                           for c in range(len(decomp.classes))],
-            "terminal": [list(decomp.class_labels(c)) for c in terminal],
-            "transient": [rel.elements[i] for i in decomp.transient],
-            "order": sorted([a, b] for a, b in decomp.order),
             "stationary": stationary,
-            "decay": {"n": self.decay.n, "rho": self.decay.rho},
-            "trac": {
-                "finitely_many_basic_sets": {
-                    "holds": True, "count": len(decomp.classes)},
-                "ergodic_measures_full_mass": {
-                    "holds": True,
-                    "count": len(terminal),
-                    "decay": {"n": self.decay.n, "rho": self.decay.rho}},
-                "supports_in_visible_basic_sets": {
-                    "holds": True,
-                    "visible": [list(decomp.class_labels(c)) for c in terminal]},
-                "supports_almost_disjoint": {
-                    "holds": True, "note": "supports are pairwise disjoint"},
-            },
             "genericity": (self.genericity.to_json_dict()
                            if self.genericity else None),
-        }
+        })
+        return out
 
 
 def tractability_report_subshift(cover: StochasticCover,

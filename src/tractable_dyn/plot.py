@@ -41,9 +41,8 @@ def system_svg(system: SimplicialSystem1D,
     ]
 
     if report is not None:
-        decomp = report.correspondence.base_decomposition
-        shaded = [c for c in decomp.terminal_classes()]
-        for pos, c in enumerate(shaded):
+        decomp = report.analysis.correspondence.base_decomposition
+        for pos, c in enumerate(decomp.terminal_classes()):
             fill = _FILLS[pos % len(_FILLS)]
             for a, b in class_support(system, decomp.classes[c]):
                 x0, x1 = sx(float(a)), sx(float(b))

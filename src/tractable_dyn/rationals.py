@@ -79,5 +79,6 @@ def stationary_exact(block: Sequence[Sequence[Fraction]]) -> list[Fraction]:
         raise NumericalError("stationary vector not positive; block reducible?")
     residual = [sum(block[j][i] * v[i] for i in range(c)) - v[j]
                 for j in range(c)]
-    assert all(r == 0 for r in residual)
+    if any(r != 0 for r in residual):
+        raise NumericalError("exact stationary vector fails its balance")
     return v

@@ -280,6 +280,42 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
     )
 
 
+def decomposition_json(decomposition: BasicSetDecomposition) -> dict:
+    """The basic_sets, terminal, transient and order keys of every report."""
+    return {
+        "basic_sets": [list(decomposition.class_labels(c))
+                       for c in range(len(decomposition.classes))],
+        "terminal": [list(decomposition.class_labels(c))
+                     for c in decomposition.terminal_classes()],
+        "transient": [decomposition.relation.elements[i]
+                      for i in decomposition.transient],
+        "order": sorted([a, b] for a, b in decomposition.order),
+    }
+
+
+def tractability_json(decomposition: BasicSetDecomposition, decay,
+                      disjoint_note: str) -> dict:
+    """The decomposition keys plus "decay" and the "trac" block.
+
+    ``decay`` is a transient-mass certificate (``n`` and ``rho``);
+    ``disjoint_note`` says why the report's supports are almost disjoint.
+    """
+    out = decomposition_json(decomposition)
+    out["decay"] = {"n": decay.n, "rho": decay.rho}
+    out["trac"] = {
+        "finitely_many_basic_sets": {
+            "holds": True, "count": len(decomposition.classes)},
+        "ergodic_measures_full_mass": {
+            "holds": True,
+            "count": len(out["terminal"]),
+            "decay": {"n": decay.n, "rho": decay.rho}},
+        "supports_in_visible_basic_sets": {
+            "holds": True, "visible": [list(c) for c in out["terminal"]]},
+        "supports_almost_disjoint": {"holds": True, "note": disjoint_note},
+    }
+    return out
+
+
 def check_word(relation: FiniteRelation, word) -> tuple[int, ...]:
     """Validate a sample-path word (sequence of element indices)."""
     word = tuple(word)

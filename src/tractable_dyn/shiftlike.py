@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import markov, two_alphabet
+from . import two_alphabet
 from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, ValidationError,
                      WordError)
 from .rationals import format_rational
+from .relation import tractability_json
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -186,7 +187,9 @@ class ShiftLikeSystem:
         for value in {0, probe.value // 2, probe.value}:
             word = Word(self.n_symbols, probe.length, value)
             image = apply_g(self, word)
-            assert image.drop(self.n).value == word.drop(self.n + self.k).value
+            if image.drop(self.n).value != word.drop(self.n + self.k).value:
+                raise CorrespondenceError(
+                    "table is not shift compatible on a probe prefix")
 
     def gamma_word(self, fine: Word) -> Word:
         if fine.length != self.n + self.k or fine.n_symbols != self.n_symbols:
@@ -362,55 +365,30 @@ class ShiftlikeReport:
     """Tractability summary of a shift-like system."""
 
     system: ShiftLikeSystem
-    model: two_alphabet.TwoAlphabetModel
-    correspondence: two_alphabet.Correspondence
-    stationary: tuple[dict[int, Fraction], ...]  # per terminal pair, over K
-    decay: markov.DecayCertificate
+    analysis: two_alphabet.Analysis
 
     def to_json_dict(self) -> dict:
-        model = self.model
-        pairs = [p for p in self.correspondence.pairs]
-        terminal_pairs = [p for p in pairs if p.terminal]
-        measures = []
-        for pos, pair in enumerate(terminal_pairs):
-            v_b = self.stationary[pos]
-            measures.append({
-                "class": [model.k[i] for i in pair.base_members],
-                "fine_class": [model.kstar[t] for t in pair.star_members],
-                "weights": {model.k[i]: format_rational(v_b[i])
-                            for i in pair.base_members},
-            })
-        return {
+        model = self.analysis.model
+        measures = [{
+            "class": [model.k[i] for i in pair.base_members],
+            "fine_class": [model.kstar[t] for t in pair.star_members],
+            "weights": {model.k[i]: format_rational(v_b[i])
+                        for i in pair.base_members},
+        } for pair, v_b in zip(self.analysis.terminal_pairs,
+                               self.analysis.stationary)]
+        out = tractability_json(
+            self.analysis.correspondence.base_decomposition,
+            self.analysis.decay,
+            "decoded supports are disjoint (conjugate subshifts)")
+        out.update({
             "N": self.system.n_symbols,
             "n": self.system.n,
             "k": self.system.k,
-            "basic_sets": [[model.k[i] for i in p.base_members] for p in pairs],
             "fine_basic_sets": [[model.kstar[t] for t in p.star_members]
-                                for p in pairs],
-            "terminal": [[model.k[i] for i in p.base_members]
-                         for p in terminal_pairs],
-            "transient": [model.k[i]
-                          for i in self.correspondence.base_decomposition.transient],
-            "order": sorted(
-                [a, b] for a, b in self.correspondence.base_decomposition.order),
+                                for p in self.analysis.correspondence.pairs],
             "stationary": measures,
-            "decay": {"n": self.decay.n, "rho": self.decay.rho},
-            "trac": {
-                "finitely_many_basic_sets": {
-                    "holds": True, "count": len(pairs)},
-                "ergodic_measures_full_mass": {
-                    "holds": True,
-                    "count": len(terminal_pairs),
-                    "decay": {"n": self.decay.n, "rho": self.decay.rho}},
-                "supports_in_visible_basic_sets": {
-                    "holds": True,
-                    "visible": [[model.k[i] for i in p.base_members]
-                                for p in terminal_pairs]},
-                "supports_almost_disjoint": {
-                    "holds": True,
-                    "note": "decoded supports are disjoint (conjugate subshifts)"},
-            },
-        }
+        })
+        return out
 
 
 def tractability_report_shiftlike(system: ShiftLikeSystem,
@@ -421,24 +399,8 @@ def tractability_report_shiftlike(system: ShiftLikeSystem,
     stationarity identity is verified with zero tolerance for every terminal
     class; reports for identical tables are byte-for-byte identical.
     """
-    model = to_two_alphabet(system, cap)
-    correspondence = two_alphabet.basic_set_correspondence(model)
-    g_cover, _ = two_alphabet.induced_covers(model)
-    decay = markov.transient_decay(g_cover,
-                                   correspondence.base_decomposition)
-    stationary = []
-    for pair in correspondence.pairs:
-        if not pair.terminal:
-            continue
-        v_b = two_alphabet.base_class_stationary(model, pair.base_members)
-        error = two_alphabet.stationary_identity_max_error(model, pair, v_b)
-        if error != 0:
-            raise CorrespondenceError(
-                f"exact stationary identity fails by {error} on class "
-                f"{pair.base_class_index}")
-        stationary.append(v_b)
-    return ShiftlikeReport(system, model, correspondence, tuple(stationary),
-                           decay)
+    return ShiftlikeReport(
+        system, two_alphabet.analyze(to_two_alphabet(system, cap)))
 
 
 def system_from_json(data, cap: int | None = None) -> ShiftLikeSystem:

@@ -41,6 +41,7 @@ from .errors import (CapExceededError, CorrespondenceError, DegenerateMapError,
                      MapRangeError, NotTerminalError, NumericalError,
                      SubdivisionError, ValidationError, WordError)
 from .rationals import format_rational, parse_rational
+from .relation import tractability_json
 
 
 @dataclass(frozen=True)
@@ -398,16 +399,20 @@ def code_H_1d(system: SimplicialSystem1D, word) -> tuple[Fraction, Fraction]:
     for j in reversed(word[:-1]):
         lo, hi = system.local_inverse(j).interval_image(lo, hi)
     first_lo, first_hi = system.kstar.edge(word[0])
-    assert first_lo <= lo <= hi <= first_hi
+    if not first_lo <= lo <= hi <= first_hi:
+        raise NumericalError("coded interval leaves the word's first edge")
     base = system.j_edge(word[0])
     d_length = 2 * (hi - lo) / system.k.edge_length(base)
-    assert d_length <= 2 * (1 - theta(system)) ** len(word)
+    if d_length > 2 * (1 - theta(system)) ** len(word):
+        raise NumericalError("coded interval exceeds the contraction bound")
     # The itinerary really is the word: iterate g exactly (rationals, so no
     # orbit collapse) on endpoints and midpoint.
     for x in (lo, (lo + hi) / 2, hi):
         for j in word:
             a, b = system.kstar.edge(j)
-            assert a <= x <= b
+            if not a <= x <= b:
+                raise CorrespondenceError(
+                    f"itinerary of {x} leaves the coded word")
             x = pl_eval(system, x)
     return lo, hi
 
@@ -460,14 +465,17 @@ def refine(system: SimplicialSystem1D, depth: int,
     cursor = system.k.lo
     mesh_d = Fraction(0)
     for lo, hi, root in intervals:
-        assert lo == cursor, "decoded cells do not tile the space"
+        if lo != cursor:
+            raise NumericalError("decoded cells do not tile the space")
         cursor = hi
         base = system.j_edge(root)
         mesh_d = max(mesh_d, 2 * (hi - lo) / system.k.edge_length(base))
-    assert cursor == system.k.hi
+    if cursor != system.k.hi:
+        raise NumericalError("decoded cells do not reach the end of the space")
 
     bound = 2 * (1 - theta(system)) ** depth
-    assert mesh_d <= bound
+    if mesh_d > bound:
+        raise NumericalError(f"refined mesh {mesh_d} exceeds its bound {bound}")
     vertices = sorted({system.k.lo} | {hi for _, hi, _ in intervals})
     report = MeshReport(depth=depth, cells=len(intervals), mesh_d=mesh_d,
                         bound=bound)
@@ -569,7 +577,9 @@ def nondegenerate_repair(k: IntervalComplex, kstar: IntervalComplex,
         after = pl_eval(system, w)
         sup_change = max(sup_change, abs(before - after))
     bound = 4 * k.mesh()
-    assert sup_change <= bound
+    if sup_change > bound:
+        raise NumericalError(
+            f"repair moves the map by {sup_change}, above the bound {bound}")
     report = RepairReport(changed=(reassigned + inserted) > 0,
                           reassigned=reassigned, inserted=inserted,
                           sup_change=sup_change, bound=bound)
@@ -737,28 +747,23 @@ class PLReport:
     """Tractability summary of a piecewise-linear simplicial system."""
 
     system: SimplicialSystem1D
-    model: two_alphabet.TwoAlphabetModel
-    correspondence: two_alphabet.Correspondence
+    analysis: two_alphabet.Analysis
     theta: Fraction
-    stationary: tuple[dict[int, Fraction], ...]  # per terminal pair, coarse
-    decay: markov.DecayCertificate
     background: tuple[float, ...]
     absorption: dict[int, float]
-    genericity: markov.GenericityReport | None = None
 
     def to_json_dict(self) -> dict:
         system = self.system
-        decomp = self.correspondence.base_decomposition
-        pairs = list(self.correspondence.pairs)
-        terminal_pairs = [p for p in pairs if p.terminal]
+        decomp = self.analysis.correspondence.base_decomposition
 
         def interval_json(component):
             return [format_rational(component[0]), format_rational(component[1])]
 
+        supports = {c: class_support(system, decomp.classes[c])
+                    for c in range(len(decomp.classes))}
         measures = []
-        for pos, pair in enumerate(terminal_pairs):
-            v_b = self.stationary[pos]
-            support = class_support(system, pair.base_members)
+        for pair, v_b in zip(self.analysis.terminal_pairs,
+                             self.analysis.stationary):
             density = []
             for i in sorted(pair.base_members):
                 weight = v_b[i]
@@ -771,13 +776,12 @@ class PLReport:
             measures.append({
                 "class": [system.k_edge_label(i)
                           for i in sorted(pair.base_members)],
-                "support": [interval_json(c) for c in support],
+                "support": [interval_json(c)
+                            for c in supports[pair.base_class_index]],
                 "density": density,
                 "background_mass": self.absorption[pair.base_class_index],
             })
 
-        supports = {c: class_support(system, decomp.classes[c])
-                    for c in range(len(decomp.classes))}
         shared = []
         for c1 in range(len(decomp.classes)):
             for c2 in range(c1 + 1, len(decomp.classes)):
@@ -813,46 +817,26 @@ class PLReport:
                              "interval level"),
                 })
 
-        return {
+        out = tractability_json(
+            decomp, self.analysis.decay,
+            "distinct supports meet in at most finitely many points")
+        out.update({
             "space": [format_rational(system.k.lo), format_rational(system.k.hi)],
             "theta": format_rational(self.theta),
-            "basic_sets": [list(decomp.class_labels(c))
-                           for c in range(len(decomp.classes))],
-            "terminal": [list(decomp.class_labels(c))
-                         for c in decomp.terminal_classes()],
-            "transient": [decomp.relation.elements[i] for i in decomp.transient],
-            "order": sorted([a, b] for a, b in decomp.order),
             "stationary": [
                 {system.k_edge_label(i): format_rational(v)
-                 for i, v in sorted(self.stationary[pos].items())}
-                for pos in range(len(terminal_pairs))],
+                 for i, v in sorted(v_b.items())}
+                for v_b in self.analysis.stationary],
             "measures": measures,
-            "decay": {"n": self.decay.n, "rho": self.decay.rho},
             "background": {system.k_edge_label(i): w
                            for i, w in enumerate(self.background)},
-            "trac": {
-                "finitely_many_basic_sets": {
-                    "holds": True, "count": len(pairs)},
-                "ergodic_measures_full_mass": {
-                    "holds": True,
-                    "count": len(terminal_pairs),
-                    "decay": {"n": self.decay.n, "rho": self.decay.rho}},
-                "supports_in_visible_basic_sets": {
-                    "holds": True,
-                    "visible": [list(decomp.class_labels(c))
-                                for c in decomp.terminal_classes()]},
-                "supports_almost_disjoint": {
-                    "holds": True,
-                    "note": ("distinct supports meet in at most finitely "
-                             "many points")},
-            },
             "caveats": {
                 "shared_support_boundaries": shared,
                 "visible_but_not_terminal": visible_not_terminal,
             },
-            "genericity": (self.genericity.to_json_dict()
-                           if self.genericity else None),
-        }
+            "genericity": None,
+        })
+        return out
 
 
 def tractability_report_pl(system: SimplicialSystem1D,
@@ -861,14 +845,12 @@ def tractability_report_pl(system: SimplicialSystem1D,
 
     ``background`` weights the coarse edges (positive, summing to 1; uniform
     by default); the report includes the share of background mass absorbed
-    into each terminal class.  Stationary data is exact and the projected
+    into each terminal class; transient mass still above 1e-13 after 100000
+    steps raises NumericalError.  Stationary data is exact and the projected
     stationarity identity is verified with zero tolerance.
     """
-    model = to_two_alphabet(system)
-    correspondence = two_alphabet.basic_set_correspondence(model)
-    g_cover, _ = two_alphabet.induced_covers(model)
-    decomp = correspondence.base_decomposition
-    decay = markov.transient_decay(g_cover, decomp)
+    analysis = two_alphabet.analyze(to_two_alphabet(system))
+    decomp = analysis.correspondence.base_decomposition
 
     if background is None:
         weights = np.full(system.k.n_edges, 1.0 / system.k.n_edges)
@@ -881,32 +863,23 @@ def tractability_report_pl(system: SimplicialSystem1D,
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValidationError("background weights must sum to 1")
 
-    stationary = []
-    for pair in correspondence.pairs:
-        if not pair.terminal:
-            continue
-        v_b = two_alphabet.base_class_stationary(model, pair.base_members)
-        error = two_alphabet.stationary_identity_max_error(model, pair, v_b)
-        if error != 0:
-            raise CorrespondenceError(
-                f"exact stationary identity fails by {error} on class "
-                f"{pair.base_class_index}")
-        stationary.append(v_b)
-
     # Background mass absorbed by each terminal class.
     transient = list(decomp.transient)
     current = weights.copy()
-    for _ in range(100000):
-        if not transient or float(current[transient].sum()) <= 1e-13:
-            break
-        current = g_cover.matrix @ current
+    steps = 0
+    while transient and float(current[transient].sum()) > 1e-13:
+        if steps == 100000:
+            raise NumericalError(
+                f"transient mass {float(current[transient].sum()):.3e} is not "
+                "absorbed after 100000 steps")
+        current = analysis.g_cover.matrix @ current
+        steps += 1
     absorption = {}
     for c in decomp.terminal_classes():
         absorption[c] = float(current[list(decomp.classes[c])].sum())
 
-    return PLReport(system=system, model=model, correspondence=correspondence,
-                    theta=theta(system), stationary=tuple(stationary),
-                    decay=decay, background=tuple(float(w) for w in weights),
+    return PLReport(system=system, analysis=analysis, theta=theta(system),
+                    background=tuple(float(w) for w in weights),
                     absorption=absorption)
 
 
@@ -920,36 +893,35 @@ class BirkhoffResult:
     passed: bool
 
 
-def decode_orbit_histogram(system: SimplicialSystem1D, star_class,
+def decode_orbit_histogram(report: PLReport, star_class,
                            segments: int, depth: int, bins: int,
                            seed: int) -> BirkhoffResult:
     """Birkhoff consistency of decoded symbolic orbits against the density.
 
-    Samples one Markov path of the fine cover started in the ergodic measure
-    of a terminal fine class, decodes every length-``depth`` window to an
-    exact interval (sliding the affine window product, never iterating g
-    forward), and compares the bin histogram of the interval midpoints on
-    the class support against the invariant density, at the statistical
-    threshold 5/sqrt(segments).
+    Samples one Markov path of the report's fine cover started in the
+    ergodic measure of a terminal fine class, decodes every length-``depth``
+    window to an exact interval (sliding the affine window product, never
+    iterating g forward), and compares the bin histogram of the interval
+    midpoints on the class support against the invariant density, at the
+    statistical threshold 5/sqrt(segments).
     """
     if segments < 1 or depth < 1 or bins < 1:
         raise ValidationError("segments, depth and bins must be positive")
-    model = to_two_alphabet(system)
-    correspondence = two_alphabet.basic_set_correspondence(model)
+    system = report.system
+    model = report.analysis.model
     members = tuple(sorted(int(t) for t in star_class))
-    matches = [p for p in correspondence.pairs
-               if tuple(sorted(p.star_members)) == members]
-    if not matches or not matches[0].terminal:
+    matches = [(pair, v_b) for pair, v_b in zip(report.analysis.terminal_pairs,
+                                                report.analysis.stationary)
+               if tuple(sorted(pair.star_members)) == members]
+    if not matches:
         raise NotTerminalError("star_class must be a terminal fine class")
-    pair = matches[0]
+    pair, v_b = matches[0]
 
-    v_b = two_alphabet.base_class_stationary(model, pair.base_members)
-    _, gstar_cover = two_alphabet.induced_covers(model)
     initial = np.zeros(system.kstar.n_edges)
     for t in pair.star_members:
         initial[t] = float(v_b[model.j_map[t]] * model.nu[t])
     spec = markov.MarkovMeasureSpec(
-        gstar_cover, markov.Distribution.from_weights(initial))
+        report.analysis.gstar_cover, markov.Distribution.from_weights(initial))
     path = markov.sample_path(spec, segments + depth, seed)
 
     # Support geometry in a concatenated length coordinate.
@@ -976,7 +948,8 @@ def decode_orbit_histogram(system: SimplicialSystem1D, star_class,
             overlap = min(hi_c, start + length) - max(lo_c, start)
             if overlap > 0:
                 bin_mass[b] += overlap * density
-    assert sum(bin_mass) == 1
+    if sum(bin_mass) != 1:
+        raise NumericalError(f"bin masses sum to {sum(bin_mass)}, not 1")
 
     maps = [system.local_inverse(j) for j in range(system.kstar.n_edges)]
     window = AffineMap.identity()

@@ -199,18 +199,6 @@ class Correspondence:
     star_decomposition: BasicSetDecomposition
     pairs: tuple[CorrespondencePair, ...]
 
-    def pair_for_base(self, base_class_index: int) -> CorrespondencePair:
-        for pair in self.pairs:
-            if pair.base_class_index == base_class_index:
-                return pair
-        raise CorrespondenceError(f"no pair for base class {base_class_index}")
-
-    def pair_for_star(self, star_class_index: int) -> CorrespondencePair:
-        for pair in self.pairs:
-            if pair.star_class_index == star_class_index:
-                return pair
-        raise CorrespondenceError(f"no pair for star class {star_class_index}")
-
 
 def basic_set_correspondence(model: TwoAlphabetModel) -> Correspondence:
     """Match fine and coarse basic sets, cross-checking both decompositions.
@@ -274,16 +262,23 @@ def base_class_stationary(model: TwoAlphabetModel,
     """Exact stationary vector of the coarse cover on a terminal class.
 
     Returns {K index: weight} with weights summing to 1.  Requires exact nu.
+    Only the class block of the coarse cover is built.
     """
+    if not model.exact:
+        raise ValidationError("model has floating nu; exact covers unavailable")
     members = tuple(sorted(set(int(i) for i in base_members)))
-    g_matrix, _ = exact_cover_matrices(model)
+    position = {i: p for p, i in enumerate(members)}
+    block = [[Fraction(0)] * len(members) for _ in members]
+    leak = dict.fromkeys(members, Fraction(0))
+    for t, (i, j) in enumerate(zip(model.j_map, model.gamma)):
+        if i in position and j in position:
+            block[position[j]][position[i]] += model.nu[t]
+        elif i in position:
+            leak[i] += model.nu[t]
     for i in members:
-        leak = sum(g_matrix[j][i] for j in range(len(model.k))
-                   if j not in members)
-        if leak != 0:
+        if leak[i] != 0:
             raise NotTerminalError(
-                f"class loses mass {leak} from {model.k[i]!r}")
-    block = [[g_matrix[j][i] for i in members] for j in members]
+                f"class loses mass {leak[i]} from {model.k[i]!r}")
     v = stationary_exact(block)
     return {member: value for member, value in zip(members, v)}
 
@@ -346,6 +341,58 @@ def stationary_identity_max_error(model: TwoAlphabetModel,
         expected = Fraction(v_b.get(s, 0))
         worst = max(worst, abs(total - expected))
     return worst
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything derived from one exact two-alphabet model, computed once.
+
+    ``model`` is the analysed model.  ``correspondence`` matches the basic
+    sets of G and G*, each decomposition computed independently and
+    cross-checked.  ``g_cover`` and ``gstar_cover`` are the float stochastic
+    covers of G on K and of G* on K*.  ``decay`` certifies the decay of
+    transient mass under ``g_cover``.  ``stationary`` holds one exact
+    stationary vector {K index: weight} per terminal pair, in the order of
+    ``terminal_pairs``; each satisfies the projected stationarity identity
+    with zero error.
+    """
+
+    model: TwoAlphabetModel
+    correspondence: Correspondence
+    g_cover: markov.StochasticCover
+    gstar_cover: markov.StochasticCover
+    decay: markov.DecayCertificate
+    stationary: tuple[dict[int, Fraction], ...]
+
+    @property
+    def terminal_pairs(self) -> tuple[CorrespondencePair, ...]:
+        """Terminal pairs in coarse class order, aligned with ``stationary``."""
+        return tuple(p for p in self.correspondence.pairs if p.terminal)
+
+
+def analyze(model: TwoAlphabetModel) -> Analysis:
+    """Correspondence, covers, decay and exact stationary vectors of a model.
+
+    Requires exact nu.  The exact stationary vector of every terminal pair
+    is checked against the projected stationarity identity with zero
+    tolerance; a nonzero error raises CorrespondenceError.
+    """
+    correspondence = basic_set_correspondence(model)
+    g_cover, gstar_cover = induced_covers(model)
+    decay = markov.transient_decay(g_cover, correspondence.base_decomposition)
+    stationary = []
+    for pair in correspondence.pairs:
+        if not pair.terminal:
+            continue
+        v_b = base_class_stationary(model, pair.base_members)
+        error = stationary_identity_max_error(model, pair, v_b)
+        if error != 0:
+            raise CorrespondenceError(
+                f"exact stationary identity fails by {error} on class "
+                f"{pair.base_class_index}")
+        stationary.append(v_b)
+    return Analysis(model, correspondence, g_cover, gstar_cover, decay,
+                    tuple(stationary))
 
 
 def ergodic_cylinder_measure_star(model: TwoAlphabetModel,

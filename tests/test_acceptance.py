@@ -363,8 +363,9 @@ def test_10_statistical_genericity(example_a, relation_b, cover_b):
                                 3).passed
             for seed in range(100))
 
+        report_a = td.tractability_report_pl(example_a)
         passes_h = sum(
-            td.decode_orbit_histogram(example_a, (0, 1), segments=10_000,
+            td.decode_orbit_histogram(report_a, (0, 1), segments=10_000,
                                       depth=40, bins=10, seed=seed).passed
             for seed in range(100))
 

@@ -302,6 +302,26 @@ def test_plmap_simulation_attaches_birkhoff(tmp_path, capsys):
         assert entry["pass"] is True
 
 
+def test_plmap_simulation_builds_one_correspondence(tmp_path, capsys,
+                                                     monkeypatch):
+    from tractable_dyn import two_alphabet
+
+    calls = []
+    original = two_alphabet.basic_set_correspondence
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(two_alphabet, "basic_set_correspondence", counting)
+    path = write(tmp_path / "b.json", SYSTEM_B)
+    code, out, _ = run(capsys, "plmap-approx", "--input", path,
+                       "--simulate", "200", "--depth", "10")
+    assert code == 0
+    assert len(json.loads(out)["birkhoff"]) == 2
+    assert len(calls) == 1
+
+
 def test_plmap_out_system_round_trip(tmp_path, capsys):
     degenerate = dict(SYSTEM_A, vmap=dict(SYSTEM_A["vmap"], **{"1/2": "1"}))
     path = write(tmp_path / "bad.json", degenerate)

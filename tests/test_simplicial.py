@@ -420,9 +420,23 @@ def test_report_rejects_bad_background(example_a):
         td.tractability_report_pl(example_a, background=[1.0, 0.0])
 
 
+def test_report_rejects_unabsorbed_transient_mass():
+    # I2 leaks only through a fine edge of length 1e-6, so transient mass
+    # is far from absorbed when the iteration stops.
+    eps = F(1, 10**6)
+    system = td.build_system(
+        cx(0, 1, 2, 3),
+        cx(0, F(1, 2), 1, 1 + eps, 2, F(5, 2), 3),
+        {F(0): F(0), F(1, 2): F(1), F(1): F(0), 1 + eps: F(1),
+         F(2): F(2), F(5, 2): F(3), F(3): F(2)})
+    with pytest.raises(td.NumericalError, match="absorb"):
+        td.tractability_report_pl(system)
+
+
 def test_birkhoff_histogram_smoke(example_a):
     result = td.decode_orbit_histogram(
-        example_a, (0, 1), segments=2000, depth=25, bins=10, seed=7)
+        td.tractability_report_pl(example_a), (0, 1), segments=2000,
+        depth=25, bins=10, seed=7)
     assert result.segments == 2000
     assert result.threshold == pytest.approx(5 / math.sqrt(2000))
     assert result.max_deviation <= result.threshold
@@ -432,7 +446,8 @@ def test_birkhoff_histogram_smoke(example_a):
 def test_birkhoff_histogram_rejects_leaky_class(example_b):
     with pytest.raises(td.NotTerminalError):
         td.decode_orbit_histogram(
-            example_b, (2,), segments=1000, depth=10, bins=10, seed=1)
+            td.tractability_report_pl(example_b), (2,), segments=1000,
+            depth=10, bins=10, seed=1)
 
 
 def test_plot_smoke(example_a):
