@@ -376,35 +376,41 @@ def sample_path(spec: MarkovMeasureSpec, length: int, seed: int) -> list[int]:
 
     Identical (spec, length, seed) always yields the identical path; columns
     are scanned in element order when inverting the CDF, making the result
-    bit-reproducible across platforms.
+    bit-reproducible across platforms.  Each column's positive entries are
+    listed once per call, so a step costs its column's support, not the
+    cover size.
     """
     if length < 1:
         raise ValidationError("path length must be >= 1")
     state = seed & _MASK64
     matrix = spec.cover.matrix
-    size = spec.cover.size
+    columns: dict[int, tuple[list[int], list[float]]] = {}
 
-    def draw(weights, state):
+    def positive(weights) -> tuple[list[int], list[float]]:
+        index = np.flatnonzero(weights > 0)
+        return index.tolist(), weights[index].tolist()
+
+    def draw(support, state):
+        index, weights = support
         state, bits = _splitmix64(state)
         u = _unit_float(bits)
         acc = 0.0
-        last_positive = None
-        for j in range(size):
-            w = float(weights[j])
-            if w > 0:
-                last_positive = j
-                acc += w
-                if u < acc:
-                    return j, state
+        for j, w in zip(index, weights):
+            acc += w
+            if u < acc:
+                return j, state
         # Guard against accumulated rounding at u ~ 1.
-        if last_positive is None:
+        if not index:
             raise NumericalError("cannot sample from an all-zero column")
-        return last_positive, state
+        return index[-1], state
 
-    current, state = draw(spec.initial.weights, state)
+    current, state = draw(positive(spec.initial.weights), state)
     path = [current]
     for _ in range(length - 1):
-        current, state = draw(matrix[:, current], state)
+        support = columns.get(current)
+        if support is None:
+            support = columns[current] = positive(matrix[:, current])
+        current, state = draw(support, state)
         path.append(current)
     return path
 

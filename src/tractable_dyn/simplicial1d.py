@@ -19,7 +19,10 @@ geometrically.  That yields:
   a g within 2 mesh(K), with a further 4 mesh(K) slack if degeneracies of
   the rounded vertex map must be repaired.
 
-All geometry in this module is exact (fractions.Fraction); floating point
+All geometry in this module is exact: results are fractions.Fraction, and
+the hot loops (decoding, refinement, word coding) run on the system's integer
+chart, where every vertex is an integer and every local inverse an integer
+affine ratio, so no gcd is taken until a result is returned.  Floating point
 appears only in the norm-bound spot check and in Markov sampling, never in
 the dynamics.  Forward float iteration of g is deliberately avoided (binary
 orbits of tent-like maps collapse); orbit statistics are gathered by
@@ -29,8 +32,10 @@ sampling symbolic paths and decoding them.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -203,6 +208,69 @@ def _check_subdivision(k: IntervalComplex, kstar: IntervalComplex):
 
 
 @dataclass(frozen=True)
+class IntegerChart:
+    """A simplicial system in the integer coordinate x = scale * t.
+
+    ``scale`` is the lcm of the vertex denominators, so every fine and coarse
+    vertex is an integer.  Fine edge j runs from ``x[j]`` to ``x[j + 1]``
+    (``length[j]`` > 0) and g maps it onto the coarse edge from P_j to
+    P_{j+1} (signed ``rise[j]`` = P_{j+1} - P_j, negative when g reverses
+    orientation there).  Its local inverse is y -> (length[j] y + offset[j])
+    / rise[j] with offset[j] = x[j] rise[j] - length[j] P_j.
+
+    A chain of local inverses is kept as an unreduced integer triple
+    (n, b, d) meaning y -> (n y + b) / d.  Composing branch j on the right
+    gives (n length[j], n offset[j] + b rise[j], d rise[j]); because the
+    triple is never reduced, the leftmost branch i of a chain divides out
+    exactly: n // length[i], d // rise[i], and
+    b = (b - offset[i] (d // rise[i])) // length[i].
+    """
+
+    scale: int
+    x: tuple[int, ...]
+    coarse_x: tuple[int, ...]
+    length: tuple[int, ...]
+    rise: tuple[int, ...]
+    offset: tuple[int, ...]
+    j_edge: tuple[int, ...]       # coarse edge containing each fine edge
+    image_edge: tuple[int, ...]   # coarse edge each fine edge maps onto
+    theta: Fraction
+
+    def coarse_length(self, i: int) -> int:
+        return self.coarse_x[i + 1] - self.coarse_x[i]
+
+
+def _integer_chart(k: IntervalComplex, kstar: IntervalComplex,
+                   vertex_images: Sequence[int]) -> IntegerChart:
+    scale = math.lcm(*(v.denominator for v in k.vertices + kstar.vertices))
+    x = tuple(v.numerator * (scale // v.denominator) for v in kstar.vertices)
+    coarse_x = tuple(v.numerator * (scale // v.denominator)
+                     for v in k.vertices)
+    j_edge = tuple(bisect.bisect_right(coarse_x, a) - 1 for a in x[:-1])
+    length, rise, offset, image_edge = [], [], [], []
+    for j in range(len(x) - 1):
+        p0 = coarse_x[vertex_images[j]]
+        p1 = coarse_x[vertex_images[j + 1]]
+        length.append(x[j + 1] - x[j])
+        rise.append(p1 - p0)
+        offset.append(x[j] * (p1 - p0) - (x[j + 1] - x[j]) * p0)
+        image_edge.append(min(vertex_images[j], vertex_images[j + 1]))
+
+    # theta: least positive coarse barycentric coordinate of a fine vertex
+    # interior to a coarse edge.
+    coarse_set = set(coarse_x)
+    weights = [Fraction(min(coarse_x[i + 1] - w, w - coarse_x[i]),
+                        coarse_x[i + 1] - coarse_x[i])
+               for w, i in zip(x[1:-1], j_edge[1:]) if w not in coarse_set]
+    if not weights:
+        raise SubdivisionError("no interior fine vertices; subdivision improper")
+    return IntegerChart(scale=scale, x=x, coarse_x=coarse_x,
+                        length=tuple(length), rise=tuple(rise),
+                        offset=tuple(offset), j_edge=j_edge,
+                        image_edge=tuple(image_edge), theta=min(weights))
+
+
+@dataclass(frozen=True)
 class SimplicialSystem1D:
     """Proper subdivision plus a non-degenerate simplicial vertex map."""
 
@@ -210,13 +278,18 @@ class SimplicialSystem1D:
     kstar: IntervalComplex
     vertex_images: tuple[int, ...]  # coarse vertex index per fine vertex
 
+    @cached_property
+    def chart(self) -> IntegerChart:
+        """The integer chart, built on first use and kept with the system."""
+        return _integer_chart(self.k, self.kstar, self.vertex_images)
+
     def image_value(self, fine_vertex: int) -> Fraction:
         return self.k.vertices[self.vertex_images[fine_vertex]]
 
     def j_edge(self, star_edge: int) -> int:
         """Coarse edge containing a fine edge."""
-        a, _ = self.kstar.edge(star_edge)
-        return self.k.locate_edge(a)
+        self.kstar.edge(star_edge)  # range check
+        return self.chart.j_edge[star_edge]
 
     def star_edge_image(self, star_edge: int) -> int:
         """Coarse edge the fine edge maps onto."""
@@ -237,7 +310,9 @@ class SimplicialSystem1D:
 
     def star_edge_label(self, star_edge: int) -> str:
         base = self.j_edge(star_edge)
-        rank = sum(1 for j in range(star_edge) if self.j_edge(j) == base)
+        # Fine edges of one coarse edge are consecutive, so the rank is the
+        # distance to the first of them.
+        rank = star_edge - bisect.bisect_left(self.chart.j_edge, base)
         return f"I{base + 1}.{rank + 1}"
 
 
@@ -285,19 +360,10 @@ def theta(system: SimplicialSystem1D) -> Fraction:
     """Least positive coarse barycentric coordinate of the fine vertices.
 
     Only vertices interior to a coarse edge contribute; properness guarantees
-    at least one, and the value lies in (0, 1/2].
+    at least one, and the value lies in (0, 1/2].  Computed once, with the
+    integer chart.
     """
-    best: Fraction | None = None
-    for w in system.kstar.vertices:
-        if system.k.vertex_index(w) is not None:
-            continue
-        i = system.k.locate_edge(w)
-        a, b = system.k.edge(i)
-        weight = min((b - w) / (b - a), (w - a) / (b - a))
-        best = weight if best is None else min(best, weight)
-    if best is None:
-        raise SubdivisionError("no interior fine vertices; subdivision improper")
-    return best
+    return system.chart.theta
 
 
 @dataclass(frozen=True)
@@ -378,8 +444,9 @@ def _check_star_word(system: SimplicialSystem1D, word) -> tuple[int, ...]:
     for j in word:
         if not (0 <= j < system.kstar.n_edges):
             raise WordError(f"fine edge index {j} out of range")
+    chart = system.chart
     for j1, j2 in zip(word, word[1:]):
-        if system.j_edge(j2) != system.star_edge_image(j1):
+        if chart.j_edge[j2] != chart.image_edge[j1]:
             raise WordError(
                 f"({system.star_edge_label(j1)}, {system.star_edge_label(j2)}) "
                 "is not an edge of the fine relation")
@@ -395,15 +462,19 @@ def code_H_1d(system: SimplicialSystem1D, word) -> tuple[Fraction, Fraction]:
     word's first edge whose d_K-length is at most 2 (1-theta)^len(word).
     """
     word = _check_star_word(system, word)
-    lo, hi = system.kstar.edge(word[-1])
-    for j in reversed(word[:-1]):
-        lo, hi = system.local_inverse(j).interval_image(lo, hi)
+    chart = system.chart
+    n, b, d = 1, 0, 1
+    for j in word[:-1]:
+        n, b, d = (n * chart.length[j], n * chart.offset[j] + b * chart.rise[j],
+                   d * chart.rise[j])
+    lo, hi = sorted(Fraction(n * chart.x[v] + b, d * chart.scale)
+                    for v in (word[-1], word[-1] + 1))
     first_lo, first_hi = system.kstar.edge(word[0])
     if not first_lo <= lo <= hi <= first_hi:
         raise NumericalError("coded interval leaves the word's first edge")
-    base = system.j_edge(word[0])
+    base = chart.j_edge[word[0]]
     d_length = 2 * (hi - lo) / system.k.edge_length(base)
-    if d_length > 2 * (1 - theta(system)) ** len(word):
+    if d_length > 2 * (1 - chart.theta) ** len(word):
         raise NumericalError("coded interval exceeds the contraction bound")
     # The itinerary really is the word: iterate g exactly (rationals, so no
     # orbit collapse) on endpoints and midpoint.
@@ -441,43 +512,54 @@ def refine(system: SimplicialSystem1D, depth: int,
         raise ValidationError("depth must be >= 0")
     length = max(depth, 1)
     limit = resolve_cell_cap(cap)
-    successors = [[j2 for j2 in range(system.kstar.n_edges)
-                   if system.j_edge(j2) == system.star_edge_image(j)]
-                  for j in range(system.kstar.n_edges)]
+    chart = system.chart
+    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
+    fibers: list[list[int]] = [[] for _ in range(system.k.n_edges)]
+    for j, base in enumerate(chart.j_edge):
+        fibers[base].append(j)
+    successors = [fibers[i] for i in chart.image_edge]
 
-    intervals: list[tuple[Fraction, Fraction, int]] = []
-    stack = [(j, 1, AffineMap.identity(), j)
-             for j in reversed(range(system.kstar.n_edges))]
+    # A cell is [lo / den, hi / den] in chart coordinates, den > 0, with
+    # lo as a Fraction of t for sorting; root is the word's first edge.
+    cells: list[tuple[Fraction, int, int, int, int]] = []
+    stack = [(j, 1, 1, 0, 1, j) for j in reversed(range(len(lengths)))]
     while stack:
-        j, at, chain, root = stack.pop()
+        j, at, n, b, d, root = stack.pop()
         if at == length:
-            lo, hi = chain.interval_image(*system.kstar.edge(j))
-            intervals.append((lo, hi, root))
-            if len(intervals) > limit:
+            lo, hi = n * x[j] + b, n * x[j + 1] + b
+            if d < 0:
+                lo, hi, d = -hi, -lo, -d
+            cells.append((Fraction(lo, d * chart.scale), lo, hi, d, root))
+            if len(cells) > limit:
                 raise CapExceededError(
                     f"refinement would exceed the cell cap {limit}")
             continue
-        extended = chain.compose(system.local_inverse(j))
+        n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
         for j2 in reversed(successors[j]):
-            stack.append((j2, at + 1, extended, root))
+            stack.append((j2, at + 1, n, b, d, root))
 
-    intervals.sort(key=lambda item: item[0])
-    cursor = system.k.lo
-    mesh_d = Fraction(0)
-    for lo, hi, root in intervals:
-        if lo != cursor:
+    cells.sort(key=lambda cell: cell[0])
+    cursor, cursor_den = chart.coarse_x[0], 1
+    mesh_num, mesh_den = 0, 1
+    for _, lo, hi, d, root in cells:
+        if lo * cursor_den != cursor * d:
             raise NumericalError("decoded cells do not tile the space")
-        cursor = hi
-        base = system.j_edge(root)
-        mesh_d = max(mesh_d, 2 * (hi - lo) / system.k.edge_length(base))
-    if cursor != system.k.hi:
+        cursor, cursor_den = hi, d
+        num = 2 * (hi - lo)
+        den = d * chart.coarse_length(chart.j_edge[root])
+        if num * mesh_den > mesh_num * den:
+            mesh_num, mesh_den = num, den
+    if cursor != chart.coarse_x[-1] * cursor_den:
         raise NumericalError("decoded cells do not reach the end of the space")
 
-    bound = 2 * (1 - theta(system)) ** depth
+    mesh_d = Fraction(mesh_num, mesh_den)
+    bound = 2 * (1 - chart.theta) ** depth
     if mesh_d > bound:
         raise NumericalError(f"refined mesh {mesh_d} exceeds its bound {bound}")
-    vertices = sorted({system.k.lo} | {hi for _, hi, _ in intervals})
-    report = MeshReport(depth=depth, cells=len(intervals), mesh_d=mesh_d,
+    # The cells tile the space, so their left ends and the right end of the
+    # space are the vertices.
+    vertices = [cell[0] for cell in cells] + [system.k.hi]
+    report = MeshReport(depth=depth, cells=len(cells), mesh_d=mesh_d,
                         bound=bound)
     return IntervalComplex(tuple(vertices)), report
 
@@ -485,11 +567,9 @@ def refine(system: SimplicialSystem1D, depth: int,
 def lebesgue_distribution_data(system: SimplicialSystem1D) -> list[Fraction]:
     """nu(t) = |t| / |J(t)|: the Lebesgue weight of each fine edge in its
     coarse edge.  Fiber sums are exactly 1."""
-    out = []
-    for j in range(system.kstar.n_edges):
-        base = system.j_edge(j)
-        out.append(system.kstar.edge_length(j) / system.k.edge_length(base))
-    return out
+    chart = system.chart
+    return [Fraction(ell, chart.coarse_length(base))
+            for ell, base in zip(chart.length, chart.j_edge)]
 
 
 def to_two_alphabet(system: SimplicialSystem1D) -> two_alphabet.TwoAlphabetModel:
@@ -500,8 +580,8 @@ def to_two_alphabet(system: SimplicialSystem1D) -> two_alphabet.TwoAlphabetModel
     return two_alphabet.build_model(
         kstar=kstar_labels,
         k=k_labels,
-        j_map=[system.j_edge(j) for j in range(system.kstar.n_edges)],
-        gamma=[system.star_edge_image(j) for j in range(system.kstar.n_edges)],
+        j_map=list(system.chart.j_edge),
+        gamma=list(system.chart.image_edge),
         nu=lebesgue_distribution_data(system),
     )
 
@@ -924,51 +1004,61 @@ def decode_orbit_histogram(report: PLReport, star_class,
         report.analysis.gstar_cover, markov.Distribution.from_weights(initial))
     path = markov.sample_path(spec, segments + depth, seed)
 
-    # Support geometry in a concatenated length coordinate.
-    pieces = []  # (start_in_concat, edge_lo, edge_len, density)
-    offset = Fraction(0)
-    for i in sorted(pair.base_members):
-        lo, hi = system.k.edge(i)
-        length = hi - lo
-        pieces.append((offset, lo, length, v_b[i] / length))
-        offset += length
-    total = offset
+    # Support geometry in a concatenated length coordinate, all in chart
+    # units: piece p covers [piece_lo[p], piece_hi[p]] and starts at
+    # piece_start[p] in the concatenation.
+    chart = system.chart
+    base_members = sorted(pair.base_members)
+    piece_lo = [chart.coarse_x[i] for i in base_members]
+    piece_hi = [chart.coarse_x[i + 1] for i in base_members]
+    piece_start = []
+    total = 0
+    for i in base_members:
+        piece_start.append(total)
+        total += chart.coarse_length(i)
 
-    def concat_coordinate(x: Fraction) -> Fraction:
-        for start, lo, length, _ in pieces:
-            if lo <= x <= lo + length:
-                return start + (x - lo)
-        raise NumericalError(f"decoded point {x} left the class support")
-
+    # Bin q covers [total q / bins, total (q + 1) / bins]; scaled by bins,
+    # every bound is an integer.
     bin_mass = [Fraction(0)] * bins
-    for b in range(bins):
-        lo_c = total * b / bins
-        hi_c = total * (b + 1) / bins
-        for start, _, length, density in pieces:
-            overlap = min(hi_c, start + length) - max(lo_c, start)
+    for q in range(bins):
+        for i, start in zip(base_members, piece_start):
+            length = chart.coarse_length(i)
+            overlap = (min(total * (q + 1), (start + length) * bins)
+                       - max(total * q, start * bins))
             if overlap > 0:
-                bin_mass[b] += overlap * density
+                bin_mass[q] += Fraction(overlap, length * bins) * v_b[i]
     if sum(bin_mass) != 1:
         raise NumericalError(f"bin masses sum to {sum(bin_mass)}, not 1")
 
-    maps = [system.local_inverse(j) for j in range(system.kstar.n_edges)]
-    window = AffineMap.identity()
-    for i in range(depth):
-        window = window.compose(maps[path[i]])
+    # The window is the chain of local inverses along path[i:i + depth], an
+    # integer triple (n, b, d) as in IntegerChart.
+    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
+    n, b, d = 1, 0, 1
+    for j in path[:depth]:
+        n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
 
     counts = [0] * bins
     for i in range(segments):
-        lo, hi = window.interval_image(*system.kstar.edge(path[i + depth]))
-        mid = (lo + hi) / 2
-        coord = concat_coordinate(mid)
-        index = min(int(coord * bins / total), bins - 1)
-        counts[index] += 1
+        # Midpoint of the decoded interval: mid / den in chart units.
+        j = path[i + depth]
+        mid, den = n * (x[j] + x[j + 1]) + 2 * b, 2 * d
+        if den < 0:
+            mid, den = -mid, -den
+        p = bisect.bisect_right(piece_lo, mid // den) - 1
+        if p < 0 or mid > piece_hi[p] * den:
+            raise NumericalError(f"decoded point {Fraction(mid, den * chart.scale)}"
+                                 " left the class support")
+        coord = mid + (piece_start[p] - piece_lo[p]) * den
+        counts[min(coord * bins // (den * total), bins - 1)] += 1
         if i + 1 < segments:
-            window = maps[path[i]].inverse().compose(window).compose(
-                maps[path[i + depth]])
+            first = path[i]
+            d //= rise[first]
+            n //= lengths[first]
+            b = (b - offset[first] * d) // lengths[first]
+            n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
 
-    max_dev = max(abs(counts[b] / segments - float(bin_mass[b]))
-                  for b in range(bins))
+    max_dev = max(abs(counts[q] / segments - float(bin_mass[q]))
+                  for q in range(bins))
     threshold = 5.0 / segments ** 0.5
     return BirkhoffResult(segments=segments, depth=depth, bins=bins,
                           max_deviation=max_dev, threshold=threshold,

@@ -1,8 +1,19 @@
 """Brute-force reference computations kept independent of the library.
 
-Everything here works on plain index edge sets with O(n^3) closure passes, so
-results are easy to audit and slow on purpose.
+The closure helpers work on plain index edge sets with O(n^3) passes, so
+results are easy to audit and slow on purpose.  The sampling, decoding,
+refinement and word-coding references below are the straightforward
+versions of the library's integer-chart loops: a dense scan of every column
+entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``)
+composed and inverted step by step.
 """
+
+from fractions import Fraction
+
+import numpy as np
+
+import tractable_dyn as td
+from tractable_dyn import markov
 
 
 def reachability(n, edges):
@@ -71,3 +82,138 @@ def closure_decomposition(n, edges):
             if a != b and any(reach[i][j] for i in ca for j in cb):
                 order.add((a, b))
     return tuple(classes), tuple(flags), transient, frozenset(order)
+
+
+def sample_path(spec, length, seed):
+    """Inverse-CDF Markov path scanning every entry of each column."""
+    state = seed & markov._MASK64
+    matrix = spec.cover.matrix
+    size = spec.cover.size
+
+    def draw(weights, state):
+        state, bits = markov._splitmix64(state)
+        u = markov._unit_float(bits)
+        acc = 0.0
+        last_positive = None
+        for j in range(size):
+            w = float(weights[j])
+            if w > 0:
+                last_positive = j
+                acc += w
+                if u < acc:
+                    return j, state
+        if last_positive is None:
+            raise td.NumericalError("cannot sample from an all-zero column")
+        return last_positive, state
+
+    current, state = draw(spec.initial.weights, state)
+    path = [current]
+    for _ in range(length - 1):
+        current, state = draw(matrix[:, current], state)
+        path.append(current)
+    return path
+
+
+def code_interval(system, word):
+    """Interval of a fine-edge word: the last edge pulled back in Fractions."""
+    lo, hi = system.kstar.edge(word[-1])
+    for j in reversed(word[:-1]):
+        lo, hi = system.local_inverse(j).interval_image(lo, hi)
+    return lo, hi
+
+
+def refine(system, depth):
+    """Depth-th inverse-image subdivision and its d_K mesh, in Fractions."""
+    n_star = system.kstar.n_edges
+    length = max(depth, 1)
+    successors = [[j2 for j2 in range(n_star)
+                   if system.j_edge(j2) == system.star_edge_image(j)]
+                  for j in range(n_star)]
+    intervals = []
+    stack = [(j, 1, td.AffineMap.identity(), j)
+             for j in reversed(range(n_star))]
+    while stack:
+        j, at, chain, root = stack.pop()
+        if at == length:
+            lo, hi = chain.interval_image(*system.kstar.edge(j))
+            intervals.append((lo, hi, root))
+            continue
+        extended = chain.compose(system.local_inverse(j))
+        for j2 in reversed(successors[j]):
+            stack.append((j2, at + 1, extended, root))
+
+    intervals.sort(key=lambda item: item[0])
+    cursor = system.k.lo
+    mesh_d = Fraction(0)
+    for lo, hi, root in intervals:
+        assert lo == cursor, "cells do not tile the space"
+        cursor = hi
+        base = system.j_edge(root)
+        mesh_d = max(mesh_d, 2 * (hi - lo) / system.k.edge_length(base))
+    assert cursor == system.k.hi, "cells do not reach the end of the space"
+    vertices = sorted({system.k.lo} | {hi for _, hi, _ in intervals})
+    report = td.MeshReport(depth=depth, cells=len(intervals), mesh_d=mesh_d,
+                           bound=2 * (1 - td.theta(system)) ** depth)
+    return td.IntervalComplex(tuple(vertices)), report
+
+
+def decode_orbit_histogram(report, star_class, segments, depth, bins, seed):
+    """Birkhoff histogram of decoded windows, sliding a Fraction AffineMap."""
+    system = report.system
+    model = report.analysis.model
+    members = tuple(sorted(star_class))
+    pair, v_b = next(
+        (pair, v_b) for pair, v_b in zip(report.analysis.terminal_pairs,
+                                         report.analysis.stationary)
+        if tuple(sorted(pair.star_members)) == members)
+
+    initial = np.zeros(system.kstar.n_edges)
+    for t in pair.star_members:
+        initial[t] = float(v_b[model.j_map[t]] * model.nu[t])
+    spec = td.MarkovMeasureSpec(report.analysis.gstar_cover,
+                                td.Distribution.from_weights(initial))
+    path = sample_path(spec, segments + depth, seed)
+
+    pieces = []  # (start_in_concat, edge_lo, edge_len, density)
+    offset = Fraction(0)
+    for i in sorted(pair.base_members):
+        lo, hi = system.k.edge(i)
+        pieces.append((offset, lo, hi - lo, v_b[i] / (hi - lo)))
+        offset += hi - lo
+    total = offset
+
+    def concat_coordinate(x):
+        for start, lo, length, _ in pieces:
+            if lo <= x <= lo + length:
+                return start + (x - lo)
+        raise AssertionError(f"decoded point {x} left the class support")
+
+    bin_mass = [Fraction(0)] * bins
+    for b in range(bins):
+        lo_c = total * b / bins
+        hi_c = total * (b + 1) / bins
+        for start, _, length, density in pieces:
+            overlap = min(hi_c, start + length) - max(lo_c, start)
+            if overlap > 0:
+                bin_mass[b] += overlap * density
+    assert sum(bin_mass) == 1
+
+    maps = [system.local_inverse(j) for j in range(system.kstar.n_edges)]
+    window = td.AffineMap.identity()
+    for i in range(depth):
+        window = window.compose(maps[path[i]])
+    counts = [0] * bins
+    for i in range(segments):
+        lo, hi = window.interval_image(*system.kstar.edge(path[i + depth]))
+        coord = concat_coordinate((lo + hi) / 2)
+        counts[min(int(coord * bins / total), bins - 1)] += 1
+        if i + 1 < segments:
+            window = maps[path[i]].inverse().compose(window).compose(
+                maps[path[i + depth]])
+
+    max_dev = max(abs(counts[b] / segments - float(bin_mass[b]))
+                  for b in range(bins))
+    threshold = 5.0 / segments ** 0.5
+    return td.BirkhoffResult(segments=segments, depth=depth, bins=bins,
+                             max_deviation=max_dev, threshold=threshold,
+                             passed=max_dev <= threshold)

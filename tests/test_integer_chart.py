@@ -1,0 +1,286 @@
+"""The integer-chart loops agree exactly with their Fraction references.
+
+``decode_orbit_histogram``, ``refine``, ``code_H_1d`` and ``sample_path``
+are compared with the step-by-step versions in ``oracles`` on the worked
+examples, the random systems of ``conftest``, systems with vertex
+denominators 3, 5 and 7, and systems shaped like the ``plmap`` benchmark
+schedule (random vertex maps, repaired lazy maps, rounded sampled maps).
+"""
+
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import tractable_dyn as td
+from tractable_dyn import markov
+
+import oracles
+
+
+def _system(k, kstar, images):
+    return td.build_system(td.IntervalComplex(tuple(k)),
+                           td.IntervalComplex(tuple(kstar)),
+                           [k[i] for i in images])
+
+
+def thirds_and_fifths():
+    """Denominators 3 and 5 (scale 15); edges 0 and 3 reverse orientation."""
+    return _system([F(0), F(2, 3), F(7, 5)],
+                   [F(0), F(1, 5), F(2, 3), F(1), F(6, 5), F(7, 5)],
+                   [1, 0, 1, 2, 1, 2])
+
+
+def _walk(rng, n_edges, steps, lazy=False):
+    pos = rng.randint(0, n_edges)
+    images = [pos]
+    for _ in range(steps):
+        if lazy and rng.random() < 0.2:
+            step = 0
+        elif pos == 0:
+            step = 1
+        elif pos == n_edges:
+            step = -1
+        else:
+            step = rng.choice((-1, 1))
+        pos += step
+        images.append(pos)
+    return images
+
+
+def _split(rng, vertices, cuts):
+    fine = []
+    for lo, hi in zip(vertices, vertices[1:]):
+        fine.append(lo)
+        for cut in sorted(rng.sample(cuts, rng.randint(1, 2))):
+            fine.append(lo + (hi - lo) * cut)
+    fine.append(vertices[-1])
+    return fine
+
+
+def mixed_denominators(rng, n_edges):
+    """Coarse lengths over 1, 3, 5 and cuts over 3, 5, 7."""
+    vertices = [F(0)]
+    for _ in range(n_edges):
+        vertices.append(vertices[-1] + F(rng.randint(1, 4), rng.choice((1, 3, 5))))
+    cuts = [F(1, 3), F(2, 3), F(2, 5), F(3, 5), F(1, 7), F(4, 7)]
+    fine = _split(rng, vertices, cuts)
+    return _system(vertices, fine, _walk(rng, n_edges, len(fine) - 1))
+
+
+_LENGTHS = [F(1), F(3, 2), F(2), F(5, 2)]
+_EIGHTHS = [F(i, 8) for i in range(1, 8)]
+
+
+def schedule_shape(rng, kind, n_edges):
+    """A system like one entry of the plmap benchmark schedule."""
+    if kind == "sampled":
+        points = [F(i, 2) for i in range(2 * n_edges + 1)]
+        values = [F(rng.randint(0, 2 * n_edges), 2)]
+        for _ in points[1:]:
+            values.append(min(max(values[-1] + F(rng.randint(-2, 2), 2), F(0)),
+                              F(n_edges)))
+
+        def f(t):
+            i = min(int(2 * t), 2 * n_edges - 1)
+            a, b = float(values[i]), float(values[i + 1])
+            return a + (b - a) * (2 * t - i)
+        k = td.IntervalComplex(tuple(F(i) for i in range(n_edges + 1)))
+        return td.roundoff(f, k, 2)[0]
+    vertices = [F(0)]
+    for _ in range(n_edges):
+        vertices.append(vertices[-1] + rng.choice(_LENGTHS))
+    fine = _split(rng, vertices, _EIGHTHS)
+    if kind == "repair":
+        images = _walk(rng, n_edges, len(fine) - 1, lazy=True)
+        return td.nondegenerate_repair(
+            td.IntervalComplex(tuple(vertices)), td.IntervalComplex(tuple(fine)),
+            [vertices[i] for i in images])[0]
+    return _system(vertices, fine, _walk(rng, n_edges, len(fine) - 1))
+
+
+def systems(example_a, example_b, random_pl_system):
+    rng = random.Random(20261017)
+    out = [example_a, example_b, thirds_and_fifths()]
+    out += [random_pl_system(rng) for _ in range(6)]
+    out += [mixed_denominators(rng, n) for n in (1, 2, 3, 5)]
+    for kind, n_edges in (("vmap", 4), ("vmap", 8), ("sampled", 4),
+                          ("vmap", 16), ("repair", 8), ("vmap", 12),
+                          ("repair", 16), ("vmap", 32), ("vmap", 6)):
+        out.append(schedule_shape(rng, kind, n_edges))
+    return out
+
+
+@pytest.fixture
+def all_systems(example_a, example_b, random_pl_system):
+    return systems(example_a, example_b, random_pl_system)
+
+
+def _words(system, rng, count):
+    chart = system.chart
+    fibers = {}
+    for j, base in enumerate(chart.j_edge):
+        fibers.setdefault(base, []).append(j)
+    words = []
+    for _ in range(count):
+        word = [rng.randrange(system.kstar.n_edges)]
+        for _ in range(rng.randint(0, 9)):
+            word.append(rng.choice(fibers[chart.image_edge[word[-1]]]))
+        words.append(word)
+    return words
+
+
+def test_test_systems_cover_reversal_and_lcm_scaling(all_systems):
+    charts = [s.chart for s in all_systems]
+    assert any(r < 0 for c in charts for r in c.rise)
+    assert any(c.scale % 15 == 0 for c in charts)
+    assert thirds_and_fifths().chart.scale == 15
+
+
+def test_chart_matches_fraction_geometry(all_systems):
+    for system in all_systems:
+        chart = system.chart
+        assert [F(v, chart.scale) for v in chart.x] == list(system.kstar.vertices)
+        assert [F(v, chart.scale) for v in chart.coarse_x] == list(system.k.vertices)
+        for j in range(system.kstar.n_edges):
+            branch = system.local_inverse(j)
+            for y in system.k.edge(system.star_edge_image(j)):
+                t = F(chart.length[j] * y * chart.scale + chart.offset[j],
+                      chart.rise[j] * chart.scale)
+                assert t == branch(y)
+            a, _ = system.kstar.edge(j)
+            assert chart.j_edge[j] == system.k.locate_edge(a)
+            assert chart.image_edge[j] == system.star_edge_image(j)
+
+
+def test_theta_and_labels_match_their_definitions(all_systems):
+    for system in all_systems:
+        weights = []
+        for w in system.kstar.vertices:
+            if system.k.vertex_index(w) is None:
+                a, b = system.k.edge(system.k.locate_edge(w))
+                weights.append(min((b - w) / (b - a), (w - a) / (b - a)))
+        assert td.theta(system) == min(weights)
+        j_edge = [system.k.locate_edge(system.kstar.vertices[j])
+                  for j in range(system.kstar.n_edges)]
+        labels = [f"I{j_edge[j] + 1}."
+                  f"{sum(1 for i in range(j) if j_edge[i] == j_edge[j]) + 1}"
+                  for j in range(system.kstar.n_edges)]
+        assert [system.star_edge_label(j)
+                for j in range(system.kstar.n_edges)] == labels
+        assert list(td.simplicial1d.to_two_alphabet(system).kstar) == labels
+
+
+def test_code_H_1d_matches_reference(all_systems):
+    rng = random.Random(7)
+    for system in all_systems:
+        for word in _words(system, rng, 12):
+            assert td.code_H_1d(system, word) == \
+                oracles.code_interval(system, word)
+
+
+def test_refine_matches_reference(all_systems):
+    for system in all_systems:
+        for depth in range(5):
+            got = td.refine(system, depth, cap=20_000)
+            if got[1].cells > 2000:
+                break
+            assert got == oracles.refine(system, depth)
+
+
+def test_decode_matches_reference(all_systems):
+    compared = 0
+    for seed, system in enumerate(all_systems):
+        report = td.tractability_report_pl(system)
+        for pair in report.analysis.terminal_pairs:
+            args = (report, pair.star_members)
+            kwargs = dict(segments=300, depth=40, bins=7, seed=seed)
+            assert td.decode_orbit_histogram(*args, **kwargs) == \
+                oracles.decode_orbit_histogram(*args, **kwargs)
+            compared += 1
+    assert compared >= len(all_systems)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["conftest", "mixed", "vmap"]))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chart_loops_match_references_on_drawn_systems(
+        random_pl_system, seed, family):
+    rng = random.Random(seed)
+    if family == "conftest":
+        system = random_pl_system(rng)
+    elif family == "mixed":
+        system = mixed_denominators(rng, rng.randint(1, 4))
+    else:
+        system = schedule_shape(rng, "vmap", rng.randint(2, 8))
+    for word in _words(system, rng, 4):
+        assert td.code_H_1d(system, word) == oracles.code_interval(system, word)
+    assert td.refine(system, 3) == oracles.refine(system, 3)
+    report = td.tractability_report_pl(system)
+    pair = rng.choice(report.analysis.terminal_pairs)
+    args = (report, pair.star_members)
+    kwargs = dict(segments=200, depth=rng.randint(1, 40),
+                  bins=rng.randint(1, 12), seed=seed)
+    assert td.decode_orbit_histogram(*args, **kwargs) == \
+        oracles.decode_orbit_histogram(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n_edges", [64, 128])
+def test_decode_matches_reference_on_large_schedule_shapes(n_edges):
+    system = schedule_shape(random.Random(n_edges), "vmap", n_edges)
+    report = td.tractability_report_pl(system)
+    pair = report.analysis.terminal_pairs[0]
+    args = (report, pair.star_members)
+    kwargs = dict(segments=2000, depth=40, bins=10, seed=n_edges)
+    assert td.decode_orbit_histogram(*args, **kwargs) == \
+        oracles.decode_orbit_histogram(*args, **kwargs)
+
+
+def _sparse_cover(rng, size, out_degree):
+    edges = set()
+    for i in range(size):
+        for j in rng.sample(range(size), out_degree):
+            edges.add((i, j))
+    relation = td.FiniteRelation(tuple(map(str, range(size))), frozenset(edges))
+    matrix = np.zeros((size, size))
+    for i, j in edges:
+        matrix[j, i] = rng.random() + 0.01
+    matrix /= matrix.sum(axis=0)
+    return td.validate_cover(relation, matrix)
+
+
+def test_sample_path_matches_dense_scan(all_systems):
+    rng = random.Random(3)
+    specs = []
+    for system in all_systems[:6]:
+        cover = td.tractability_report_pl(system).analysis.gstar_cover
+        specs.append(td.MarkovMeasureSpec(cover,
+                                          td.Distribution.uniform(cover.size)))
+    for size, out_degree in ((5, 1), (40, 3), (150, 7)):
+        cover = _sparse_cover(rng, size, out_degree)
+        weights = np.zeros(size)
+        weights[size // 2:] = 1.0 / (size - size // 2)
+        specs.append(td.MarkovMeasureSpec(cover,
+                                          td.Distribution.from_weights(weights)))
+    for seed, spec in enumerate(specs):
+        assert td.sample_path(spec, 3000, seed) == \
+            oracles.sample_path(spec, 3000, seed)
+
+
+def test_sample_path_rounding_fallback_matches_dense_scan(monkeypatch):
+    # Ten weights of 0.1 sum to 1 - 2^-53 in floats; a draw at that value
+    # passes every partial sum and falls back to the last positive entry.
+    monkeypatch.setattr(markov, "_unit_float", lambda bits: 1.0 - 2.0 ** -53)
+    relation = td.FiniteRelation(tuple(map(str, range(12))),
+                                 frozenset((i, j) for i in range(12)
+                                           for j in range(1, 11)))
+    matrix = np.zeros((12, 12))
+    matrix[1:11, :] = 0.1
+    cover = td.StochasticCover(relation, matrix)
+    spec = td.MarkovMeasureSpec(cover, td.Distribution.uniform(12))
+    path = td.sample_path(spec, 20, 5)
+    assert path == oracles.sample_path(spec, 20, 5)
+    assert path[1:] == [10] * 19
