@@ -101,7 +101,8 @@ def cmd_relation_analyze(args) -> int:
             "empty domain: every element is eventually starved of successors "
             "(the relation is acyclic)")
     decomp = basic_sets(restricted)
-    removed = [e for e in relation.elements if e not in set(kept)]
+    kept_set = set(kept)
+    removed = [e for e in relation.elements if e not in kept_set]
     report = decomposition_json(decomp)
     report.update({
         "elements": list(relation.elements),
@@ -110,12 +111,13 @@ def cmd_relation_analyze(args) -> int:
     })
     if args.format == "csv":
         rows = []
+        transient = set(decomp.transient)
         for i, label in enumerate(restricted.elements):
             c = decomp.class_of(i)
             rows.append([label,
                          c if c is not None else "",
                          int(c is not None and decomp.terminal_flags[c]),
-                         int(i in set(decomp.transient))])
+                         int(i in transient)])
         _write_text(args.out, _csv_text(
             ["element", "class", "terminal", "transient"], rows))
     else:

@@ -136,17 +136,22 @@ def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
         raise CoverError(f"matrix shape {arr.shape} does not match {size} elements")
     if np.any(arr < 0) or np.any(arr > 1 + COLUMN_SUM_TOL):
         raise CoverError("matrix entries must lie in [0, 1]")
-    for i in range(size):
-        for j in range(size):
-            has_edge = relation.has_edge(i, j)
-            if has_edge and arr[j, i] <= 0:
-                raise CoverError(
-                    f"edge ({relation.elements[i]}, {relation.elements[j]}) "
-                    "has zero weight")
-            if not has_edge and arr[j, i] != 0:
-                raise CoverError(
-                    f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
-                    f"has weight {arr[j, i]:.17g}")
+    # support[i, j]: (i, j) is an edge, i.e. arr[j, i] must be positive.
+    support = np.zeros((size, size), dtype=bool)
+    if relation.edges:
+        sources, targets = zip(*relation.edges)
+        support[sources, targets] = True
+    weights = arr.T
+    bad = np.where(support, weights <= 0, weights != 0)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), size)  # first bad (i, j) in scan order
+        if support[i, j]:
+            raise CoverError(
+                f"edge ({relation.elements[i]}, {relation.elements[j]}) "
+                "has zero weight")
+        raise CoverError(
+            f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
+            f"has weight {arr[j, i]:.17g}")
     sums = arr.sum(axis=0)
     bad = [i for i in range(size) if abs(sums[i] - 1.0) > COLUMN_SUM_TOL]
     if bad:
@@ -187,21 +192,22 @@ def transient_decay(cover: StochasticCover,
 
     # BFS over reversed edges from the terminal block.
     size = cover.size
-    dist = {i: 0 for i in range(size) if i not in transient}
-    frontier = sorted(dist)
+    dist = [-1 if i in transient else 0 for i in range(size)]
+    frontier = [i for i in range(size) if dist[i] == 0]
     while frontier:
         nxt = []
         for j in frontier:
             for i in cover.relation.predecessors(j):
-                if i not in dist:
+                if dist[i] == -1:
                     dist[i] = dist[j] + 1
                     nxt.append(i)
-        frontier = sorted(nxt)
-    unreachable = [cover.relation.elements[i] for i in range(size) if i not in dist]
+        frontier = nxt
+    unreachable = [cover.relation.elements[i] for i in range(size)
+                   if dist[i] == -1]
     if unreachable:
         raise DomainError(
             "no word into a terminal class from: " + ", ".join(unreachable))
-    n = max(1, max(dist.values()))
+    n = max(1, max(dist))
 
     power = np.linalg.matrix_power(cover.matrix, n)
     rows = sorted(transient)
@@ -209,9 +215,13 @@ def transient_decay(cover: StochasticCover,
     certificate = DecayCertificate(n=n, rho=rho)
 
     # The bound propagates exactly in theory; allow only float slack.
+    # mass[s] is the transient mass of P^(n k) started at s: the indicator
+    # of the transient rows times P^n, k times.
+    mass = np.zeros(size)
+    mass[rows] = 1.0
     for k in range(1, 6):
-        power_k = np.linalg.matrix_power(cover.matrix, n * k)
-        worst = float(power_k[rows, :].sum(axis=0).max())
+        mass = mass @ power
+        worst = float(mass.max())
         if worst > rho ** k + 1e-9:
             raise NumericalError(
                 f"decay certificate failed at k={k}: {worst} > {rho}^{k}")
@@ -226,20 +236,22 @@ def _check_terminal_class(cover: StochasticCover, class_members) -> tuple[int, .
     for i in members:
         if not (0 <= i < size):
             raise NotTerminalError(f"element index {i} out of range")
+    relation = cover.relation
     inside = set(members)
     for i in inside:
-        for j in cover.relation.successors(i):
+        for j in relation.successors(i):
             if j not in inside:
                 raise NotTerminalError(
-                    f"edge leaves the class: ({cover.relation.elements[i]}, "
-                    f"{cover.relation.elements[j]})")
-    # Irreducibility of the block: every member reaches every other inside.
-    for start in members:
-        seen = {start}
-        frontier = [start]
+                    f"edge leaves the class: ({relation.elements[i]}, "
+                    f"{relation.elements[j]})")
+    # Irreducibility of the block: the first member reaches every member,
+    # and every member reaches the first, inside the class.
+    for neighbours in (relation.successors, relation.predecessors):
+        seen = {members[0]}
+        frontier = [members[0]]
         while frontier:
             node = frontier.pop()
-            for nxt in cover.relation.successors(node):
+            for nxt in neighbours(node):
                 if nxt in inside and nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)

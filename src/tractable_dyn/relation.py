@@ -16,11 +16,22 @@ Conventions
   set-map composition ``second ∘ first``).
 * Classes in a decomposition are ordered by their smallest element index and
   each class lists its members in increasing index order.
+
+Cost
+----
+A relation builds its successor and predecessor tables once, on first use,
+so every pass below runs in O(n + E).  The order between classes is read
+off the condensation DAG (one node per strong component) that Tarjan's
+pass emits in reverse topological order: each component's set of reachable
+classes is the union of its successors' sets, kept as an int bitset.  No
+transitive closure over elements is built; ``orbit_closure`` remains for
+callers that want one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, ElementMismatchError, ValidationError, WordError
 
@@ -59,23 +70,31 @@ class FiniteRelation:
         except ValueError:
             raise ValidationError(f"unknown element label {label!r}") from None
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...],
+                                  tuple[tuple[int, ...], ...]]:
+        """Sorted successor and predecessor tuples per element, built once."""
+        succ: list[list[int]] = [[] for _ in self.elements]
+        pred: list[list[int]] = [[] for _ in self.elements]
+        for i, j in sorted(self.edges):
+            succ[i].append(j)
+            pred[j].append(i)
+        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
+
     def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for a, j in self.edges if a == i))
+        return self._adjacency[0][i]
 
     def predecessors(self, j: int) -> tuple[int, ...]:
-        return tuple(sorted(i for i, b in self.edges if b == j))
+        return self._adjacency[1][j]
 
     def out_degree(self, i: int) -> int:
-        return sum(1 for a, _ in self.edges if a == i)
+        return len(self._adjacency[0][i])
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
     def successor_table(self) -> list[list[int]]:
-        table: list[list[int]] = [[] for _ in self.elements]
-        for i, j in sorted(self.edges):
-            table[i].append(j)
-        return table
+        return [list(succ) for succ in self._adjacency[0]]
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return sorted((self.elements[i], self.elements[j]) for i, j in self.edges)
@@ -99,11 +118,12 @@ class BasicSetDecomposition:
     transient: tuple[int, ...]
     order: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _class_index(self) -> dict[int, int]:
+        return {i: c for c, members in enumerate(self.classes) for i in members}
+
     def class_of(self, element: int) -> int | None:
-        for c, members in enumerate(self.classes):
-            if element in members:
-                return c
-        return None
+        return self._class_index.get(element)
 
     def terminal_classes(self) -> tuple[int, ...]:
         return tuple(c for c, t in enumerate(self.terminal_flags) if t)
@@ -164,24 +184,33 @@ def restrict_to_infinite_domain(
     original order).  A relation with no cycles collapses to the empty
     relation, signalling an empty sample-path space.
     """
-    alive = set(range(len(relation.elements)))
-    edges = set(relation.edges)
-    while True:
-        dead = {i for i in alive if not any(a == i for a, _ in edges)}
-        if not dead:
-            break
-        alive -= dead
-        edges = {(i, j) for i, j in edges if i in alive and j in alive}
-    kept = tuple(i for i in range(len(relation.elements)) if i in alive)
+    succ, pred = relation._adjacency
+    n = len(relation.elements)
+    degree = [len(s) for s in succ]
+    alive = [True] * n
+    starved = [i for i in range(n) if degree[i] == 0]
+    while starved:
+        j = starved.pop()
+        alive[j] = False
+        for i in pred[j]:
+            degree[i] -= 1
+            if degree[i] == 0:
+                starved.append(i)
+    kept = tuple(i for i in range(n) if alive[i])
     labels = tuple(relation.elements[i] for i in kept)
     renumber = {old: new for new, old in enumerate(kept)}
-    new_edges = frozenset((renumber[i], renumber[j]) for i, j in edges)
+    new_edges = frozenset((renumber[i], renumber[j]) for i, j in relation.edges
+                          if alive[i] and alive[j])
     return FiniteRelation(labels, new_edges), labels
 
 
 def _strong_components(relation: FiniteRelation) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, deterministic component order."""
-    succ = relation.successor_table()
+    """Tarjan's algorithm, iterative, deterministic component order.
+
+    Components come out in reverse topological order of the condensation:
+    every component reachable from another is emitted before it.
+    """
+    succ = relation._adjacency[0]
     n = len(relation.elements)
     index_of = [-1] * n
     low = [0] * n
@@ -235,8 +264,8 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
     rejected for the same reason.
     """
     n = len(relation.elements)
-    starved = [relation.elements[i] for i in range(n)
-               if relation.out_degree(i) == 0]
+    succ = relation._adjacency[0]
+    starved = [relation.elements[i] for i in range(n) if not succ[i]]
     if n == 0:
         raise DomainError("empty relation has no basic sets")
     if starved:
@@ -245,36 +274,50 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
             + ", ".join(starved))
 
     components = _strong_components(relation)
-    cyclic = [tuple(comp) for comp in components
-              if len(comp) > 1 or relation.has_edge(comp[0], comp[0])]
-    cyclic.sort(key=lambda comp: comp[0])
-    member_class = {}
-    for c, comp in enumerate(cyclic):
+    component_of = [0] * n
+    for k, comp in enumerate(components):
         for i in comp:
-            member_class[i] = c
+            component_of[i] = k
+    cyclic_components = [k for k, comp in enumerate(components)
+                         if len(comp) > 1 or relation.has_edge(comp[0], comp[0])]
+    cyclic_components.sort(key=lambda k: components[k][0])
+    class_of_component: list[int | None] = [None] * len(components)
+    for c, k in enumerate(cyclic_components):
+        class_of_component[k] = c
 
-    terminal_flags = []
-    for comp in cyclic:
-        inside = set(comp)
-        terminal_flags.append(
-            all(j in inside for i, j in relation.edges if i in inside))
+    leaves = [False] * len(components)
+    for i, j in relation.edges:
+        if component_of[i] != component_of[j]:
+            leaves[component_of[i]] = True
+    terminal_flags = tuple(not leaves[k] for k in cyclic_components)
 
-    terminal_members = {i for c, comp in enumerate(cyclic)
-                        if terminal_flags[c] for i in comp}
+    terminal_members = {i for c, k in enumerate(cyclic_components)
+                        if terminal_flags[c] for i in components[k]}
     transient = tuple(i for i in range(n) if i not in terminal_members)
 
-    closure = orbit_closure(relation)
+    # reach[k]: bitset of the classes reachable from component k by a
+    # nonempty path; upto[k] adds k's own class.  Successor components were
+    # emitted earlier, so their bitsets are complete when k is reached.
+    reach = [0] * len(components)
+    upto = [0] * len(components)
+    for k, comp in enumerate(components):
+        bits = 0
+        for i in comp:
+            for j in succ[i]:
+                if component_of[j] != k:
+                    bits |= upto[component_of[j]]
+        reach[k] = bits
+        c = class_of_component[k]
+        upto[k] = bits if c is None else bits | 1 << c
     order = set()
-    for i, j in closure.edges:
-        a = member_class.get(i)
-        b = member_class.get(j)
-        if a is not None and b is not None and a != b:
-            order.add((a, b))
+    for a, k in enumerate(cyclic_components):
+        digits = bin(reach[k])[:1:-1]  # digits[b] is bit b
+        order.update((a, b) for b, digit in enumerate(digits) if digit == "1")
 
     return BasicSetDecomposition(
         relation=relation,
-        classes=tuple(cyclic),
-        terminal_flags=tuple(terminal_flags),
+        classes=tuple(tuple(components[k]) for k in cyclic_components),
+        terminal_flags=terminal_flags,
         transient=transient,
         order=frozenset(order),
     )
@@ -370,7 +413,7 @@ def relation_from_json(data) -> FiniteRelation:
                 and all(isinstance(x, str) for x in item)):
             raise ValidationError(f"bad edge entry: {item!r}")
         pair = (item[0], item[1])
-        if pair in pairs or pair in seen:
+        if pair in seen:
             raise ValidationError(f"duplicate edge: {pair}")
         seen.add(pair)
         pairs.append(pair)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,16 @@ class TwoAlphabetModel:
     def exact(self) -> bool:
         return all(isinstance(x, Fraction) for x in self.nu)
 
+    @cached_property
+    def _fibers(self) -> dict[int, tuple[int, ...]]:
+        """K* indices over each K index, in increasing order, built once."""
+        fibers: dict[int, list[int]] = {i: [] for i in range(len(self.k))}
+        for t, i in enumerate(self.j_map):
+            fibers[i].append(t)
+        return {i: tuple(fiber) for i, fiber in fibers.items()}
+
     def fiber(self, k_index: int) -> tuple[int, ...]:
-        return tuple(t for t, j in enumerate(self.j_map) if j == k_index)
+        return self._fibers.get(k_index, ())
 
 
 def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
@@ -140,9 +149,8 @@ def induced_relations(model: TwoAlphabetModel
     g_edges = {(model.j_map[t], model.gamma[t])
                for t in range(len(model.kstar))}
     gstar_edges = {(t1, t2)
-                   for t1 in range(len(model.kstar))
-                   for t2 in range(len(model.kstar))
-                   if model.j_map[t2] == model.gamma[t1]}
+                   for t1, s in enumerate(model.gamma)
+                   for t2 in model.fiber(s)}
     g = FiniteRelation(model.k, frozenset(g_edges))
     gstar = FiniteRelation(model.kstar, frozenset(gstar_edges))
     return g, gstar
@@ -158,10 +166,9 @@ def exact_cover_matrices(model: TwoAlphabetModel
     for t in range(ns):
         g_matrix[model.gamma[t]][model.j_map[t]] += model.nu[t]
     gstar_matrix = [[Fraction(0)] * ns for _ in range(ns)]
-    for t1 in range(ns):
-        for t2 in range(ns):
-            if model.j_map[t2] == model.gamma[t1]:
-                gstar_matrix[t2][t1] = model.nu[t2]
+    for t1, s in enumerate(model.gamma):
+        for t2 in model.fiber(s):
+            gstar_matrix[t2][t1] = model.nu[t2]
     return g_matrix, gstar_matrix
 
 
@@ -173,11 +180,11 @@ def induced_covers(model: TwoAlphabetModel
     g_matrix = np.zeros((nk, nk))
     for t in range(ns):
         g_matrix[model.gamma[t], model.j_map[t]] += float(model.nu[t])
+    nu = np.array([float(x) for x in model.nu])
     gstar_matrix = np.zeros((ns, ns))
-    for t1 in range(ns):
-        for t2 in range(ns):
-            if model.j_map[t2] == model.gamma[t1]:
-                gstar_matrix[t2, t1] = float(model.nu[t2])
+    for t1, s in enumerate(model.gamma):
+        fiber = list(model.fiber(s))
+        gstar_matrix[fiber, t1] = nu[fiber]
     return markov.validate_cover(g, g_matrix), markov.validate_cover(gstar, gstar_matrix)
 
 

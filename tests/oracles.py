@@ -5,7 +5,9 @@ results are easy to audit and slow on purpose.  The sampling, decoding,
 refinement and word-coding references below are the straightforward
 versions of the library's integer-chart loops: a dense scan of every column
 entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``)
-composed and inverted step by step.
+composed and inverted step by step.  The cover-support scan and the G*
+definition are the cell-by-cell double loops that the library replaced with
+a boolean mask and with J-fibers.
 """
 
 from fractions import Fraction
@@ -82,6 +84,37 @@ def closure_decomposition(n, edges):
             if a != b and any(reach[i][j] for i in ca for j in cb):
                 order.add((a, b))
     return tuple(classes), tuple(flags), transient, frozenset(order)
+
+
+def check_cover_support(relation, matrix):
+    """Scan every cell in (i, j) order; raise CoverError at the first mismatch.
+
+    Cell (i, j) is ``matrix[j][i]``: it must be positive on an edge and zero
+    off one.  The messages are the library's.
+    """
+    size = len(relation.elements)
+    for i in range(size):
+        for j in range(size):
+            has_edge = (i, j) in relation.edges
+            if has_edge and matrix[j][i] <= 0:
+                raise td.CoverError(
+                    f"edge ({relation.elements[i]}, {relation.elements[j]}) "
+                    "has zero weight")
+            if not has_edge and matrix[j][i] != 0:
+                raise td.CoverError(
+                    f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
+                    f"has weight {matrix[j][i]:.17g}")
+
+
+def gstar_cover(model):
+    """G* edges and its weights by the |K*|^2 definition: t1 -> t2 when t2
+    lies over gamma(t1), with weight nu(t2)."""
+    ns = len(model.kstar)
+    edges = {(t1, t2) for t1 in range(ns) for t2 in range(ns)
+             if model.j_map[t2] == model.gamma[t1]}
+    matrix = [[model.nu[t2] if (t1, t2) in edges else 0 for t1 in range(ns)]
+              for t2 in range(ns)]
+    return frozenset(edges), matrix
 
 
 def sample_path(spec, length, seed):

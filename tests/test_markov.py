@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 import tractable_dyn as td
+from oracles import check_cover_support
 
 
 def full_relation(n):
@@ -48,6 +50,22 @@ def test_positive_weight_off_an_edge_is_a_support_mismatch(relation_b):
     matrix = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
     with pytest.raises(td.CoverError):
         td.validate_cover(relation_b, matrix)
+
+
+def test_support_mismatch_reports_the_first_bad_cell_of_the_scan():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        cover = random_full_domain_cover(rng, n)
+        matrix = cover.matrix.copy()
+        for cell in rng.sample(range(n * n), rng.randint(2, 5)):
+            i, j = divmod(cell, n)
+            matrix[j, i] = 0.0 if matrix[j, i] > 0 else rng.uniform(0.01, 0.3)
+        with pytest.raises(td.CoverError) as expected:
+            check_cover_support(cover.relation, matrix)
+        with pytest.raises(td.CoverError) as got:
+            td.validate_cover(cover.relation, matrix)
+        assert str(got.value) == str(expected.value)
 
 
 def test_column_sums_checked(relation_b):
@@ -140,6 +158,38 @@ def test_stationary_periodic_cycle_needs_no_power_iteration():
 def test_stationary_rejects_leaky_class(cover_b):
     with pytest.raises(td.NotTerminalError):
         td.stationary_distribution(cover_b, (1,))
+
+
+def test_stationary_rejects_a_closed_class_that_does_not_reach_back():
+    # {a, b} is closed and a reaches b, but b never returns to a.
+    relation = td.FiniteRelation(("a", "b"), frozenset({(0, 1), (1, 1)}))
+    cover = td.validate_cover(relation, [[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(td.NotTerminalError,
+                       match="^class is not strongly connected$"):
+        td.stationary_distribution(cover, (0, 1))
+
+
+def test_uniform_cover_and_stationary_on_a_sparse_giant_class():
+    """Three out-edges per element, n = 2000: the class checks are O(E).
+
+    The dense n x n cover is what bounds n here; the relation layer alone is
+    timed at n = 8000 in test_relation.py.
+    """
+    rng = random.Random(5)
+    n = 2000
+    edges = {(i, j) for i in range(n) for j in rng.sample(range(n), 3)}
+    relation = td.FiniteRelation(tuple(f"x{i}" for i in range(n)),
+                                 frozenset(edges))
+    start = time.perf_counter()
+    kept_relation, _ = td.restrict_to_infinite_domain(relation)
+    decomposition = td.basic_sets(kept_relation)
+    cover = td.uniform_cover(kept_relation)
+    (c,) = decomposition.terminal_classes()
+    v = td.stationary_distribution(cover, decomposition.classes[c])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"over budget: {elapsed:.2f}s"
+    assert len(decomposition.classes[c]) > n // 2
+    assert np.abs(cover.matrix @ v.weights - v.weights).max() <= 1e-12
 
 
 def test_stationary_residual_and_transient_mass():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,104 @@ def test_basic_sets_against_closure_oracle_seeded():
         checked += 1
 
 
+def layered_relation(rng, n):
+    """Full-domain relation on n elements: small cyclic classes joined by
+    chains of non-cyclic elements, every edge pointing to a later block, and
+    the labels shuffled.  The last block is a cycle, so nothing starves."""
+    blocks = []
+    size = 0
+    while size < n:
+        length = min(rng.randint(1, 4), n - size)
+        kind = "cycle" if size + length == n or rng.random() < 0.5 else "chain"
+        blocks.append((kind, list(range(size, size + length))))
+        size += length
+    edges = set()
+    for b, (kind, members) in enumerate(blocks):
+        later = [i for _, m in blocks[b + 1:] for i in m]
+        if kind == "cycle":
+            edges.update(zip(members, members[1:] + members[:1]))
+            edges.update((rng.choice(members), rng.choice(members))
+                         for _ in range(rng.randint(0, 2)))
+            exits = rng.choice((0, 1, 1, 2)) if later else 0
+        else:
+            edges.update(zip(members, members[1:]))
+            exits = rng.randint(1, 2)
+            edges.add((members[-1], rng.choice(later)))
+        edges.update((rng.choice(members), rng.choice(later))
+                     for _ in range(exits) if later)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return td.FiniteRelation(tuple(f"e{i}" for i in range(n)),
+                             frozenset((perm[i], perm[j]) for i, j in edges))
+
+
+def test_basic_sets_order_passes_through_non_cyclic_elements():
+    # a -> x -> y -> b with a loop at a and at b; x, y lie on no cycle.
+    r = rel("axyb", [("a", "a"), ("a", "x"), ("x", "y"), ("y", "b"),
+                     ("b", "b")])
+    d = td.basic_sets(r)
+    assert d.classes == ((0,), (3,))
+    assert d.terminal_flags == (False, True)
+    assert d.transient == (0, 1, 2)
+    assert d.order == frozenset({(0, 1)})
+    assert [d.class_of(i) for i in range(4)] == [0, None, None, 1]
+
+
+def test_basic_sets_against_closure_oracle_layered():
+    rng = random.Random(29)
+    many_classes = 0
+    for _ in range(40):
+        n = rng.randint(20, 60)
+        r = layered_relation(rng, n)
+        d = td.basic_sets(r)
+        classes, flags, transient, order = closure_decomposition(n, r.edges)
+        assert d.classes == classes
+        assert d.terminal_flags == flags
+        assert d.transient == transient
+        assert d.order == order
+        member_class = {i: c for c, cls in enumerate(classes) for i in cls}
+        assert [d.class_of(i) for i in range(n)] == [
+            member_class.get(i) for i in range(n)]
+        many_classes += len(classes) >= 5 and len(order) >= 5
+    assert many_classes >= 30
+
+
+@given(relations())
+def test_adjacency_tables_match_edge_scans(r):
+    n = len(r.elements)
+    table = r.successor_table()
+    for i in range(n):
+        assert r.successors(i) == tuple(sorted(j for a, j in r.edges if a == i))
+        assert r.predecessors(i) == tuple(
+            sorted(a for a, j in r.edges if j == i))
+        assert r.out_degree(i) == len(r.successors(i))
+        assert table[i] == list(r.successors(i))
+    table[0].append(-1)  # a fresh copy each call
+    assert r.successor_table()[0] == list(r.successors(0))
+
+
+def test_sparse_relation_at_8000_elements_within_budget():
+    # Three out-edges from each of 7500 core elements, plus a 500-element
+    # chain entered from the core that ends without a successor, so the
+    # restriction starves one chain element at a time.
+    rng = random.Random(3)
+    n, core = 8000, 7500
+    edges = {(i, j) for i in range(core) for j in rng.sample(range(core), 3)}
+    edges.update((i, i + 1) for i in range(core, n - 1))
+    edges.update((rng.randrange(core), core) for _ in range(3))
+    r = td.FiniteRelation(tuple(f"x{i}" for i in range(n)), frozenset(edges))
+    start = time.perf_counter()
+    kept_relation, kept = td.restrict_to_infinite_domain(r)
+    d = td.basic_sets(kept_relation)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"over budget: {elapsed:.2f}s"
+    assert kept == r.elements[:core]
+    (giant,) = [c for c in d.classes if len(c) > core // 2]
+    inside = set(giant)
+    assert all(set(kept_relation.successors(i)) <= inside for i in giant)
+    assert d.terminal_flags[d.class_of(giant[0])]
+
+
 # --- endset certificates ---
 
 
@@ -211,6 +310,14 @@ def test_endset_rejects_non_words(relation_b):
 def test_relation_json_round_trip(relation_b):
     data = td.relation_to_json(relation_b)
     assert td.relation_from_json(data) == relation_b
+
+
+def test_relation_json_names_the_duplicate_edge(relation_b):
+    data = td.relation_to_json(relation_b)
+    data["edges"].append(list(data["edges"][0]))
+    with pytest.raises(td.ValidationError,
+                       match=r"^duplicate edge: \('I1', 'I1'\)$"):
+        td.relation_from_json(data)
 
 
 @pytest.mark.parametrize("mutation", [

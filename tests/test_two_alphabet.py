@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tractable_dyn as td
-from oracles import closure_decomposition
+from oracles import closure_decomposition, gstar_cover
 
 
 def identity_model(n=3):
@@ -120,6 +120,24 @@ def test_exact_matrices_have_unit_columns():
             assert sum(row[col] for row in g_matrix) == 1
         for col in range(len(model.kstar)):
             assert sum(row[col] for row in gstar_matrix) == 1
+
+
+def test_gstar_from_fibers_matches_the_pairwise_definition():
+    rng = random.Random(19)
+    for _ in range(25):
+        model = random_model(rng, max_base=5, max_fine=12)
+        edges, matrix = gstar_cover(model)
+        _, gstar = td.induced_relations(model)
+        assert gstar.edges == edges
+        _, exact = td.exact_cover_matrices(model)
+        assert exact == matrix
+        _, cover = td.induced_covers(model)
+        assert cover.matrix.tolist() == [[float(x) for x in row]
+                                         for row in matrix]
+        for i in range(len(model.k)):
+            assert model.fiber(i) == tuple(
+                t for t, j in enumerate(model.j_map) if j == i)
+        assert model.fiber(len(model.k)) == ()
 
 
 # --- basic-set correspondence ---
