@@ -153,9 +153,11 @@ class SlidingBlockCode:
         base = self.n_symbols
         window_mod = base ** self.window
         out = 0
+        place = 1
         rest = word.value
-        for pos in range(word.length - self.window + 1):
-            out += self.phi[rest % window_mod] * base ** pos
+        for _ in range(word.length - self.window + 1):
+            out += self.phi[rest % window_mod] * place
+            place *= base
             rest //= base
         return Word(base, word.length - self.window + 1, out)
 
@@ -213,12 +215,16 @@ def derive_gamma(code: SlidingBlockCode, n: int,
     if table_size > limit:
         raise CapExceededError(
             f"table of {table_size} entries exceeds the cell cap {limit}")
+    return ShiftLikeSystem(code.n_symbols, n, k, _rounded_table(code, n, k))
+
+
+def _rounded_table(code: SlidingBlockCode, n: int, k: int) -> tuple[int, ...]:
+    """First n symbols of the code's image of each (n+k)-word, in packed
+    order: the table that rounds the code at n."""
     out_mod = code.n_symbols ** n
-    gamma = []
-    for value in range(table_size):
-        fine = Word(code.n_symbols, n + k, value)
-        gamma.append(code.apply(fine).value % out_mod)
-    return ShiftLikeSystem(code.n_symbols, n, k, tuple(gamma))
+    return tuple(
+        code.apply(Word(code.n_symbols, n + k, value)).value % out_mod
+        for value in range(code.n_symbols ** (n + k)))
 
 
 def apply_g(system: ShiftLikeSystem, word: Word) -> Word:
@@ -250,17 +256,8 @@ def code_R(source, prefix: Word, depth: int,
         k = source.k if k is None else k
         if (n, k) != (source.n, source.k):
             raise ValidationError("n, k overrides do not match the system")
-        needed = n + k + depth * k
-        if prefix.length < needed:
-            raise WordError(
-                f"prefix length {prefix.length} below required {needed}")
-        words = []
-        current = prefix
-        for _ in range(depth + 1):
-            words.append(current.prefix(n + k))
-            current = apply_g(source, current)
-        return words
-    if isinstance(source, SlidingBlockCode):
+        shrink, step = k, lambda word: apply_g(source, word)
+    elif isinstance(source, SlidingBlockCode):
         if n is None or k is None:
             raise ValidationError("coding a block map requires explicit n and k")
         if n < 1 or k < 1:
@@ -268,18 +265,19 @@ def code_R(source, prefix: Word, depth: int,
         if k < source.window - 1:
             raise ValidationError(
                 f"k={k} too small: the code reads {source.window} symbols")
-        shrink = source.window - 1
-        needed = n + k + depth * shrink
-        if prefix.length < needed:
-            raise WordError(
-                f"prefix length {prefix.length} below required {needed}")
-        words = []
-        current = prefix
-        for _ in range(depth + 1):
-            words.append(current.prefix(n + k))
-            current = source.apply(current)
-        return words
-    raise ValidationError(f"cannot code orbits of {type(source).__name__}")
+        shrink, step = source.window - 1, source.apply
+    else:
+        raise ValidationError(f"cannot code orbits of {type(source).__name__}")
+    needed = n + k + depth * shrink
+    if prefix.length < needed:
+        raise WordError(
+            f"prefix length {prefix.length} below required {needed}")
+    words = []
+    current = prefix
+    for _ in range(depth + 1):
+        words.append(current.prefix(n + k))
+        current = step(current)
+    return words
 
 
 def decode_H(system: ShiftLikeSystem, sequence) -> Word:
@@ -321,12 +319,9 @@ def shadow_Q(code: SlidingBlockCode, system: ShiftLikeSystem,
     if system.k < code.window - 1:
         raise ValidationError(
             f"system k={system.k} cannot capture a width-{code.window} code")
-    out_mod = code.n_symbols ** system.n
-    for value, entry in enumerate(system.gamma):
-        fine = Word(code.n_symbols, system.n + system.k, value)
-        if code.apply(fine).value % out_mod != entry:
-            raise ValidationError(
-                "system table is not the rounding of this code at its n")
+    if tuple(system.gamma) != _rounded_table(code, system.n, system.k):
+        raise ValidationError(
+            "system table is not the rounding of this code at its n")
     coding = code_R(code, prefix, depth, n=system.n, k=system.k)
     return decode_H(system, coding)
 

@@ -15,10 +15,8 @@ Basic sets of G and G* correspond one-to-one, terminal ones match, and over
 a terminal class the whole J-fiber belongs to the fine class.  Stationary
 vectors lift as v*(t) = v(J(t)) * nu(t).  These facts are cross-checked here
 by computing both decompositions independently; a mismatch is an internal
-error, never silently repaired.
-
-All arithmetic stays in exact rationals whenever nu is rational, so the
-lifted stationary identities can be verified with zero tolerance.
+error, never silently repaired.  nu is rational, so every identity is exact
+and checked with zero tolerance, in O(|K*|) passes over the J-fibers.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .errors import CorrespondenceError, NotTerminalError, ValidationError
 from .rationals import format_rational, parse_rational, stationary_exact
 from .relation import BasicSetDecomposition, FiniteRelation, basic_sets
 
-FIBER_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TwoAlphabetModel:
@@ -45,11 +41,7 @@ class TwoAlphabetModel:
     k: tuple[str, ...]
     j_map: tuple[int, ...]      # K index per K* element
     gamma: tuple[int, ...]      # K index per K* element
-    nu: tuple[Fraction | float, ...]
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(x, Fraction) for x in self.nu)
+    nu: tuple[Fraction, ...]
 
     @cached_property
     def _fibers(self) -> dict[int, tuple[int, ...]]:
@@ -62,21 +54,36 @@ class TwoAlphabetModel:
     def fiber(self, k_index: int) -> tuple[int, ...]:
         return self._fibers.get(k_index, ())
 
+    @cached_property
+    def _relations(self) -> tuple[FiniteRelation, FiniteRelation]:
+        """G on K and G* on K*, built once (see ``induced_relations``)."""
+        g = FiniteRelation(self.k, frozenset(zip(self.j_map, self.gamma)))
+        gstar = FiniteRelation(self.kstar, frozenset(
+            (t1, t2) for t1, s in enumerate(self.gamma)
+            for t2 in self.fiber(s)))
+        return g, gstar
 
-def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
-    k_index = {label: i for i, label in enumerate(k)}
+
+def _per_kstar(values, kstar, what: str) -> list:
+    """One entry per K* element, from a {label: entry} dict or a sequence."""
     if isinstance(values, dict):
         missing = [s for s in kstar if s not in values]
         if missing:
             raise ValidationError(f"{what} missing entries for {missing}")
+        return [values[s] for s in kstar]
+    raw = list(values)
+    if len(raw) != len(kstar):
+        raise ValidationError(f"{what} must have one entry per K* element")
+    return raw
+
+
+def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
+    k_index = {label: i for i, label in enumerate(k)}
+    raw = _per_kstar(values, kstar, what)
+    if isinstance(values, dict):
         extra = [s for s in values if s not in kstar]
         if extra:
             raise ValidationError(f"{what} has unknown keys {extra}")
-        raw = [values[s] for s in kstar]
-    else:
-        raw = list(values)
-        if len(raw) != len(kstar):
-            raise ValidationError(f"{what} must have one entry per K* element")
     out = []
     for pos, target in enumerate(raw):
         if isinstance(target, str):
@@ -95,8 +102,9 @@ def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
 def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
     """Validate and build a model.
 
-    nu entries may be Fractions (or rational strings / ints), in which case
-    fiber sums must equal 1 exactly, or floats, checked within 1e-12.
+    nu entries are rational: Fractions, ints or "p/q" strings (anything else
+    is a ValidationError).  Each must be positive, and each J-fiber must sum
+    to 1 exactly.
     """
     kstar = tuple(kstar)
     k = tuple(k)
@@ -110,57 +118,29 @@ def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
         missing = [k[i] for i in range(len(k)) if i not in set(j_idx)]
         raise ValidationError(f"J is not surjective; nothing lies over {missing}")
 
-    if isinstance(nu, dict):
-        missing = [s for s in kstar if s not in nu]
-        if missing:
-            raise ValidationError(f"nu missing entries for {missing}")
-        raw_nu = [nu[s] for s in kstar]
-    else:
-        raw_nu = list(nu)
-        if len(raw_nu) != len(kstar):
-            raise ValidationError("nu must have one entry per K* element")
-    values: list[Fraction | float] = []
-    for pos, x in enumerate(raw_nu):
-        if isinstance(x, float):
-            value: Fraction | float = x
-        else:
-            value = parse_rational(x)
+    model = TwoAlphabetModel(kstar, k, j_idx, gamma_idx, tuple(
+        parse_rational(x) for x in _per_kstar(nu, kstar, "nu")))
+    for label, value in zip(kstar, model.nu):
         if value <= 0:
-            raise ValidationError(f"nu[{kstar[pos]!r}] must be positive")
-        values.append(value)
-
+            raise ValidationError(f"nu[{label!r}] must be positive")
     for i in range(len(k)):
-        fiber = [t for t in range(len(kstar)) if j_idx[t] == i]
-        total = sum(values[t] for t in fiber)
-        if all(isinstance(values[t], Fraction) for t in fiber):
-            if total != 1:
-                raise ValidationError(
-                    f"nu over the fiber of {k[i]!r} sums to {total}, expected 1")
-        elif abs(float(total) - 1.0) > FIBER_SUM_TOL:
+        total = sum(model.nu[t] for t in model.fiber(i))
+        if total != 1:
             raise ValidationError(
-                f"nu over the fiber of {k[i]!r} sums to {float(total):.17g}")
-
-    return TwoAlphabetModel(kstar, k, j_idx, gamma_idx, tuple(values))
+                f"nu over the fiber of {k[i]!r} sums to {total}, expected 1")
+    return model
 
 
 def induced_relations(model: TwoAlphabetModel
                       ) -> tuple[FiniteRelation, FiniteRelation]:
-    """The coarse relation G on K and the fine relation G* on K*."""
-    g_edges = {(model.j_map[t], model.gamma[t])
-               for t in range(len(model.kstar))}
-    gstar_edges = {(t1, t2)
-                   for t1, s in enumerate(model.gamma)
-                   for t2 in model.fiber(s)}
-    g = FiniteRelation(model.k, frozenset(g_edges))
-    gstar = FiniteRelation(model.kstar, frozenset(gstar_edges))
-    return g, gstar
+    """The coarse relation G on K and the fine relation G* on K*, built
+    once per model: every call returns the same two objects."""
+    return model._relations
 
 
 def exact_cover_matrices(model: TwoAlphabetModel
                          ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Rational cover matrices for G and G* (requires exact nu)."""
-    if not model.exact:
-        raise ValidationError("model has floating nu; exact covers unavailable")
+    """Dense rational cover matrices of G and G*, |K|^2 and |K*|^2 entries."""
     nk, ns = len(model.k), len(model.kstar)
     g_matrix = [[Fraction(0)] * nk for _ in range(nk)]
     for t in range(ns):
@@ -268,11 +248,9 @@ def base_class_stationary(model: TwoAlphabetModel,
                           base_members) -> dict[int, Fraction]:
     """Exact stationary vector of the coarse cover on a terminal class.
 
-    Returns {K index: weight} with weights summing to 1.  Requires exact nu.
-    Only the class block of the coarse cover is built.
+    Returns {K index: weight} with weights summing to 1.  Only the class
+    block of the coarse cover is built.
     """
-    if not model.exact:
-        raise ValidationError("model has floating nu; exact covers unavailable")
     members = tuple(sorted(set(int(i) for i in base_members)))
     position = {i: p for p, i in enumerate(members)}
     block = [[Fraction(0)] * len(members) for _ in members]
@@ -286,68 +264,63 @@ def base_class_stationary(model: TwoAlphabetModel,
         if leak[i] != 0:
             raise NotTerminalError(
                 f"class loses mass {leak[i]} from {model.k[i]!r}")
-    v = stationary_exact(block)
-    return {member: value for member, value in zip(members, v)}
+    return dict(zip(members, stationary_exact(block)))
 
 
-def lift_stationary(model: TwoAlphabetModel, stationary):
+def _gamma_mass(model: TwoAlphabetModel, weights, members) -> list[Fraction]:
+    """out[s] = sum of weights[t] over members t with gamma(t) = s, one pass.
+
+    With weights v(J t) nu(t) this is (G v)(s); for a fine vector w it gives
+    (G* w)(t) = nu(t) * out[J t].
+    """
+    out = [Fraction(0)] * len(model.k)
+    for t in members:
+        out[model.gamma[t]] += weights[t]
+    return out
+
+
+def lift_stationary(model: TwoAlphabetModel, stationary) -> list[Fraction]:
     """Lift a coarse stationary vector to the fine cover: v*(t) = v(J t) nu(t).
 
-    Works on Fractions (identities exact) or floats (input residual must be
-    within 1e-9, and the lifted residual is verified within 1e-9 as well).
+    Entries are rational (Fractions, ints or "p/q" strings; anything else is
+    a ValidationError).  Both identities are exact: G v = v, else
+    ValidationError, and G* v* = v*, read from v* as nu(t) * (mass of v* on
+    gamma^-1(J t)) = v*(t), else CorrespondenceError.
     """
     v = list(stationary)
     if len(v) != len(model.k):
         raise ValidationError("stationary vector length does not match K")
-    exact = model.exact and all(isinstance(x, (Fraction, int)) for x in v)
+    v = [parse_rational(x) for x in v]
 
-    g_cover, gstar_cover = induced_covers(model)
-    v_float = np.array([float(x) for x in v])
-    residual = float(np.abs(g_cover.matrix @ v_float - v_float).max())
-    if residual > 1e-9:
-        raise ValidationError(
-            f"input stationarity residual {residual:.3e} exceeds 1e-9")
-
-    lifted = [(Fraction(v[model.j_map[t]]) * model.nu[t]) if exact
-              else float(v[model.j_map[t]]) * float(model.nu[t])
-              for t in range(len(model.kstar))]
-
-    if exact:
-        _, gstar_matrix = exact_cover_matrices(model)
-        for t2 in range(len(model.kstar)):
-            balance = sum(gstar_matrix[t2][t1] * lifted[t1]
-                          for t1 in range(len(model.kstar)))
-            if balance != lifted[t2]:
-                raise CorrespondenceError(
-                    f"exact lifted stationarity fails at {model.kstar[t2]!r}")
-    else:
-        lifted_float = np.array([float(x) for x in lifted])
-        residual = float(
-            np.abs(gstar_cover.matrix @ lifted_float - lifted_float).max())
-        if residual > 1e-9:
+    lifted = [v[i] * nu for i, nu in zip(model.j_map, model.nu)]
+    mass = _gamma_mass(model, lifted, range(len(model.kstar)))
+    for s, (pushed, value) in enumerate(zip(mass, v)):
+        if pushed != value:
+            raise ValidationError(
+                f"input vector is not stationary at {model.k[s]!r}: "
+                f"(G v) = {pushed}, v = {value}")
+    for t, (i, nu) in enumerate(zip(model.j_map, model.nu)):
+        if nu * mass[i] != lifted[t]:
             raise CorrespondenceError(
-                f"lifted stationarity residual {residual:.3e} exceeds 1e-9")
+                f"exact lifted stationarity fails at {model.kstar[t]!r}")
     return lifted
 
 
 def stationary_identity_max_error(model: TwoAlphabetModel,
                                   pair: CorrespondencePair,
-                                  v_b: dict[int, Fraction]):
+                                  v_b: dict[int, Fraction]) -> Fraction:
     """Worst error in the projected stationarity identity over K.
 
     For every coarse symbol s, the lifted weights of the fine symbols in the
-    class that map onto s must reproduce v_B(s).  Exact inputs give an exact
-    Fraction error (0 when the identity holds).
+    class that map onto s must reproduce v_B(s).  The error is an exact
+    Fraction, 0 when the identity holds.
     """
-    star_members = set(pair.star_members)
-    worst = Fraction(0)
-    for s in range(len(model.k)):
-        total = sum((Fraction(v_b.get(model.j_map[t], 0)) * model.nu[t]
-                     for t in star_members if model.gamma[t] == s),
-                    start=Fraction(0))
-        expected = Fraction(v_b.get(s, 0))
-        worst = max(worst, abs(total - expected))
-    return worst
+    members = set(pair.star_members)
+    lifted = {t: Fraction(v_b.get(model.j_map[t], 0)) * model.nu[t]
+              for t in members}
+    mass = _gamma_mass(model, lifted, members)
+    return max(abs(pushed - Fraction(v_b.get(s, 0)))
+               for s, pushed in enumerate(mass))
 
 
 @dataclass(frozen=True)
@@ -356,8 +329,8 @@ class Analysis:
 
     ``model`` is the analysed model.  ``correspondence`` matches the basic
     sets of G and G*, each decomposition computed independently and
-    cross-checked.  ``g_cover`` and ``gstar_cover`` are the float stochastic
-    covers of G on K and of G* on K*.  ``decay`` certifies the decay of
+    cross-checked.  ``g_cover`` and ``gstar_cover`` are the stochastic covers
+    of G on K and of G* on K* from ``induced_covers``.  ``decay`` certifies the decay of
     transient mass under ``g_cover``.  ``stationary`` holds one exact
     stationary vector {K index: weight} per terminal pair, in the order of
     ``terminal_pairs``; each satisfies the projected stationarity identity
@@ -380,9 +353,9 @@ class Analysis:
 def analyze(model: TwoAlphabetModel) -> Analysis:
     """Correspondence, covers, decay and exact stationary vectors of a model.
 
-    Requires exact nu.  The exact stationary vector of every terminal pair
-    is checked against the projected stationarity identity with zero
-    tolerance; a nonzero error raises CorrespondenceError.
+    The exact stationary vector of every terminal pair is checked against
+    the projected stationarity identity with zero tolerance; a nonzero error
+    raises CorrespondenceError.
     """
     correspondence = basic_set_correspondence(model)
     g_cover, gstar_cover = induced_covers(model)
@@ -408,16 +381,15 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
     """Cylinder weight of the ergodic measure lifted to a terminal fine class.
 
     The weight of ⟨t_0 .. t_n⟩ is v_B(J(t_0)) * nu(t_0) * ... * nu(t_n) when
-    the word is a G* word starting inside the class, and 0 otherwise.  Exact
-    models yield Fractions.
+    the word is a G* word starting inside the class, and 0 otherwise, as an
+    exact Fraction.  Each call recomputes the correspondence.
     """
     correspondence = basic_set_correspondence(model)
     members = tuple(sorted(set(int(t) for t in star_class)))
-    matches = [p for p in correspondence.pairs
-               if tuple(sorted(p.star_members)) == members]
-    if not matches:
+    pair = next((p for p in correspondence.pairs
+                 if tuple(sorted(p.star_members)) == members), None)
+    if pair is None:
         raise NotTerminalError(f"{members} is not a fine basic set")
-    pair = matches[0]
     if not pair.terminal:
         raise NotTerminalError(
             "ergodic cylinder measures exist only over terminal classes")
@@ -429,24 +401,15 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
         if not (0 <= t < len(model.kstar)):
             raise ValidationError(f"symbol index {t} out of range")
 
-    zero: Fraction | float = Fraction(0) if model.exact else 0.0
-    if word[0] not in set(pair.star_members):
-        return zero
-    for t1, t2 in zip(word, word[1:]):
-        if model.j_map[t2] != model.gamma[t1]:
-            return zero
+    if word[0] not in set(pair.star_members) or any(
+            model.j_map[t2] != model.gamma[t1]
+            for t1, t2 in zip(word, word[1:])):
+        return Fraction(0)
 
-    if model.exact:
-        v_b = base_class_stationary(model, pair.base_members)
-        value: Fraction | float = v_b[model.j_map[word[0]]]
-        for t in word:
-            value *= model.nu[t]
-        return value
-    g_cover, _ = induced_covers(model)
-    v_b_float = markov.stationary_distribution(g_cover, pair.base_members)
-    value = float(v_b_float.weights[model.j_map[word[0]]])
+    value = base_class_stationary(model, pair.base_members)[
+        model.j_map[word[0]]]
     for t in word:
-        value *= float(model.nu[t])
+        value *= model.nu[t]
     return value
 
 
@@ -468,11 +431,7 @@ def model_to_json(model: TwoAlphabetModel) -> dict:
     return {
         "Kstar": list(model.kstar),
         "K": list(model.k),
-        "J": {model.kstar[t]: model.k[model.j_map[t]]
-              for t in range(len(model.kstar))},
-        "gamma": {model.kstar[t]: model.k[model.gamma[t]]
-                  for t in range(len(model.kstar))},
-        "nu": {model.kstar[t]: (format_rational(x) if isinstance(x, Fraction)
-                                else float(x))
-               for t, x in enumerate(model.nu)},
+        "J": {t: model.k[i] for t, i in zip(model.kstar, model.j_map)},
+        "gamma": {t: model.k[s] for t, s in zip(model.kstar, model.gamma)},
+        "nu": {t: format_rational(x) for t, x in zip(model.kstar, model.nu)},
     }

@@ -5,9 +5,11 @@ results are easy to audit and slow on purpose.  The sampling, decoding,
 refinement and word-coding references below are the straightforward
 versions of the library's integer-chart loops: a dense scan of every column
 entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``)
-composed and inverted step by step.  The cover-support scan and the G*
-definition are the cell-by-cell double loops that the library replaced with
-a boolean mask and with J-fibers.
+composed and inverted step by step.  The block-code image uses a fresh power per
+symbol.  The cover-support scan, the G*
+definition, the fiber sums, the dense balance check and the stationarity
+identity are the cell-by-cell loops that the library replaced with a boolean
+mask and with passes over the J-fibers.
 """
 
 from fractions import Fraction
@@ -115,6 +117,52 @@ def gstar_cover(model):
     matrix = [[model.nu[t2] if (t1, t2) in edges else 0 for t1 in range(ns)]
               for t2 in range(ns)]
     return frozenset(edges), matrix
+
+
+def fiber_sums(n_base, j_map, nu):
+    """Total nu over each J-fiber, by the |K| x |K*| scan."""
+    totals = []
+    for i in range(n_base):
+        fiber = [t for t in range(len(j_map)) if j_map[t] == i]
+        totals.append(sum(nu[t] for t in fiber))
+    return totals
+
+
+def dense_balance_failures(matrix, vector):
+    """Rows where the dense exact product matrix @ vector differs from vector.
+
+    With the G* matrix of ``td.exact_cover_matrices`` and a lifted vector,
+    this is the |K*|^2 lifted-stationarity check.
+    """
+    n = len(vector)
+    return [row for row in range(n)
+            if sum(matrix[row][col] * vector[col] for col in range(n))
+            != vector[row]]
+
+
+def stationary_identity_max_error(model, pair, v_b):
+    """The projected stationarity identity, by a |K| x |class| scan."""
+    star_members = set(pair.star_members)
+    worst = Fraction(0)
+    for s in range(len(model.k)):
+        total = sum((Fraction(v_b.get(model.j_map[t], 0)) * model.nu[t]
+                     for t in star_members if model.gamma[t] == s),
+                    start=Fraction(0))
+        expected = Fraction(v_b.get(s, 0))
+        worst = max(worst, abs(total - expected))
+    return worst
+
+
+def block_code_image(code, word):
+    """``SlidingBlockCode.apply`` with the place value N**pos per symbol."""
+    base = code.n_symbols
+    window_mod = base ** code.window
+    out = 0
+    rest = word.value
+    for pos in range(word.length - code.window + 1):
+        out += code.phi[rest % window_mod] * base ** pos
+        rest //= base
+    return td.Word(base, word.length - code.window + 1, out)
 
 
 def sample_path(spec, length, seed):

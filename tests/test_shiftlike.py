@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tractable_dyn as td
+from oracles import block_code_image
 from tractable_dyn import Word
 
 
@@ -109,6 +110,22 @@ def test_derived_system_matches_code_to_depth_n():
             td.apply_g(system, prefix).prefix(n)
 
 
+def test_apply_and_table_match_the_power_sum_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        n_symbols = rng.randint(2, 4)
+        window = rng.randint(1, 3)
+        code = td.SlidingBlockCode(n_symbols, window, tuple(
+            rng.randrange(n_symbols) for _ in range(n_symbols ** window)))
+        word = random_word(rng, rng.randint(window, 60), n_symbols)
+        assert code.apply(word) == block_code_image(code, word)
+        n = rng.randint(1, 2)
+        system = td.derive_gamma(code, n)
+        assert system.gamma == tuple(
+            block_code_image(code, Word(n_symbols, n + system.k, value)).value
+            % n_symbols ** n for value in range(n_symbols ** (n + system.k)))
+
+
 def test_derive_gamma_cap():
     with pytest.raises(td.CapExceededError):
         td.derive_gamma(td.SlidingBlockCode(2, 2, (0, 0, 1, 1)), 40)
@@ -167,6 +184,28 @@ def test_code_R_pairs_live_in_the_fine_relation():
         for t1, t2 in zip(track, track[1:]):
             # overlap law straight from the table
             assert t2.value % (2 ** system.n) == system.gamma[t1.value]
+
+
+def test_code_R_keeps_the_checks_of_each_source():
+    code = td.SlidingBlockCode(2, 3, (0, 1) * 4)
+    system = td.derive_gamma(code, 1)
+    prefix = w2("0110" * 10)
+    cases = [
+        ((system, prefix, -1), {}, "depth must be >= 0"),
+        ((system, prefix, 2), {"n": 2}, "overrides do not match"),
+        ((code, prefix, 2), {"n": 1}, "requires explicit n and k"),
+        ((code, prefix, 2), {"n": 0, "k": 2}, "n and k must be >= 1"),
+        ((code, prefix, 2), {"n": 1, "k": 1}, "k=1 too small"),
+        ((object(), prefix, 2), {}, "cannot code orbits of object"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(td.ValidationError, match=message):
+            td.code_R(*args, **kwargs)
+    with pytest.raises(td.WordError, match="below required 43"):
+        td.code_R(code, prefix, 20, n=1, k=2)
+    assert td.code_R(code, prefix, 2, n=1, k=2) == [
+        w2("011"), code.apply(prefix).prefix(3),
+        code.apply(code.apply(prefix)).prefix(3)]
 
 
 def test_code_R_reports_required_length():
@@ -251,6 +290,20 @@ def test_shadow_tracks_random_codes():
             assert fx.prefix(block) == gy.prefix(block)
             fx = code.apply(fx)
             gy = td.apply_g(system, gy)
+
+
+def test_shadow_rejects_a_table_that_is_not_the_rounding():
+    code = td.SlidingBlockCode(2, 2, (0, 0, 1, 1))
+    system = td.derive_gamma(code, 1)
+    as_list = td.ShiftLikeSystem(2, 1, 1, list(system.gamma))
+    x = w2("0110" * 5)
+    assert td.shadow_Q(code, as_list, x, 5) == td.shadow_Q(code, system, x, 5)
+    gamma = list(system.gamma)
+    gamma[1] = 1 - gamma[1]
+    with pytest.raises(td.ValidationError, match="not the rounding"):
+        td.shadow_Q(code, td.ShiftLikeSystem(2, 1, 1, tuple(gamma)), x, 5)
+    with pytest.raises(td.ValidationError, match="not the rounding"):
+        td.shadow_Q(td.SlidingBlockCode(2, 2, (0, 1, 0, 1)), system, x, 5)
 
 
 # --- measures and reports ---

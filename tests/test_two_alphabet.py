@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import tractable_dyn as td
-from oracles import closure_decomposition, gstar_cover
+from oracles import (closure_decomposition, dense_balance_failures,
+                     fiber_sums, gstar_cover, stationary_identity_max_error)
 
 
 def identity_model(n=3):
@@ -41,7 +42,7 @@ def random_model(rng, max_base=4, max_fine=8):
 
 def test_identity_model_builds():
     model = identity_model()
-    assert model.exact
+    assert all(isinstance(x, Fraction) for x in model.nu)
     assert model.nu == (Fraction(1),) * 3
 
 
@@ -49,6 +50,39 @@ def test_fiber_sum_must_be_one():
     with pytest.raises(td.ValidationError):
         td.build_model(("a", "b"), ("s",), ("s", "s"), ("s", "s"),
                        [Fraction(1, 3), Fraction(1, 3)])
+
+
+def test_float_nu_is_rejected():
+    with pytest.raises(td.ValidationError):
+        td.build_model(("a", "b"), ("s",), ("s", "s"), ("s", "s"), [0.5, 0.5])
+    data = td.two_alphabet.model_to_json(shift_pair_model())
+    data["nu"] = {t: 0.5 for t in data["Kstar"]}
+    with pytest.raises(td.ValidationError):
+        td.two_alphabet.model_from_json(data)
+
+
+def test_fiber_sum_check_matches_the_scan():
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(60):
+        model = random_model(rng)
+        nu = list(model.nu)
+        if rng.random() < 0.5:
+            t = rng.randrange(len(nu))
+            nu[t] += Fraction(rng.choice((-1, 1)), rng.randint(7, 50))
+            nu[t] = abs(nu[t])
+        totals = fiber_sums(len(model.k), model.j_map, nu)
+        bad = [i for i, total in enumerate(totals) if total != 1]
+        if not bad:
+            assert td.build_model(model.kstar, model.k, model.j_map,
+                                  model.gamma, nu).nu == tuple(nu)
+            continue
+        with pytest.raises(td.ValidationError,
+                           match=f"fiber of '{model.k[bad[0]]}' sums to "
+                                 f"{totals[bad[0]]}, expected 1"):
+            td.build_model(model.kstar, model.k, model.j_map, model.gamma, nu)
+        rejected += 1
+    assert rejected >= 15
 
 
 def test_j_must_be_surjective():
@@ -91,6 +125,16 @@ def test_gamma_intertwines_the_relations():
         g, gstar = td.induced_relations(model)
         for t1, t2 in gstar.edges:
             assert (model.gamma[t1], model.gamma[t2]) in g.edges
+
+
+def test_relations_are_built_once_per_model():
+    model = shift_pair_model()
+    g, gstar = td.induced_relations(model)
+    again = td.induced_relations(model)
+    assert again[0] is g and again[1] is gstar
+    correspondence = td.basic_set_correspondence(model)
+    assert correspondence.base_decomposition.relation is g
+    assert correspondence.star_decomposition.relation is gstar
 
 
 def test_identity_model_covers_are_identity_matrices():
@@ -212,6 +256,18 @@ def test_lift_rejects_non_stationary_input():
         td.lift_stationary(shift_pair_model(), [Fraction(1), Fraction(0)])
 
 
+def test_lift_rejects_float_entries():
+    with pytest.raises(td.ValidationError):
+        td.lift_stationary(shift_pair_model(), [0.5, 0.5])
+
+
+def test_lift_rejects_a_rational_vector_within_float_tolerance():
+    eps = Fraction(1, 10 ** 12)
+    with pytest.raises(td.ValidationError):
+        td.lift_stationary(shift_pair_model(),
+                           [Fraction(1, 2) + eps, Fraction(1, 2) - eps])
+
+
 def test_fiber_marginalization():
     rng = random.Random(23)
     seen = 0
@@ -242,6 +298,52 @@ def test_stationary_identity_exact_on_terminal_pairs():
             v_b = td.two_alphabet.base_class_stationary(model, pair.base_members)
             assert td.two_alphabet.stationary_identity_max_error(
                 model, pair, v_b) == 0
+
+
+def random_rationals(rng, count):
+    return [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(count)]
+
+
+def test_exact_identities_match_the_dense_and_scan_oracles():
+    rng = random.Random(37)
+    terminal = non_terminal = raised = 0
+    for _ in range(100):
+        model = random_model(rng, max_base=5, max_fine=10)
+        nk, ns = len(model.k), len(model.kstar)
+        g_matrix, gstar_matrix = td.exact_cover_matrices(model)
+        for pair in td.basic_set_correspondence(model).pairs:
+            if pair.terminal:
+                v_b = td.two_alphabet.base_class_stationary(
+                    model, pair.base_members)
+                terminal += 1
+            else:
+                non_terminal += 1
+            candidates = [dict(zip(pair.base_members,
+                                   random_rationals(rng, nk)))]
+            if pair.terminal:
+                candidates.append(v_b)
+            for v in candidates:
+                assert td.two_alphabet.stationary_identity_max_error(
+                    model, pair, v) == stationary_identity_max_error(
+                    model, pair, v)
+                full = [v.get(i, Fraction(0)) for i in range(nk)]
+                if dense_balance_failures(g_matrix, full):
+                    raised += 1
+                    with pytest.raises(td.ValidationError):
+                        td.lift_stationary(model, full)
+                    continue
+                lifted = td.lift_stationary(model, full)
+                assert lifted == [full[i] * nu for i, nu
+                                  in zip(model.j_map, model.nu)]
+                assert dense_balance_failures(gstar_matrix, lifted) == []
+        # The lift check on any fine vector: nu(t) * (mass on
+        # gamma^-1(J t)) fails exactly where the dense G* balance fails.
+        w = random_rationals(rng, ns)
+        mass = td.two_alphabet._gamma_mass(model, w, range(ns))
+        assert [t for t in range(ns)
+                if model.nu[t] * mass[model.j_map[t]] != w[t]] == \
+            dense_balance_failures(gstar_matrix, w)
+    assert terminal >= 40 and non_terminal >= 20 and raised >= 20
 
 
 # --- ergodic cylinder measures ---
