@@ -1,14 +1,22 @@
-"""Exact rational helpers: "p/q" (de)serialization and small linear solves.
+"""Exact rational helpers: "p/q" (de)serialization and exact linear solves.
 
-Stationary vectors of column-stochastic rational matrices are computed by
-Gaussian elimination over Fraction, so identities that hold exactly in theory
-can be asserted with zero tolerance.
+Square rational systems, and with them the stationary vectors of
+column-stochastic rational blocks, are solved modulo 31-bit primes by
+integer Gauss-Jordan elimination.  The residues are joined by the Chinese
+remainder theorem, each entry is rebuilt by rational reconstruction (Wang
+1981), and a candidate is returned only once it satisfies the system exactly
+in integer arithmetic.  A nonsingular system has one solution, so the result
+is the same ``Fraction`` vector that elimination over ``Fraction`` gives, and
+identities that hold exactly in theory can be asserted with zero tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import NumericalError, ValidationError
 
@@ -34,27 +42,183 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _rational(x) -> int | Fraction:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """(L, [x L for x in values]) with L the lcm of their denominators."""
+    common = math.lcm(*(x.denominator for x in values))
+    return common, [x.numerator * (common // x.denominator) for x in values]
+
+
+# Primes below 2^31, largest first, found on demand and kept (the sequence
+# is fixed, so every caller shares it): residues stay below 2^31, so every
+# product of two fits in int64.
+_PRIMES: list[int] = []
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 7; bases 2, 3, 5, 7 are exact below 3.2e9."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(index: int) -> int:
+    """The index-th prime below 2^31, counting down from 2^31 - 1."""
+    candidate = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+    while len(_PRIMES) <= index:
+        if _is_prime(candidate):
+            _PRIMES.append(candidate)
+        candidate -= 2
+    return _PRIMES[index]
+
+
+def _solve_mod(aug: np.ndarray, p: int) -> np.ndarray | None:
+    """Solve the augmented system [A | b] modulo p by Gauss-Jordan.
+
+    ``aug`` holds the integer system reduced mod p as int64 (it is
+    overwritten).  Returns x with A x = b (mod p), or None when A is singular
+    mod p, that is when p divides det A.
+    """
+    n = aug.shape[0]
+    for col in range(n):
+        candidates = np.flatnonzero(aug[col:, col])
+        if candidates.size == 0:
+            return None
+        pivot = col + int(candidates[0])
+        if pivot != col:
+            aug[[col, pivot]] = aug[[pivot, col]]
+        row = aug[col, col:] * pow(int(aug[col, col]), -1, p) % p
+        aug[col, col:] = row
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        rows = np.flatnonzero(factors)
+        if rows.size:
+            aug[rows, col:] = (aug[rows, col:]
+                               - factors[rows, None] * row) % p
+    return aug[:, n]
+
+
+def _reconstruct(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The fraction n/d = u (mod modulus) with |n|, d <= bound, if any.
+
+    Wang's extended-Euclid reconstruction; unique when 2 bound^2 < modulus.
+    """
+    r0, r1 = modulus, u
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _candidate(residues: list[int], modulus: int) -> list[Fraction] | None:
+    """Rebuild every entry from its residue, or None if one fails.
+
+    Entries share most of their denominator, so each entry is first tried
+    as (L u mod modulus) / L with L the lcm of the denominators so far; only
+    when that numerator is too large is the entry reconstructed on its own.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    half = modulus // 2
+    common = 1
+    out = []
+    for u in residues:
+        scaled = u * common % modulus
+        if scaled > half:
+            scaled -= modulus
+        if abs(scaled) <= bound:
+            out.append(Fraction(scaled, common))
+            continue
+        value = _reconstruct(u, modulus, bound)
+        if value is None:
+            return None
+        common = math.lcm(common, value.denominator)
+        out.append(value)
+    return out
+
+
+def _satisfies(rows, rhs: list[int], x: list[Fraction]) -> bool:
+    """A x == b exactly, over the nonzero entries of integer rows."""
+    common, scaled = _scaled(x)
+    return all(sum(a * scaled[j] for j, a in row) == b * common
+               for row, b in zip(rows, rhs))
+
+
 def solve_linear_exact(matrix: Sequence[Sequence[Fraction]],
                        rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination.
+    """Solve a square rational system exactly.
+
+    Each row is scaled to integers, the system is solved modulo primes below
+    2^31 (a prime that divides the determinant is skipped), the residues are
+    joined by CRT and rebuilt by rational reconstruction, and the first
+    candidate that satisfies every equation exactly is returned.  Cramer's
+    rule and the Hadamard bound H of the scaled system bound the loop: once
+    the modulus exceeds 2 H^2 reconstruction cannot fail, and once the
+    skipped primes multiply past H the determinant is zero.
 
     Raises NumericalError if the matrix is singular.
     """
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NumericalError("singular rational system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    rows: list[list[tuple[int, int]]] = []
+    b: list[int] = []
+    hadamard_sq = 1
+    for row, r in zip(matrix, rhs):
+        cols = [j for j, x in enumerate(row) if x]
+        _, ints = _scaled([_rational(row[j]) for j in cols] + [_rational(r)])
+        rows.append(list(zip(cols, ints[:-1])))
+        b.append(ints[-1])
+        hadamard_sq *= sum(a * a for a in ints)
+    # |det A| and every |det A_j| (Cramer) are at most hadamard.
+    hadamard = math.isqrt(hadamard_sq)
+
+    row_index = [i for i, row in enumerate(rows) for _ in row]
+    cols = [j for row in rows for j, _ in row]
+    values = [a for row in rows for _, a in row]
+    small = all(abs(v) < 2**63 for v in values + b)
+    integer = np.zeros((n, n + 1), dtype=np.int64 if small else object)
+    integer[row_index, cols] = values
+    integer[:, n] = b
+
+    modulus, residues = 1, [0] * n
+    skipped, index = 1, 0
+    while skipped <= hadamard:
+        p = _prime(index)
+        index += 1
+        x = _solve_mod((integer % p).astype(np.int64, copy=False), p)
+        if x is None:
+            skipped *= p
+            continue
+        # CRT: the new residues agree with the old ones mod modulus.
+        inverse = pow(modulus % p, -1, p)
+        old = np.array([u % p for u in residues], dtype=np.int64)
+        step = (x - old) % p * inverse % p
+        residues = [u + modulus * int(t) for u, t in zip(residues, step)]
+        modulus *= p
+        candidate = _candidate(residues, modulus)
+        if candidate is not None and _satisfies(rows, b, candidate):
+            return candidate
+        if modulus > 2 * hadamard**2:
+            raise NumericalError(
+                "rational reconstruction failed past the Hadamard bound")
+    raise NumericalError("singular rational system")
 
 
 def stationary_exact(block: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -63,22 +227,37 @@ def stationary_exact(block: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     ``block[j][i]`` is the transition weight i -> j.  Columns must sum to 1
     exactly.  The first c-1 balance equations plus normalization determine the
     vector; irreducibility makes the reduced system nonsingular and the result
-    strictly positive.
+    strictly positive.  The system is solved modulo primes and certified
+    exactly (``solve_linear_exact``); P v = v is then checked in integers
+    on a common denominator, over the nonzero entries of the block only.
     """
     c = len(block)
-    for i in range(c):
-        col_sum = sum(block[j][i] for j in range(c))
+    col_sums = [Fraction(0)] * c
+    balance = []
+    for j, row in enumerate(block):
+        cols = [i for i, x in enumerate(row) if x]
+        values = [_rational(row[i]) for i in cols]
+        for i, x in zip(cols, values):
+            col_sums[i] += x
+        # Row j of P - I, scaled to integers.
+        scale, ints = _scaled(values)
+        entries = dict(zip(cols, ints))
+        entries[j] = entries.get(j, 0) - scale
+        balance.append([(i, a) for i, a in sorted(entries.items()) if a])
+    for i, col_sum in enumerate(col_sums):
         if col_sum != 1:
             raise ValidationError(f"column {i} sums to {col_sum}, expected 1")
-    rows = [[block[r][i] - (1 if r == i else 0) for i in range(c)]
-            for r in range(c - 1)]
-    rows.append([Fraction(1)] * c)
-    rhs = [Fraction(0)] * (c - 1) + [Fraction(1)]
-    v = solve_linear_exact(rows, rhs)
+    rows = []
+    for entries in balance[:-1]:
+        row = [0] * c
+        for i, a in entries:
+            row[i] = a
+        rows.append(row)
+    rows.append([1] * c)
+    v = solve_linear_exact(rows, [0] * (c - 1) + [1])
     if any(x <= 0 for x in v):
         raise NumericalError("stationary vector not positive; block reducible?")
-    residual = [sum(block[j][i] * v[i] for i in range(c)) - v[j]
-                for j in range(c)]
-    if any(r != 0 for r in residual):
+    _, scaled = _scaled(v)
+    if any(sum(a * scaled[i] for i, a in entries) != 0 for entries in balance):
         raise NumericalError("exact stationary vector fails its balance")
     return v

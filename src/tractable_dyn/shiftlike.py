@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import two_alphabet
 from .config import resolve_cell_cap
@@ -36,6 +37,12 @@ def _check_alphabet(n_symbols: int):
         raise ValidationError("alphabet size must be at least 2")
 
 
+@lru_cache(maxsize=1024)
+def _word_count(n_symbols: int, length: int) -> int:
+    """N^length, the range bound of packed words, computed once per pair."""
+    return n_symbols ** length
+
+
 @dataclass(frozen=True)
 class Word:
     """Finite word over {0..N-1}, packed little-endian (digit 0 first)."""
@@ -48,7 +55,7 @@ class Word:
         _check_alphabet(self.n_symbols)
         if self.length < 0:
             raise ValidationError("word length must be >= 0")
-        if not (0 <= self.value < self.n_symbols ** self.length):
+        if not (0 <= self.value < _word_count(self.n_symbols, self.length)):
             raise ValidationError(
                 f"packed value {self.value} out of range for length {self.length}")
 

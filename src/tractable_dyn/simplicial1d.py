@@ -45,7 +45,7 @@ from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, DegenerateMapError,
                      MapRangeError, NotTerminalError, NumericalError,
                      SubdivisionError, ValidationError, WordError)
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, solve_linear_exact
 from .relation import tractability_json
 
 
@@ -919,15 +919,46 @@ class PLReport:
         return out
 
 
+def _exact_absorption(analysis: two_alphabet.Analysis,
+                     background: Sequence[Fraction]) -> dict[int, Fraction]:
+    """Exact share of the background absorbed by each terminal class.
+
+    With Q the exact coarse cover from nu restricted to the transient
+    elements, x = (I - Q)^-1 w_T is the mass that ever passes through each
+    of them (Kemeny-Snell); class c absorbs its own background plus the
+    mass that steps from a transient element into it.
+    """
+    model = analysis.model
+    decomp = analysis.correspondence.base_decomposition
+    transient = decomp.transient
+    position = {i: p for p, i in enumerate(transient)}
+    matrix = [[int(p == q) for q in range(len(transient))]
+              for p in range(len(transient))]
+    for i, j, w in zip(model.j_map, model.gamma, model.nu):
+        if i in position and j in position:
+            matrix[position[j]][position[i]] -= w
+    visits = solve_linear_exact(matrix, [background[i] for i in transient])
+    owner = {i: c for c in decomp.terminal_classes() for i in decomp.classes[c]}
+    shares = {c: sum((background[i] for i in decomp.classes[c]),
+                     start=Fraction(0))
+              for c in decomp.terminal_classes()}
+    for i, j, w in zip(model.j_map, model.gamma, model.nu):
+        if i in position and j in owner:
+            shares[owner[j]] += w * visits[position[i]]
+    return shares
+
+
 def tractability_report_pl(system: SimplicialSystem1D,
                            background=None) -> PLReport:
     """Exact tractability report for a simplicial system.
 
     ``background`` weights the coarse edges (positive, summing to 1; uniform
     by default); the report includes the share of background mass absorbed
-    into each terminal class; transient mass still above 1e-13 after 100000
-    steps raises NumericalError.  Stationary data is exact and the projected
-    stationarity identity is verified with zero tolerance.
+    into each terminal class.  The shares come from iterating the float cover
+    until transient mass falls below 1e-13; where that takes more than 100000
+    steps, they are solved exactly from the fundamental matrix instead and
+    reported as floats.  Stationary data is exact and the projected stationarity
+    identity is verified with zero tolerance.
     """
     analysis = two_alphabet.analyze(to_two_alphabet(system))
     decomp = analysis.correspondence.base_decomposition
@@ -949,14 +980,17 @@ def tractability_report_pl(system: SimplicialSystem1D,
     steps = 0
     while transient and float(current[transient].sum()) > 1e-13:
         if steps == 100000:
-            raise NumericalError(
-                f"transient mass {float(current[transient].sum()):.3e} is not "
-                "absorbed after 100000 steps")
+            n = system.k.n_edges
+            exact = _exact_absorption(analysis, [Fraction(1, n)] * n
+                                      if background is None
+                                      else [Fraction(x) for x in background])
+            absorption = {c: float(share) for c, share in exact.items()}
+            break
         current = analysis.g_cover.matrix @ current
         steps += 1
-    absorption = {}
-    for c in decomp.terminal_classes():
-        absorption[c] = float(current[list(decomp.classes[c])].sum())
+    else:
+        absorption = {c: float(current[list(decomp.classes[c])].sum())
+                      for c in decomp.terminal_classes()}
 
     return PLReport(system=system, analysis=analysis, theta=theta(system),
                     background=tuple(float(w) for w in weights),

@@ -253,7 +253,8 @@ def base_class_stationary(model: TwoAlphabetModel,
     """
     members = tuple(sorted(set(int(i) for i in base_members)))
     position = {i: p for p, i in enumerate(members)}
-    block = [[Fraction(0)] * len(members) for _ in members]
+    # Integer zeros: the solver skips them with a C-level truth test.
+    block = [[0] * len(members) for _ in members]
     leak = dict.fromkeys(members, Fraction(0))
     for t, (i, j) in enumerate(zip(model.j_map, model.gamma)):
         if i in position and j in position:

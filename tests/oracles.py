@@ -9,7 +9,9 @@ composed and inverted step by step.  The block-code image uses a fresh power per
 symbol.  The cover-support scan, the G*
 definition, the fiber sums, the dense balance check and the stationarity
 identity are the cell-by-cell loops that the library replaced with a boolean
-mask and with passes over the J-fibers.
+mask and with passes over the J-fibers.  The exact solver is dense
+Gauss-Jordan elimination over ``Fraction``, which the library replaced with
+certified solves modulo primes.
 """
 
 from fractions import Fraction
@@ -138,6 +140,34 @@ def dense_balance_failures(matrix, vector):
     return [row for row in range(n)
             if sum(matrix[row][col] * vector[col] for col in range(n))
             != vector[row]]
+
+
+def solve_linear_exact(matrix, rhs):
+    """Dense Gauss-Jordan elimination over Fraction, pivot by pivot."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise td.NumericalError("singular rational system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def stationary_exact(block):
+    """Stationary vector by the c-1 balance rows plus normalization."""
+    c = len(block)
+    rows = [[block[r][i] - (1 if r == i else 0) for i in range(c)]
+            for r in range(c - 1)]
+    rows.append([Fraction(1)] * c)
+    return solve_linear_exact(rows, [Fraction(0)] * (c - 1) + [Fraction(1)])
 
 
 def stationary_identity_max_error(model, pair, v_b):

@@ -1,0 +1,188 @@
+"""Certified exact solves against dense Gauss-Jordan over Fraction.
+
+``rationals.solve_linear_exact`` solves modulo primes and certifies the
+candidate exactly, so its answers must equal the ``oracles`` elimination
+``Fraction`` for ``Fraction``, and its error paths must match the old ones.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import tractable_dyn as td
+from tractable_dyn import rationals
+import oracles
+
+
+def split(rng, total, parts):
+    """``parts`` positive integers summing to ``total``."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def random_block(rng, size, max_den, period=1, extra=2):
+    """An irreducible column-stochastic block with denominators <= max_den.
+
+    A random Hamiltonian cycle makes the block irreducible; extra edges go
+    only from one residue class mod ``period`` to the next, so a period > 1
+    gives a periodic block.
+    """
+    order = list(range(size))
+    rng.shuffle(order)
+    phase = {s: k % period for k, s in enumerate(order)}
+    targets = {s: {order[(k + 1) % size]} for k, s in enumerate(order)}
+    for s in range(size):
+        fits = [t for t in range(size) if phase[t] == (phase[s] + 1) % period]
+        targets[s].update(rng.sample(fits, min(len(fits), rng.randint(0, extra))))
+    block = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        succ = sorted(targets[i])
+        den = rng.randint(len(succ), max(len(succ), max_den))
+        for j, w in zip(succ, split(rng, den, len(succ))):
+            block[j][i] = Fraction(w, den)
+    return block
+
+
+def perm_phi(rng, n_symbols, window):
+    """A right-permutive rule: phi = last symbol + h(earlier symbols) mod N."""
+    low = n_symbols ** (window - 1)
+    h = [rng.randrange(n_symbols) for _ in range(low)]
+    return tuple((h[v % low] + v // low) % n_symbols
+                 for v in range(n_symbols ** window))
+
+
+def class_block(model, members):
+    """The coarse-cover block of a terminal class, as base_class_stationary builds it."""
+    position = {i: p for p, i in enumerate(members)}
+    block = [[Fraction(0)] * len(members) for _ in members]
+    for i, j, w in zip(model.j_map, model.gamma, model.nu):
+        if i in position and j in position:
+            block[position[j]][position[i]] += w
+    return block
+
+
+def test_stationary_matches_oracle_on_random_blocks():
+    rng = random.Random(1606)
+    sizes = list(range(1, 13)) + [rng.randint(13, 60) for _ in range(10)] + [60]
+    for size in sizes:
+        max_den = rng.choice([2, 10, 1000, 10**6])
+        block = random_block(rng, size, max_den)
+        assert rationals.stationary_exact(block) == \
+            oracles.stationary_exact(block), (size, max_den)
+
+
+def test_stationary_matches_oracle_on_periodic_blocks():
+    rng = random.Random(2606)
+    for period, size in [(2, 2), (2, 8), (3, 9), (3, 30), (4, 40), (5, 60)]:
+        block = random_block(rng, size, 10**6, period=period)
+        v = rationals.stationary_exact(block)
+        assert v == oracles.stationary_exact(block), (period, size)
+        assert sum(v) == 1
+
+
+def test_stationary_matches_oracle_on_right_permutive_classes():
+    rng = random.Random(3606)
+    for n_symbols, window, n in [(2, 2, 3), (2, 3, 4), (2, 4, 5), (3, 2, 3),
+                                 (3, 3, 3)]:
+        code = td.SlidingBlockCode(n_symbols, window, perm_phi(rng, n_symbols,
+                                                               window))
+        model = td.shiftlike.to_two_alphabet(td.derive_gamma(code, n))
+        pairs = [p for p in td.basic_set_correspondence(model).pairs
+                 if p.terminal]
+        assert len(pairs) == 1 and len(pairs[0].base_members) == n_symbols ** n
+        block = class_block(model, pairs[0].base_members)
+        assert rationals.stationary_exact(block) == \
+            oracles.stationary_exact(block)
+
+
+def test_solve_matches_oracle_on_random_systems():
+    rng = random.Random(4606)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+                   if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+                  for _ in range(n)]
+        rhs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50))
+               for _ in range(n)]
+        try:
+            expected = oracles.solve_linear_exact(matrix, rhs)
+        except td.NumericalError:
+            with pytest.raises(td.NumericalError, match="singular"):
+                rationals.solve_linear_exact(matrix, rhs)
+            continue
+        assert rationals.solve_linear_exact(matrix, rhs) == expected
+
+
+def test_solve_with_entries_beyond_int64():
+    big = Fraction(3**80, 7**30)
+    matrix = [[big, Fraction(1, 2**70)], [Fraction(5), -big]]
+    rhs = [Fraction(1), Fraction(2**100)]
+    assert rationals.solve_linear_exact(matrix, rhs) == \
+        oracles.solve_linear_exact(matrix, rhs)
+
+
+def test_singular_system_raises():
+    with pytest.raises(td.NumericalError, match="singular rational system"):
+        rationals.solve_linear_exact([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(td.NumericalError, match="singular rational system"):
+        rationals.solve_linear_exact([[0, 0], [0, 1]], [0, 1])
+
+
+def test_prime_dividing_the_determinant_is_skipped():
+    p = rationals._prime(0)
+    aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % p
+    assert rationals._solve_mod(aug, p) is None
+    aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % rationals._prime(1)
+    assert rationals._solve_mod(aug, rationals._prime(1)) is not None
+    # det = p: the first prime is skipped and the second one certifies.
+    assert rationals.solve_linear_exact([[p, 1], [0, 1]], [1, 2]) == \
+        [Fraction(-1, p), Fraction(2)]
+
+
+def test_bad_column_sum_message():
+    block = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)]]
+    with pytest.raises(td.ValidationError,
+                       match=r"^column 1 sums to 2/3, expected 1$"):
+        rationals.stationary_exact(block)
+    with pytest.raises(td.ValidationError,
+                       match=r"^column 0 sums to 0, expected 1$"):
+        rationals.stationary_exact([[Fraction(0), Fraction(1)],
+                                    [Fraction(0), Fraction(0)]])
+
+
+def test_two_closed_classes_raise():
+    # States 0 and 1 each absorb; 2 splits between them.  The balance
+    # system is singular, and the prime loop stops at the Hadamard bound.
+    block = [[Fraction(1), Fraction(0), Fraction(1, 3)],
+             [Fraction(0), Fraction(1), Fraction(2, 3)],
+             [Fraction(0), Fraction(0), Fraction(0)]]
+    with pytest.raises(td.NumericalError, match="singular"):
+        rationals.stationary_exact(block)
+    # Two closed random classes side by side, with large denominators: about
+    # 40 primes are skipped before they pass the Hadamard bound.
+    rng = random.Random(5606)
+    first, second = random_block(rng, 20, 10**6), random_block(rng, 25, 10**6)
+    block = ([row + [Fraction(0)] * 25 for row in first]
+             + [[Fraction(0)] * 20 + row for row in second])
+    start = time.perf_counter()
+    with pytest.raises(td.NumericalError, match="singular"):
+        rationals.stationary_exact(block)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_transient_state_raises_not_positive():
+    block = [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]
+    with pytest.raises(td.NumericalError, match="not positive"):
+        rationals.stationary_exact(block)
+
+
+def test_shiftlike_report_on_256_element_class_within_budget():
+    system = td.derive_gamma(td.SlidingBlockCode(2, 3, (0, 0, 1, 1, 0, 0, 1, 1)), 8)
+    start = time.perf_counter()
+    report = td.tractability_report_shiftlike(system)
+    elapsed = time.perf_counter() - start
+    assert [len(p.base_members) for p in report.analysis.terminal_pairs] == [256]
+    assert elapsed < 5.0, f"over budget: {elapsed:.2f}s"

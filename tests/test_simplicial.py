@@ -422,15 +422,32 @@ def test_report_rejects_bad_background(example_a):
 
 def test_report_rejects_unabsorbed_transient_mass():
     # I2 leaks only through a fine edge of length 1e-6, so transient mass
-    # is far from absorbed when the iteration stops.
+    # is far from absorbed when the iteration stops; the shares are then
+    # solved exactly: all of I2's third of the mass ends in I1.
     eps = F(1, 10**6)
     system = td.build_system(
         cx(0, 1, 2, 3),
         cx(0, F(1, 2), 1, 1 + eps, 2, F(5, 2), 3),
         {F(0): F(0), F(1, 2): F(1), F(1): F(0), 1 + eps: F(1),
          F(2): F(2), F(5, 2): F(3), F(3): F(2)})
-    with pytest.raises(td.NumericalError, match="absorb"):
-        td.tractability_report_pl(system)
+    report = td.tractability_report_pl(system)
+    decomp = report.analysis.correspondence.base_decomposition
+    shares = {decomp.class_labels(c): report.absorption[c]
+              for c in decomp.terminal_classes()}
+    assert shares == {("I1",): float(F(2, 3)), ("I3",): float(F(1, 3))}
+
+
+def test_exact_absorption_agrees_with_the_converged_loop(example_a, example_b):
+    from tractable_dyn.simplicial1d import _exact_absorption
+
+    for system in (example_a, example_b):
+        report = td.tractability_report_pl(system)
+        n = system.k.n_edges
+        exact = _exact_absorption(report.analysis, [F(1, n)] * n)
+        assert sum(exact.values()) == 1
+        assert set(exact) == set(report.absorption)
+        for c, share in exact.items():
+            assert report.absorption[c] == pytest.approx(float(share), abs=1e-12)
 
 
 def test_birkhoff_histogram_smoke(example_a):
