@@ -33,8 +33,7 @@ from .simplicial1d import (AffineMap, BirkhoffResult, IntervalComplex,
 from .two_alphabet import (Analysis, Correspondence, CorrespondencePair,
                            TwoAlphabetModel, analyze, basic_set_correspondence,
                            build_model, ergodic_cylinder_measure_star,
-                           exact_cover_matrices, induced_covers,
-                           induced_relations, lift_stationary)
+                           induced_covers, induced_relations, lift_stationary)
 
 __version__ = "0.1.0"
 

@@ -32,6 +32,7 @@ import tempfile
 from fractions import Fraction
 
 from . import markov, plot, shiftlike, simplicial1d, two_alphabet
+from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, DomainError,
                      NumericalError, ValidationError)
 from .rationals import format_rational, parse_rational
@@ -167,8 +168,10 @@ def _star_cylinder_rows(analysis: two_alphabet.Analysis,
                         max_length: int) -> list[list]:
     """Ergodic cylinder measures of all fine words up to a length."""
     model = analysis.model
+    limit = resolve_cell_cap()
     rows: list[list] = []
-    successors = analysis.gstar_cover.relation.successor_table()
+    successors = (analysis.correspondence.star_decomposition.relation
+                  .successor_table())
     for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
         stack = [((t,), Fraction(v_b[model.j_map[t]]) * model.nu[t])
                  for t in sorted(pair.star_members, reverse=True)]
@@ -177,6 +180,9 @@ def _star_cylinder_rows(analysis: two_alphabet.Analysis,
             rows.append([pair.base_class_index,
                          ".".join(model.kstar[t] for t in word),
                          format_rational(weight)])
+            if len(rows) > limit:
+                raise CapExceededError(
+                    f"cylinder table would exceed the cell cap {limit}")
             if len(word) == max_length:
                 continue
             for t2 in reversed(successors[word[-1]]):
@@ -188,6 +194,12 @@ def cmd_blockmap_approx(args) -> int:
     code = shiftlike.code_from_json(_load_json(args.input))
     system = shiftlike.derive_gamma(code, args.n)
     report = shiftlike.tractability_report_shiftlike(system)
+    # Built before any file is written, so a capped table leaves none.
+    if args.format == "csv":
+        text = _csv_text(["class", "word", "measure"],
+                         _star_cylinder_rows(report.analysis, args.words))
+    else:
+        text = _json_text(report.to_json_dict())
 
     if args.out_system:
         _write_text(args.out_system,
@@ -207,11 +219,7 @@ def cmd_blockmap_approx(args) -> int:
         _write_text(args.trace, _csv_text(
             ["step", "f_word", "g_word", "match"], rows))
 
-    if args.format == "csv":
-        rows = _star_cylinder_rows(report.analysis, args.words)
-        _write_text(args.out, _csv_text(["class", "word", "measure"], rows))
-    else:
-        _write_text(args.out, _json_text(report.to_json_dict()))
+    _write_text(args.out, text)
     return 0
 
 

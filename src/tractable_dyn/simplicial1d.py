@@ -1012,12 +1012,13 @@ def decode_orbit_histogram(report: PLReport, star_class,
                            seed: int) -> BirkhoffResult:
     """Birkhoff consistency of decoded symbolic orbits against the density.
 
-    Samples one Markov path of the report's fine cover started in the
-    ergodic measure of a terminal fine class, decodes every length-``depth``
-    window to an exact interval (sliding the affine window product, never
-    iterating g forward), and compares the bin histogram of the interval
-    midpoints on the class support against the invariant density, at the
-    statistical threshold 5/sqrt(segments).
+    Samples one Markov path of the fine cover G* (nu on each J-fiber, built
+    here from the model) started in the ergodic measure of a terminal fine
+    class, decodes every length-``depth`` window to an exact interval
+    (sliding the affine window product, never iterating g forward), and
+    compares the bin histogram of the interval midpoints on the class
+    support against the invariant density, at the statistical threshold
+    5/sqrt(segments).
     """
     if segments < 1 or depth < 1 or bins < 1:
         raise ValidationError("segments, depth and bins must be positive")
@@ -1034,8 +1035,15 @@ def decode_orbit_histogram(report: PLReport, star_class,
     initial = np.zeros(system.kstar.n_edges)
     for t in pair.star_members:
         initial[t] = float(v_b[model.j_map[t]] * model.nu[t])
-    spec = markov.MarkovMeasureSpec(
-        report.analysis.gstar_cover, markov.Distribution.from_weights(initial))
+    # The G* cover: column t1 is nu on the fiber over gamma(t1).
+    nu = [float(x) for x in model.nu]
+    matrix = np.zeros((len(nu), len(nu)))
+    for t1, s in enumerate(model.gamma):
+        for t2 in model.fiber(s):
+            matrix[t2, t1] = nu[t2]
+    gstar = report.analysis.correspondence.star_decomposition.relation
+    spec = markov.MarkovMeasureSpec(markov.validate_cover(gstar, matrix),
+                                    markov.Distribution.from_weights(initial))
     path = markov.sample_path(spec, segments + depth, seed)
 
     # Support geometry in a concatenated length coordinate, all in chart

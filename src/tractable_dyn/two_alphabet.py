@@ -8,8 +8,8 @@ weights with unit sum over each J-fiber) this induces:
 * a relation G on K      -- (s1, s2) when some fine symbol lies over s1 and
                             maps onto s2;
 * a relation G* on K*    -- (t1, t2) when t2 lies over gamma(t1);
-* stochastic covers of both, with the K*-cover column for t1 supported on
-  the J-fiber over gamma(t1) and weighted by nu.
+* a stochastic cover of G.  G* needs no stored cover: its column for t1 is
+  nu on the J-fiber over gamma(t1), built from the fibers where it is used.
 
 Basic sets of G and G* correspond one-to-one, terminal ones match, and over
 a terminal class the whole J-fiber belongs to the fine class.  Stationary
@@ -138,34 +138,12 @@ def induced_relations(model: TwoAlphabetModel
     return model._relations
 
 
-def exact_cover_matrices(model: TwoAlphabetModel
-                         ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Dense rational cover matrices of G and G*, |K|^2 and |K*|^2 entries."""
-    nk, ns = len(model.k), len(model.kstar)
-    g_matrix = [[Fraction(0)] * nk for _ in range(nk)]
-    for t in range(ns):
-        g_matrix[model.gamma[t]][model.j_map[t]] += model.nu[t]
-    gstar_matrix = [[Fraction(0)] * ns for _ in range(ns)]
-    for t1, s in enumerate(model.gamma):
-        for t2 in model.fiber(s):
-            gstar_matrix[t2][t1] = model.nu[t2]
-    return g_matrix, gstar_matrix
-
-
-def induced_covers(model: TwoAlphabetModel
-                   ) -> tuple[markov.StochasticCover, markov.StochasticCover]:
-    """Floating-point stochastic covers of G and G*."""
-    g, gstar = induced_relations(model)
-    nk, ns = len(model.k), len(model.kstar)
-    g_matrix = np.zeros((nk, nk))
-    for t in range(ns):
-        g_matrix[model.gamma[t], model.j_map[t]] += float(model.nu[t])
-    nu = np.array([float(x) for x in model.nu])
-    gstar_matrix = np.zeros((ns, ns))
-    for t1, s in enumerate(model.gamma):
-        fiber = list(model.fiber(s))
-        gstar_matrix[fiber, t1] = nu[fiber]
-    return markov.validate_cover(g, g_matrix), markov.validate_cover(gstar, gstar_matrix)
+def induced_covers(model: TwoAlphabetModel) -> markov.StochasticCover:
+    """Floating-point stochastic cover of G, validated against G."""
+    g_matrix = np.zeros((len(model.k), len(model.k)))
+    for t, nu in enumerate(model.nu):
+        g_matrix[model.gamma[t], model.j_map[t]] += float(nu)
+    return markov.validate_cover(induced_relations(model)[0], g_matrix)
 
 
 @dataclass(frozen=True)
@@ -330,18 +308,17 @@ class Analysis:
 
     ``model`` is the analysed model.  ``correspondence`` matches the basic
     sets of G and G*, each decomposition computed independently and
-    cross-checked.  ``g_cover`` and ``gstar_cover`` are the stochastic covers
-    of G on K and of G* on K* from ``induced_covers``.  ``decay`` certifies the decay of
-    transient mass under ``g_cover``.  ``stationary`` holds one exact
-    stationary vector {K index: weight} per terminal pair, in the order of
-    ``terminal_pairs``; each satisfies the projected stationarity identity
-    with zero error.
+    cross-checked.  ``g_cover`` is the stochastic cover of G on K from
+    ``induced_covers`` (G* is nu on the J-fibers; nothing stores it).
+    ``decay`` certifies the decay of transient mass under ``g_cover``.
+    ``stationary`` holds one exact stationary vector {K index: weight} per
+    terminal pair, in the order of ``terminal_pairs``; each satisfies the
+    projected stationarity identity with zero error.
     """
 
     model: TwoAlphabetModel
     correspondence: Correspondence
     g_cover: markov.StochasticCover
-    gstar_cover: markov.StochasticCover
     decay: markov.DecayCertificate
     stationary: tuple[dict[int, Fraction], ...]
 
@@ -352,14 +329,14 @@ class Analysis:
 
 
 def analyze(model: TwoAlphabetModel) -> Analysis:
-    """Correspondence, covers, decay and exact stationary vectors of a model.
+    """Correspondence, G cover, decay and exact stationary vectors of a model.
 
     The exact stationary vector of every terminal pair is checked against
     the projected stationarity identity with zero tolerance; a nonzero error
     raises CorrespondenceError.
     """
     correspondence = basic_set_correspondence(model)
-    g_cover, gstar_cover = induced_covers(model)
+    g_cover = induced_covers(model)
     decay = markov.transient_decay(g_cover, correspondence.base_decomposition)
     stationary = []
     for pair in correspondence.pairs:
@@ -372,8 +349,7 @@ def analyze(model: TwoAlphabetModel) -> Analysis:
                 f"exact stationary identity fails by {error} on class "
                 f"{pair.base_class_index}")
         stationary.append(v_b)
-    return Analysis(model, correspondence, g_cover, gstar_cover, decay,
-                    tuple(stationary))
+    return Analysis(model, correspondence, g_cover, decay, tuple(stationary))
 
 
 def ergodic_cylinder_measure_star(model: TwoAlphabetModel,

@@ -6,8 +6,8 @@ refinement and word-coding references below are the straightforward
 versions of the library's integer-chart loops: a dense scan of every column
 entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``)
 composed and inverted step by step.  The block-code image uses a fresh power per
-symbol.  The cover-support scan, the G*
-definition, the fiber sums, the dense balance check and the stationarity
+symbol.  The cover-support scan, the G and G*
+definitions, the fiber sums, the dense balance check and the stationarity
 identity are the cell-by-cell loops that the library replaced with a boolean
 mask and with passes over the J-fibers.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
@@ -121,6 +121,27 @@ def gstar_cover(model):
     return frozenset(edges), matrix
 
 
+def gstar_float_cover(model):
+    """The float G* cover, validated against the edges of ``gstar_cover``."""
+    edges, matrix = gstar_cover(model)
+    return td.validate_cover(td.FiniteRelation(model.kstar, edges),
+                             [[float(x) for x in row] for row in matrix])
+
+
+def g_matrix(model, weight=Fraction):
+    """G matrix by the |K|^2 x |K*| scan: entry (s2, s1) adds weight(nu(t)),
+    in K* order, over the fine symbols t over s1 that map onto s2.  The
+    default is exact; ``weight=float`` rounds as the float cover does."""
+    ns, nk = len(model.kstar), len(model.k)
+    matrix = [[weight(0)] * nk for _ in range(nk)]
+    for s2 in range(nk):
+        for s1 in range(nk):
+            for t in range(ns):
+                if model.j_map[t] == s1 and model.gamma[t] == s2:
+                    matrix[s2][s1] += weight(model.nu[t])
+    return matrix
+
+
 def fiber_sums(n_base, j_map, nu):
     """Total nu over each J-fiber, by the |K| x |K*| scan."""
     totals = []
@@ -133,8 +154,8 @@ def fiber_sums(n_base, j_map, nu):
 def dense_balance_failures(matrix, vector):
     """Rows where the dense exact product matrix @ vector differs from vector.
 
-    With the G* matrix of ``td.exact_cover_matrices`` and a lifted vector,
-    this is the |K*|^2 lifted-stationarity check.
+    With the G* matrix of ``gstar_cover`` and a lifted vector, this is the
+    |K*|^2 lifted-stationarity check.
     """
     n = len(vector)
     return [row for row in range(n)
@@ -281,7 +302,7 @@ def decode_orbit_histogram(report, star_class, segments, depth, bins, seed):
     initial = np.zeros(system.kstar.n_edges)
     for t in pair.star_members:
         initial[t] = float(v_b[model.j_map[t]] * model.nu[t])
-    spec = td.MarkovMeasureSpec(report.analysis.gstar_cover,
+    spec = td.MarkovMeasureSpec(gstar_float_cover(model),
                                 td.Distribution.from_weights(initial))
     path = sample_path(spec, segments + depth, seed)
 

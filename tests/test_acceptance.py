@@ -16,7 +16,8 @@ import pytest
 
 import tractable_dyn as td
 from tractable_dyn import Word
-from oracles import closure_decomposition
+from oracles import (closure_decomposition, g_matrix, gstar_cover,
+                     gstar_float_cover)
 
 
 @contextlib.contextmanager
@@ -106,7 +107,7 @@ def test_02_absorbing_intervals_end_to_end(example_b):
         assert [entry["class"] for entry in flagged] == [["I2"]]
         assert data["decay"] == {"n": 1, "rho": 0.5}
         model = td.simplicial1d.to_two_alphabet(example_b)
-        g_cover, _ = td.induced_covers(model)
+        g_cover = td.induced_covers(model)
         cert = td.transient_decay(g_cover, td.basic_sets(g_cover.relation))
         assert (cert.n, cert.rho) == (1, 0.5)
 
@@ -153,10 +154,10 @@ def test_05_cylinder_pushforward(example_a, example_b):
             _, star = td.induced_relations(model)
             succ = {t: sorted(j for i, j in star.edges if i == t)
                     for t in range(len(star.elements))}
-            _, gstar_cover = td.induced_covers(model)
+            star_cover = gstar_float_cover(model)
             point_specs = [
                 td.MarkovMeasureSpec(
-                    gstar_cover,
+                    star_cover,
                     td.Distribution.point_mass(len(model.kstar), t))
                 for t in range(len(model.kstar))]
             for pair in td.basic_set_correspondence(model).pairs:
@@ -263,7 +264,8 @@ def test_08_stationary_identities(example_a, example_b):
                       td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1)))]
         models += [random_model(rng) for _ in range(20)]
         for model in models:
-            gbase, gstar = td.exact_cover_matrices(model)
+            gbase = g_matrix(model)
+            _, gstar = gstar_cover(model)
             n_base, n_star = len(model.k), len(model.kstar)
             for pair in td.basic_set_correspondence(model).pairs:
                 if not pair.terminal:

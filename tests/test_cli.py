@@ -197,6 +197,26 @@ def test_blockmap_env_cap(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_blockmap_csv_words_respect_the_cap(tmp_path, capsys, monkeypatch):
+    # n = 1 derives a 4-entry table; words up to length 8 make 1020 rows.
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "100")
+    path = write(tmp_path / "code.json", SHIFT_CODE)
+    argv = ["blockmap-approx", "--input", path, "--n", "1", "--format", "csv",
+            "--words", "8"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "cell cap 100" in err
+    target, saved = tmp_path / "rows.csv", tmp_path / "system.json"
+    code, out, _ = run(capsys, *argv, "--out", str(target),
+                       "--out-system", str(saved))
+    assert (code, out) == (3, "")
+    assert not target.exists() and not saved.exists()
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "1020")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1020
+
+
 def test_blockmap_trace_needs_both_flags(tmp_path, capsys):
     path = write(tmp_path / "code.json", SHIFT_CODE)
     code, _, err = run(capsys, "blockmap-approx", "--input", path, "--n", "1",

@@ -256,7 +256,8 @@ def test_sample_path_matches_dense_scan(all_systems):
     rng = random.Random(3)
     specs = []
     for system in all_systems[:6]:
-        cover = td.tractability_report_pl(system).analysis.gstar_cover
+        cover = oracles.gstar_float_cover(
+            td.simplicial1d.to_two_alphabet(system))
         specs.append(td.MarkovMeasureSpec(cover,
                                           td.Distribution.uniform(cover.size)))
     for size, out_degree in ((5, 1), (40, 3), (150, 7)):

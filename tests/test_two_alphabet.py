@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import tractable_dyn as td
 from oracles import (closure_decomposition, dense_balance_failures,
-                     fiber_sums, gstar_cover, stationary_identity_max_error)
+                     fiber_sums, g_matrix, gstar_cover, gstar_float_cover,
+                     stationary_identity_max_error)
 
 
 def identity_model(n=3):
@@ -138,20 +140,20 @@ def test_relations_are_built_once_per_model():
 
 
 def test_identity_model_covers_are_identity_matrices():
-    g_cover, gstar_cover = td.induced_covers(identity_model())
-    assert np.array_equal(g_cover.matrix, np.eye(3))
-    assert np.array_equal(gstar_cover.matrix, np.eye(3))
+    model = identity_model()
+    assert np.array_equal(td.induced_covers(model).matrix, np.eye(3))
+    assert np.array_equal(gstar_float_cover(model).matrix, np.eye(3))
 
 
 def test_example_a_cover_is_identity(example_a):
     model = td.simplicial1d.to_two_alphabet(example_a)
-    g_cover, _ = td.induced_covers(model)
+    g_cover = td.induced_covers(model)
     assert np.array_equal(g_cover.matrix, np.eye(2))
 
 
 def test_example_b_cover_column(example_b):
     model = td.simplicial1d.to_two_alphabet(example_b)
-    g_cover, _ = td.induced_covers(model)
+    g_cover = td.induced_covers(model)
     assert list(g_cover.matrix[:, 1]) == [0.0, 0.5, 0.5]
 
 
@@ -159,29 +161,46 @@ def test_exact_matrices_have_unit_columns():
     rng = random.Random(13)
     for _ in range(25):
         model = random_model(rng)
-        g_matrix, gstar_matrix = td.exact_cover_matrices(model)
+        g_exact = g_matrix(model)
+        _, gstar_exact = gstar_cover(model)
         for col in range(len(model.k)):
-            assert sum(row[col] for row in g_matrix) == 1
+            assert sum(row[col] for row in g_exact) == 1
         for col in range(len(model.kstar)):
-            assert sum(row[col] for row in gstar_matrix) == 1
+            assert sum(row[col] for row in gstar_exact) == 1
 
 
 def test_gstar_from_fibers_matches_the_pairwise_definition():
     rng = random.Random(19)
     for _ in range(25):
         model = random_model(rng, max_base=5, max_fine=12)
-        edges, matrix = gstar_cover(model)
+        edges, _ = gstar_cover(model)
         _, gstar = td.induced_relations(model)
         assert gstar.edges == edges
-        _, exact = td.exact_cover_matrices(model)
-        assert exact == matrix
-        _, cover = td.induced_covers(model)
-        assert cover.matrix.tolist() == [[float(x) for x in row]
-                                         for row in matrix]
+        # A float sum of nu can miss the float of the exact sum by an ulp
+        # (1/11 + 4/11 gives 0.4545454545454546, float(5/11) is
+        # 0.45454545454545453), so the bits are pinned by the float scan.
+        matrix = td.induced_covers(model).matrix
+        assert matrix.tolist() == g_matrix(model, float)
+        np.testing.assert_array_max_ulp(
+            matrix, np.array(g_matrix(model), dtype=float), maxulp=16)
         for i in range(len(model.k)):
             assert model.fiber(i) == tuple(
                 t for t, j in enumerate(model.j_map) if j == i)
         assert model.fiber(len(model.k)) == ()
+
+
+def test_analyze_peak_memory_stays_off_the_dense_fine_matrix():
+    # |K*| = 4096: one dense float |K*|^2 matrix alone would take 128 MiB.
+    system = td.derive_gamma(td.SlidingBlockCode(2, 3, (0,) * 8), 10)
+    model = td.shiftlike.to_two_alphabet(system)
+    assert len(model.kstar) == 4096
+    tracemalloc.start()
+    try:
+        td.two_alphabet.analyze(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 # --- basic-set correspondence ---
@@ -310,7 +329,8 @@ def test_exact_identities_match_the_dense_and_scan_oracles():
     for _ in range(100):
         model = random_model(rng, max_base=5, max_fine=10)
         nk, ns = len(model.k), len(model.kstar)
-        g_matrix, gstar_matrix = td.exact_cover_matrices(model)
+        g_exact = g_matrix(model)
+        _, gstar_exact = gstar_cover(model)
         for pair in td.basic_set_correspondence(model).pairs:
             if pair.terminal:
                 v_b = td.two_alphabet.base_class_stationary(
@@ -327,7 +347,7 @@ def test_exact_identities_match_the_dense_and_scan_oracles():
                     model, pair, v) == stationary_identity_max_error(
                     model, pair, v)
                 full = [v.get(i, Fraction(0)) for i in range(nk)]
-                if dense_balance_failures(g_matrix, full):
+                if dense_balance_failures(g_exact, full):
                     raised += 1
                     with pytest.raises(td.ValidationError):
                         td.lift_stationary(model, full)
@@ -335,14 +355,14 @@ def test_exact_identities_match_the_dense_and_scan_oracles():
                 lifted = td.lift_stationary(model, full)
                 assert lifted == [full[i] * nu for i, nu
                                   in zip(model.j_map, model.nu)]
-                assert dense_balance_failures(gstar_matrix, lifted) == []
+                assert dense_balance_failures(gstar_exact, lifted) == []
         # The lift check on any fine vector: nu(t) * (mass on
         # gamma^-1(J t)) fails exactly where the dense G* balance fails.
         w = random_rationals(rng, ns)
         mass = td.two_alphabet._gamma_mass(model, w, range(ns))
         assert [t for t in range(ns)
                 if model.nu[t] * mass[model.j_map[t]] != w[t]] == \
-            dense_balance_failures(gstar_matrix, w)
+            dense_balance_failures(gstar_exact, w)
     assert terminal >= 40 and non_terminal >= 20 and raised >= 20
 
 
@@ -395,9 +415,8 @@ def test_cylinder_star_matches_float_markov_measure():
     v_b = td.two_alphabet.base_class_stationary(model, pair.base_members)
     lifted = td.lift_stationary(
         model, [v_b.get(i, Fraction(0)) for i in range(len(model.k))])
-    _, gstar_cover = td.induced_covers(model)
     spec = td.MarkovMeasureSpec(
-        gstar_cover, td.Distribution.from_weights([float(x) for x in lifted]))
+        gstar_float_cover(model), td.Distribution.from_weights([float(x) for x in lifted]))
     words = [(t,) for t in range(4)]
     for _ in range(2):
         words += [w + (t,) for w in words for t in range(4)
