@@ -192,21 +192,17 @@ def _star_cylinder_rows(analysis: two_alphabet.Analysis,
 
 def cmd_blockmap_approx(args) -> int:
     code = shiftlike.code_from_json(_load_json(args.input))
+    if (args.prefix is None) != (args.trace is None):
+        raise ValidationError("--prefix and --trace must be given together")
     system = shiftlike.derive_gamma(code, args.n)
     report = shiftlike.tractability_report_shiftlike(system)
-    # Built before any file is written, so a capped table leaves none.
+    # Every output is built before any file is written, so a failed run
+    # (a capped table, a bad prefix) leaves none.
     if args.format == "csv":
         text = _csv_text(["class", "word", "measure"],
                          _star_cylinder_rows(report.analysis, args.words))
     else:
         text = _json_text(report.to_json_dict())
-
-    if args.out_system:
-        _write_text(args.out_system,
-                    _json_text(shiftlike.system_to_json(system)))
-
-    if (args.prefix is None) != (args.trace is None):
-        raise ValidationError("--prefix and --trace must be given together")
     if args.prefix is not None:
         prefix = shiftlike.Word.from_string(code.n_symbols, args.prefix)
         coding_f = shiftlike.code_R(code, prefix, args.depth,
@@ -216,9 +212,13 @@ def cmd_blockmap_approx(args) -> int:
         rows = [[step, wf.to_string(), wg.to_string(),
                  int(wf.value == wg.value)]
                 for step, (wf, wg) in enumerate(zip(coding_f, coding_g))]
-        _write_text(args.trace, _csv_text(
-            ["step", "f_word", "g_word", "match"], rows))
+        trace_text = _csv_text(["step", "f_word", "g_word", "match"], rows)
 
+    if args.out_system:
+        _write_text(args.out_system,
+                    _json_text(shiftlike.system_to_json(system)))
+    if args.prefix is not None:
+        _write_text(args.trace, trace_text)
     _write_text(args.out, text)
     return 0
 

@@ -10,10 +10,8 @@ DEFAULT_CELL_CAP = 1 << 24
 CAP_ENV_VAR = "TRACTABLE_DYN_CELL_CAP"
 
 
-def resolve_cell_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the TRACTABLE_DYN_CELL_CAP env var, else 2^24."""
-    if cap is not None:
-        return int(cap)
+def resolve_cell_cap() -> int:
+    """The TRACTABLE_DYN_CELL_CAP env var, else 2^24."""
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
         try:

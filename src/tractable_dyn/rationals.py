@@ -1,20 +1,22 @@
 """Exact rational helpers: "p/q" (de)serialization and exact linear solves.
 
-Square rational systems, and with them the stationary vectors of
-column-stochastic rational blocks, are solved modulo 31-bit primes by
-integer Gauss-Jordan elimination.  The residues are joined by the Chinese
-remainder theorem, each entry is rebuilt by rational reconstruction (Wang
-1981), and a candidate is returned only once it satisfies the system exactly
-in integer arithmetic.  A nonsingular system has one solution, so the result
-is the same ``Fraction`` vector that elimination over ``Fraction`` gives, and
-identities that hold exactly in theory can be asserted with zero tolerance.
+Every system is given as sparse rows: row i is a mapping {column: value},
+and an absent column is zero.  Square rational systems, and with them the
+stationary vectors of column-stochastic rational blocks, are solved modulo
+31-bit primes by integer Gauss-Jordan elimination.  The residues are joined
+by the Chinese remainder theorem, each entry is rebuilt by rational
+reconstruction (Wang 1981), and a candidate is returned only once it
+satisfies the system exactly in integer arithmetic.  A nonsingular system
+has one solution, so the result is the same ``Fraction`` vector that
+elimination over ``Fraction`` gives, and identities that hold exactly in
+theory can be asserted with zero tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -156,16 +158,17 @@ def _candidate(residues: list[int], modulus: int) -> list[Fraction] | None:
 
 
 def _satisfies(rows, rhs: list[int], x: list[Fraction]) -> bool:
-    """A x == b exactly, over the nonzero entries of integer rows."""
+    """A x == b exactly, over the entries of sparse integer rows."""
     common, scaled = _scaled(x)
-    return all(sum(a * scaled[j] for j, a in row) == b * common
+    return all(sum(a * scaled[j] for j, a in row.items()) == b * common
                for row, b in zip(rows, rhs))
 
 
-def solve_linear_exact(matrix: Sequence[Sequence[Fraction]],
+def solve_linear_exact(matrix: Sequence[Mapping[int, Fraction]],
                        rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square rational system exactly.
 
+    ``matrix[i]`` maps each column j to A[i][j]; an absent column is zero.
     Each row is scaled to integers, the system is solved modulo primes below
     2^31 (a prime that divides the determinant is skipped), the residues are
     joined by CRT and rebuilt by rational reconstruction, and the first
@@ -177,21 +180,20 @@ def solve_linear_exact(matrix: Sequence[Sequence[Fraction]],
     Raises NumericalError if the matrix is singular.
     """
     n = len(matrix)
-    rows: list[list[tuple[int, int]]] = []
+    rows: list[dict[int, int]] = []
     b: list[int] = []
     hadamard_sq = 1
     for row, r in zip(matrix, rhs):
-        cols = [j for j, x in enumerate(row) if x]
-        _, ints = _scaled([_rational(row[j]) for j in cols] + [_rational(r)])
-        rows.append(list(zip(cols, ints[:-1])))
+        _, ints = _scaled([_rational(x) for x in row.values()] + [_rational(r)])
+        rows.append(dict(zip(row, ints[:-1])))
         b.append(ints[-1])
         hadamard_sq *= sum(a * a for a in ints)
     # |det A| and every |det A_j| (Cramer) are at most hadamard.
     hadamard = math.isqrt(hadamard_sq)
 
     row_index = [i for i, row in enumerate(rows) for _ in row]
-    cols = [j for row in rows for j, _ in row]
-    values = [a for row in rows for _, a in row]
+    cols = [j for row in rows for j in row]
+    values = [a for row in rows for a in row.values()]
     small = all(abs(v) < 2**63 for v in values + b)
     integer = np.zeros((n, n + 1), dtype=np.int64 if small else object)
     integer[row_index, cols] = values
@@ -221,43 +223,35 @@ def solve_linear_exact(matrix: Sequence[Sequence[Fraction]],
     raise NumericalError("singular rational system")
 
 
-def stationary_exact(block: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+def stationary_exact(block: Sequence[Mapping[int, Fraction]]) -> list[Fraction]:
     """Unique stationary vector of an irreducible column-stochastic block.
 
-    ``block[j][i]`` is the transition weight i -> j.  Columns must sum to 1
-    exactly.  The first c-1 balance equations plus normalization determine the
-    vector; irreducibility makes the reduced system nonsingular and the result
-    strictly positive.  The system is solved modulo primes and certified
-    exactly (``solve_linear_exact``); P v = v is then checked in integers
-    on a common denominator, over the nonzero entries of the block only.
+    ``block[j]`` maps each i to the transition weight i -> j; an absent i is
+    zero.  Columns must sum to 1 exactly.  The first c-1 balance equations
+    plus normalization determine the vector; irreducibility makes the reduced
+    system nonsingular and the result strictly positive.  The integer balance
+    rows and the all-ones row go to ``solve_linear_exact`` as they are, and
+    P v = v is then checked exactly over the entries of every balance row.
     """
     c = len(block)
     col_sums = [Fraction(0)] * c
-    balance = []
+    balance: list[dict[int, int]] = []
     for j, row in enumerate(block):
-        cols = [i for i, x in enumerate(row) if x]
-        values = [_rational(row[i]) for i in cols]
-        for i, x in zip(cols, values):
+        values = [_rational(x) for x in row.values()]
+        for i, x in zip(row, values):
             col_sums[i] += x
         # Row j of P - I, scaled to integers.
         scale, ints = _scaled(values)
-        entries = dict(zip(cols, ints))
+        entries = dict(zip(row, ints))
         entries[j] = entries.get(j, 0) - scale
-        balance.append([(i, a) for i, a in sorted(entries.items()) if a])
+        balance.append(entries)
     for i, col_sum in enumerate(col_sums):
         if col_sum != 1:
             raise ValidationError(f"column {i} sums to {col_sum}, expected 1")
-    rows = []
-    for entries in balance[:-1]:
-        row = [0] * c
-        for i, a in entries:
-            row[i] = a
-        rows.append(row)
-    rows.append([1] * c)
-    v = solve_linear_exact(rows, [0] * (c - 1) + [1])
+    v = solve_linear_exact(balance[:-1] + [dict.fromkeys(range(c), 1)],
+                           [0] * (c - 1) + [1])
     if any(x <= 0 for x in v):
         raise NumericalError("stationary vector not positive; block reducible?")
-    _, scaled = _scaled(v)
-    if any(sum(a * scaled[i] for i, a in entries) != 0 for entries in balance):
+    if not _satisfies(balance, [0] * c, v):
         raise NumericalError("exact stationary vector fails its balance")
     return v

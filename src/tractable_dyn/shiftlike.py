@@ -89,11 +89,6 @@ class Word:
             value //= self.n_symbols
         return tuple(out)
 
-    def symbol(self, index: int) -> int:
-        if not (0 <= index < self.length):
-            raise ValidationError(f"symbol index {index} out of range")
-        return (self.value // self.n_symbols ** index) % self.n_symbols
-
     def prefix(self, length: int) -> "Word":
         if not (0 <= length <= self.length):
             raise ValidationError("prefix length out of range")
@@ -121,9 +116,9 @@ class Word:
         return self.to_string()
 
 
-def all_words(n_symbols: int, length: int, cap: int | None = None) -> list[Word]:
+def all_words(n_symbols: int, length: int) -> list[Word]:
     count = n_symbols ** length
-    limit = resolve_cell_cap(cap)
+    limit = resolve_cell_cap()
     if count > limit:
         raise CapExceededError(
             f"{count} words of length {length} exceed the cell cap {limit}")
@@ -200,15 +195,8 @@ class ShiftLikeSystem:
                 raise CorrespondenceError(
                     "table is not shift compatible on a probe prefix")
 
-    def gamma_word(self, fine: Word) -> Word:
-        if fine.length != self.n + self.k or fine.n_symbols != self.n_symbols:
-            raise WordError(
-                f"gamma expects words of length {self.n + self.k}")
-        return Word(self.n_symbols, self.n, self.gamma[fine.value])
 
-
-def derive_gamma(code: SlidingBlockCode, n: int,
-                 cap: int | None = None) -> ShiftLikeSystem:
+def derive_gamma(code: SlidingBlockCode, n: int) -> ShiftLikeSystem:
     """Round a sliding block code to a shift-like system with k = max(m-1, 1).
 
     The table entry for each (n+k)-word is the first n symbols of the code's
@@ -218,7 +206,7 @@ def derive_gamma(code: SlidingBlockCode, n: int,
         raise ValidationError("n must be >= 1")
     k = max(code.window - 1, 1)
     table_size = code.n_symbols ** (n + k)
-    limit = resolve_cell_cap(cap)
+    limit = resolve_cell_cap()
     if table_size > limit:
         raise CapExceededError(
             f"table of {table_size} entries exceeds the cell cap {limit}")
@@ -342,16 +330,15 @@ def bernoulli_cylinder(n_symbols: int, word: Word) -> Fraction:
     return Fraction(1, n_symbols ** word.length)
 
 
-def to_two_alphabet(system: ShiftLikeSystem,
-                    cap: int | None = None) -> two_alphabet.TwoAlphabetModel:
+def to_two_alphabet(system: ShiftLikeSystem) -> two_alphabet.TwoAlphabetModel:
     """Present the system on the fine alphabet A^(n+k) over the coarse A^n.
 
     J truncates to the first n symbols, gamma is the system table, and nu is
     the uniform Bernoulli weight 1/N^k on every J-fiber.
     """
     width = system.n + system.k
-    fine = all_words(system.n_symbols, width, cap)
-    coarse = all_words(system.n_symbols, system.n, cap)
+    fine = all_words(system.n_symbols, width)
+    coarse = all_words(system.n_symbols, system.n)
     nu = Fraction(1, system.n_symbols ** system.k)
     return two_alphabet.build_model(
         kstar=[w.to_string() for w in fine],
@@ -393,8 +380,7 @@ class ShiftlikeReport:
         return out
 
 
-def tractability_report_shiftlike(system: ShiftLikeSystem,
-                                  cap: int | None = None) -> ShiftlikeReport:
+def tractability_report_shiftlike(system: ShiftLikeSystem) -> ShiftlikeReport:
     """Exact tractability report under the uniform Bernoulli background.
 
     Stationary vectors are computed in exact rationals and the projected
@@ -402,10 +388,10 @@ def tractability_report_shiftlike(system: ShiftLikeSystem,
     class; reports for identical tables are byte-for-byte identical.
     """
     return ShiftlikeReport(
-        system, two_alphabet.analyze(to_two_alphabet(system, cap)))
+        system, two_alphabet.analyze(to_two_alphabet(system)))
 
 
-def system_from_json(data, cap: int | None = None) -> ShiftLikeSystem:
+def system_from_json(data) -> ShiftLikeSystem:
     if not isinstance(data, dict):
         raise ValidationError("gamma-table file must be a JSON object")
     required = {"N", "n", "k", "gamma"}
@@ -421,7 +407,7 @@ def system_from_json(data, cap: int | None = None) -> ShiftLikeSystem:
     gamma = data["gamma"]
     if not (isinstance(gamma, list) and all(isinstance(x, int) for x in gamma)):
         raise ValidationError("'gamma' must be a list of integers")
-    limit = resolve_cell_cap(cap)
+    limit = resolve_cell_cap()
     if n_symbols >= 2 and n >= 1 and k >= 1 and n_symbols ** (n + k) > limit:
         raise CapExceededError(
             f"table of {n_symbols ** (n + k)} entries exceeds the cap {limit}")

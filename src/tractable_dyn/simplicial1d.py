@@ -500,8 +500,8 @@ class MeshReport:
         return self.mesh_d == self.bound
 
 
-def refine(system: SimplicialSystem1D, depth: int,
-           cap: int | None = None) -> tuple[IntervalComplex, MeshReport]:
+def refine(system: SimplicialSystem1D,
+           depth: int) -> tuple[IntervalComplex, MeshReport]:
     """The depth-th inverse-image subdivision and its d_K mesh.
 
     Depth 0 (and 1) reproduce the fine complex; depth n tiles the space by
@@ -511,7 +511,7 @@ def refine(system: SimplicialSystem1D, depth: int,
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     length = max(depth, 1)
-    limit = resolve_cell_cap(cap)
+    limit = resolve_cell_cap()
     chart = system.chart
     x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
     fibers: list[list[int]] = [[] for _ in range(system.k.n_edges)]
@@ -932,11 +932,11 @@ def _exact_absorption(analysis: two_alphabet.Analysis,
     decomp = analysis.correspondence.base_decomposition
     transient = decomp.transient
     position = {i: p for p, i in enumerate(transient)}
-    matrix = [[int(p == q) for q in range(len(transient))]
-              for p in range(len(transient))]
+    matrix = [{p: 1} for p in range(len(transient))]
     for i, j, w in zip(model.j_map, model.gamma, model.nu):
         if i in position and j in position:
-            matrix[position[j]][position[i]] -= w
+            row, q = matrix[position[j]], position[i]
+            row[q] = row.get(q, 0) - w
     visits = solve_linear_exact(matrix, [background[i] for i in transient])
     owner = {i: c for c in decomp.terminal_classes() for i in decomp.classes[c]}
     shares = {c: sum((background[i] for i in decomp.classes[c]),

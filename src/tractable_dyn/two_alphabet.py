@@ -226,23 +226,25 @@ def base_class_stationary(model: TwoAlphabetModel,
                           base_members) -> dict[int, Fraction]:
     """Exact stationary vector of the coarse cover on a terminal class.
 
-    Returns {K index: weight} with weights summing to 1.  Only the class
-    block of the coarse cover is built.
+    Returns {K index: weight} with weights summing to 1.  One pass over the
+    J-fibers of the class builds the class block of the coarse cover as
+    sparse rows (row j maps i to the weight of i -> j) and the mass each
+    member leaks out of the class, so the cost is the class's fibers.
     """
     members = tuple(sorted(set(int(i) for i in base_members)))
     position = {i: p for p, i in enumerate(members)}
-    # Integer zeros: the solver skips them with a C-level truth test.
-    block = [[0] * len(members) for _ in members]
-    leak = dict.fromkeys(members, Fraction(0))
-    for t, (i, j) in enumerate(zip(model.j_map, model.gamma)):
-        if i in position and j in position:
-            block[position[j]][position[i]] += model.nu[t]
-        elif i in position:
-            leak[i] += model.nu[t]
-    for i in members:
-        if leak[i] != 0:
+    block: list[dict[int, Fraction]] = [{} for _ in members]
+    for p, i in enumerate(members):
+        leak = Fraction(0)
+        for t in model.fiber(i):
+            q = position.get(model.gamma[t])
+            if q is None:
+                leak += model.nu[t]
+            else:
+                block[q][p] = block[q].get(p, 0) + model.nu[t]
+        if leak != 0:
             raise NotTerminalError(
-                f"class loses mass {leak[i]} from {model.k[i]!r}")
+                f"class loses mass {leak} from {model.k[i]!r}")
     return dict(zip(members, stationary_exact(block)))
 
 

@@ -223,6 +223,18 @@ def test_blockmap_trace_needs_both_flags(tmp_path, capsys):
                        "--prefix", "011010011")
     assert code == 2
     assert "trace" in err
+    # A failed run writes no file: neither a lone --prefix nor a prefix too
+    # short for its trace leaves --out-system (or --trace) behind.
+    system_path, trace_path = tmp_path / "f.json", tmp_path / "t.csv"
+    code, out, _ = run(capsys, "blockmap-approx", "--input", path, "--n", "1",
+                       "--prefix", "0110", "--out-system", str(system_path))
+    assert (code, out) == (2, "")
+    assert not system_path.exists()
+    code, out, _ = run(capsys, "blockmap-approx", "--input", path, "--n", "1",
+                       "--prefix", "01", "--trace", str(trace_path),
+                       "--out-system", str(system_path))
+    assert (code, out) == (2, "")
+    assert not system_path.exists() and not trace_path.exists()
 
 
 def test_blockmap_trace_rows_all_match(tmp_path, capsys):

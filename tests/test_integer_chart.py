@@ -182,10 +182,11 @@ def test_code_H_1d_matches_reference(all_systems):
                 oracles.code_interval(system, word)
 
 
-def test_refine_matches_reference(all_systems):
+def test_refine_matches_reference(all_systems, monkeypatch):
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "20000")
     for system in all_systems:
         for depth in range(5):
-            got = td.refine(system, depth, cap=20_000)
+            got = td.refine(system, depth)
             if got[1].cells > 2000:
                 break
             assert got == oracles.refine(system, depth)

@@ -3,10 +3,13 @@
 ``rationals.solve_linear_exact`` solves modulo primes and certifies the
 candidate exactly, so its answers must equal the ``oracles`` elimination
 ``Fraction`` for ``Fraction``, and its error paths must match the old ones.
+The library takes sparse rows; every case here is written densely, as the
+oracle takes it, and handed to the library through ``sparse``.
 """
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,11 @@ import pytest
 import tractable_dyn as td
 from tractable_dyn import rationals
 import oracles
+
+
+def sparse(rows):
+    """Dense rows as the {column: value} rows the library takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def split(rng, total, parts):
@@ -70,7 +78,7 @@ def test_stationary_matches_oracle_on_random_blocks():
     for size in sizes:
         max_den = rng.choice([2, 10, 1000, 10**6])
         block = random_block(rng, size, max_den)
-        assert rationals.stationary_exact(block) == \
+        assert rationals.stationary_exact(sparse(block)) == \
             oracles.stationary_exact(block), (size, max_den)
 
 
@@ -78,7 +86,7 @@ def test_stationary_matches_oracle_on_periodic_blocks():
     rng = random.Random(2606)
     for period, size in [(2, 2), (2, 8), (3, 9), (3, 30), (4, 40), (5, 60)]:
         block = random_block(rng, size, 10**6, period=period)
-        v = rationals.stationary_exact(block)
+        v = rationals.stationary_exact(sparse(block))
         assert v == oracles.stationary_exact(block), (period, size)
         assert sum(v) == 1
 
@@ -94,7 +102,7 @@ def test_stationary_matches_oracle_on_right_permutive_classes():
                  if p.terminal]
         assert len(pairs) == 1 and len(pairs[0].base_members) == n_symbols ** n
         block = class_block(model, pairs[0].base_members)
-        assert rationals.stationary_exact(block) == \
+        assert rationals.stationary_exact(sparse(block)) == \
             oracles.stationary_exact(block)
 
 
@@ -111,24 +119,42 @@ def test_solve_matches_oracle_on_random_systems():
             expected = oracles.solve_linear_exact(matrix, rhs)
         except td.NumericalError:
             with pytest.raises(td.NumericalError, match="singular"):
-                rationals.solve_linear_exact(matrix, rhs)
+                rationals.solve_linear_exact(sparse(matrix), rhs)
             continue
-        assert rationals.solve_linear_exact(matrix, rhs) == expected
+        assert rationals.solve_linear_exact(sparse(matrix), rhs) == expected
 
 
 def test_solve_with_entries_beyond_int64():
     big = Fraction(3**80, 7**30)
     matrix = [[big, Fraction(1, 2**70)], [Fraction(5), -big]]
     rhs = [Fraction(1), Fraction(2**100)]
-    assert rationals.solve_linear_exact(matrix, rhs) == \
+    assert rationals.solve_linear_exact(sparse(matrix), rhs) == \
         oracles.solve_linear_exact(matrix, rhs)
+
+
+def test_explicit_zero_entries_change_nothing():
+    matrix = [[Fraction(2, 3), Fraction(0), Fraction(1, 5)],
+              [Fraction(0), Fraction(7), Fraction(-1, 2)],
+              [Fraction(1), Fraction(1, 9), Fraction(0)]]
+    rhs = [Fraction(1), Fraction(0), Fraction(-4, 3)]
+    rows = sparse(matrix)
+    rows[0][1] = Fraction(0)
+    rows[2][2] = 0
+    assert rationals.solve_linear_exact(rows, rhs) == \
+        oracles.solve_linear_exact(matrix, rhs)
+    block = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
+             [Fraction(1, 2), Fraction(0), Fraction(1)],
+             [Fraction(0), Fraction(2, 3), Fraction(0)]]
+    rows = sparse(block)
+    rows[2][0] = Fraction(0)
+    assert rationals.stationary_exact(rows) == oracles.stationary_exact(block)
 
 
 def test_singular_system_raises():
     with pytest.raises(td.NumericalError, match="singular rational system"):
-        rationals.solve_linear_exact([[1, 2], [2, 4]], [1, 2])
+        rationals.solve_linear_exact(sparse([[1, 2], [2, 4]]), [1, 2])
     with pytest.raises(td.NumericalError, match="singular rational system"):
-        rationals.solve_linear_exact([[0, 0], [0, 1]], [0, 1])
+        rationals.solve_linear_exact(sparse([[0, 0], [0, 1]]), [0, 1])
 
 
 def test_prime_dividing_the_determinant_is_skipped():
@@ -138,7 +164,7 @@ def test_prime_dividing_the_determinant_is_skipped():
     aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % rationals._prime(1)
     assert rationals._solve_mod(aug, rationals._prime(1)) is not None
     # det = p: the first prime is skipped and the second one certifies.
-    assert rationals.solve_linear_exact([[p, 1], [0, 1]], [1, 2]) == \
+    assert rationals.solve_linear_exact(sparse([[p, 1], [0, 1]]), [1, 2]) == \
         [Fraction(-1, p), Fraction(2)]
 
 
@@ -146,11 +172,11 @@ def test_bad_column_sum_message():
     block = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)]]
     with pytest.raises(td.ValidationError,
                        match=r"^column 1 sums to 2/3, expected 1$"):
-        rationals.stationary_exact(block)
+        rationals.stationary_exact(sparse(block))
     with pytest.raises(td.ValidationError,
                        match=r"^column 0 sums to 0, expected 1$"):
-        rationals.stationary_exact([[Fraction(0), Fraction(1)],
-                                    [Fraction(0), Fraction(0)]])
+        rationals.stationary_exact(sparse([[Fraction(0), Fraction(1)],
+                                           [Fraction(0), Fraction(0)]]))
 
 
 def test_two_closed_classes_raise():
@@ -160,7 +186,7 @@ def test_two_closed_classes_raise():
              [Fraction(0), Fraction(1), Fraction(2, 3)],
              [Fraction(0), Fraction(0), Fraction(0)]]
     with pytest.raises(td.NumericalError, match="singular"):
-        rationals.stationary_exact(block)
+        rationals.stationary_exact(sparse(block))
     # Two closed random classes side by side, with large denominators: about
     # 40 primes are skipped before they pass the Hadamard bound.
     rng = random.Random(5606)
@@ -169,14 +195,14 @@ def test_two_closed_classes_raise():
              + [[Fraction(0)] * 20 + row for row in second])
     start = time.perf_counter()
     with pytest.raises(td.NumericalError, match="singular"):
-        rationals.stationary_exact(block)
+        rationals.stationary_exact(sparse(block))
     assert time.perf_counter() - start < 2.0
 
 
 def test_transient_state_raises_not_positive():
     block = [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]
     with pytest.raises(td.NumericalError, match="not positive"):
-        rationals.stationary_exact(block)
+        rationals.stationary_exact(sparse(block))
 
 
 def test_shiftlike_report_on_256_element_class_within_budget():
@@ -186,3 +212,20 @@ def test_shiftlike_report_on_256_element_class_within_budget():
     elapsed = time.perf_counter() - start
     assert [len(p.base_members) for p in report.analysis.terminal_pairs] == [256]
     assert elapsed < 5.0, f"over budget: {elapsed:.2f}s"
+
+
+def test_class_stationary_peak_memory_stays_off_dense_blocks():
+    # A 1024-element terminal class: a dense c x c block of Python objects
+    # alone would take 8 MiB of pointers before the solver copies it.
+    system = td.derive_gamma(td.SlidingBlockCode(2, 3, (0, 0, 1, 1, 0, 0, 1, 1)), 10)
+    model = td.shiftlike.to_two_alphabet(system)
+    pairs = [p for p in td.basic_set_correspondence(model).pairs if p.terminal]
+    assert [len(p.base_members) for p in pairs] == [1024]
+    tracemalloc.start()
+    try:
+        v_b = td.two_alphabet.base_class_stationary(model, pairs[0].base_members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(v_b.values()) == 1
+    assert peak < 26 * 2**20, f"peak {peak / 2**20:.1f} MiB"

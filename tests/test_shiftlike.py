@@ -65,12 +65,13 @@ def test_word_rejects_bad_digits():
         Word.from_string(2, "0x1")
 
 
-def test_all_words_enumerates_by_packed_value():
+def test_all_words_enumerates_by_packed_value(monkeypatch):
     words = td.all_words(2, 3)
     assert [w.to_string() for w in words[:4]] == ["000", "100", "010", "110"]
     assert len(words) == 8
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", str(2 ** 20))
     with pytest.raises(td.CapExceededError):
-        td.all_words(2, 30, cap=2 ** 20)
+        td.all_words(2, 30)
 
 
 # --- sliding-block codes ---

@@ -257,9 +257,10 @@ def test_refine_mesh_bound_random(random_pl_system):
             assert report.mesh_d <= 2 * factor ** depth
 
 
-def test_refine_cap(example_a):
+def test_refine_cap(example_a, monkeypatch):
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "1000")
     with pytest.raises(td.CapExceededError):
-        td.refine(example_a, 14, cap=1000)
+        td.refine(example_a, 14)
 
 
 # --- distribution data, repair, roundoff ---
