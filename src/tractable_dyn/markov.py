@@ -22,6 +22,8 @@ word frequencies rather than raw products.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,9 @@ _MASK64 = (1 << 64) - 1
 COLUMN_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 DECOMPOSE_TOL = 1e-9
+
+# Uniforms per numpy pass in sample_path.
+_DRAW_BLOCK = 1 << 16
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -383,47 +388,69 @@ def ergodic_measure_spec(cover: StochasticCover,
     return MarkovMeasureSpec(cover, stationary_distribution(cover, members))
 
 
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """splitmix64 draws start, ..., start + count - 1 from ``seed`` as unit
+    floats.
+
+    splitmix64 is counter-based: draw i (from 0) mixes seed + (i + 1) gamma
+    mod 2^64, so a run of draws is one pass of wrapping ``uint64``
+    arithmetic, bit-identical to the same calls of ``_splitmix64``.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return _unit_float(z)
+
+
 def sample_path(spec: MarkovMeasureSpec, length: int, seed: int) -> list[int]:
     """Deterministic Markov path via splitmix64 and inverse-CDF sampling.
 
-    Identical (spec, length, seed) always yields the identical path; columns
-    are scanned in element order when inverting the CDF, making the result
-    bit-reproducible across platforms.  Each column's positive entries are
-    listed once per call, so a step costs its column's support, not the
-    cover size.
+    Identical (spec, length, seed) always yields the identical path.  The
+    uniforms come from ``_uniforms``, one numpy pass per ``_DRAW_BLOCK``
+    draws, so memory beyond the path stays bounded.  Each step takes the
+    first positive entry of its column, in element order, whose running sum
+    exceeds the draw: a bisection over the column's prefix sums, summed left
+    to right once per visited column.  When rounding leaves the draw above
+    every sum, the last positive entry is taken.  So the result is
+    bit-reproducible across platforms, and a step costs a bisection, not its
+    column's support.
     """
     if length < 1:
         raise ValidationError("path length must be >= 1")
-    state = seed & _MASK64
     matrix = spec.cover.matrix
-    columns: dict[int, tuple[list[int], list[float]]] = {}
+    columns: list[tuple[list[int], list[float]] | None] = [None] * len(matrix)
 
-    def positive(weights) -> tuple[list[int], list[float]]:
-        index = np.flatnonzero(weights > 0)
-        return index.tolist(), weights[index].tolist()
-
-    def draw(support, state):
-        index, weights = support
-        state, bits = _splitmix64(state)
-        u = _unit_float(bits)
-        acc = 0.0
-        for j, w in zip(index, weights):
-            acc += w
-            if u < acc:
-                return j, state
-        # Guard against accumulated rounding at u ~ 1.
+    def cdf(weights) -> tuple[list[int], list[float]]:
+        # The index list repeats its last entry for draws past every sum.
+        index = np.flatnonzero(weights > 0).tolist()
         if not index:
             raise NumericalError("cannot sample from an all-zero column")
-        return index[-1], state
+        sums, acc = [], 0.0
+        for w in weights[index].tolist():
+            acc += w
+            sums.append(acc)
+        return index + index[-1:], sums
 
-    current, state = draw(positive(spec.initial.weights), state)
+    bisect_right = bisect.bisect_right
+    draws = itertools.chain.from_iterable(
+        _uniforms(seed, start, min(_DRAW_BLOCK, length - start)).tolist()
+        for start in range(0, length, _DRAW_BLOCK))
+    index, sums = cdf(spec.initial.weights)
+    current = index[bisect_right(sums, next(draws))]
     path = [current]
-    for _ in range(length - 1):
-        support = columns.get(current)
-        if support is None:
-            support = columns[current] = positive(matrix[:, current])
-        current, state = draw(support, state)
-        path.append(current)
+    append = path.append
+    for u in draws:
+        column = columns[current]
+        if column is None:
+            column = columns[current] = cdf(matrix[:, current])
+        index, sums = column
+        current = index[bisect_right(sums, u)]
+        append(current)
     return path
 
 

@@ -23,10 +23,12 @@ All geometry in this module is exact: results are fractions.Fraction, and
 the hot loops (decoding, refinement, word coding) run on the system's integer
 chart, where every vertex is an integer and every local inverse an integer
 affine ratio, so no gcd is taken until a result is returned.  Floating point
-appears only in the norm-bound spot check and in Markov sampling, never in
-the dynamics.  Forward float iteration of g is deliberately avoided (binary
-orbits of tent-like maps collapse); orbit statistics are gathered by
-sampling symbolic paths and decoding them.
+appears only in the norm-bound spot check, in Markov sampling, and in the
+screen that bins decoded windows: it evaluates them in float beside a proven
+error bound and hands every window it cannot settle to the exact chain, so
+each bin count is exact.  Forward float iteration of g is deliberately
+avoided (binary orbits of tent-like maps collapse); orbit statistics are
+gathered by sampling symbolic paths and decoding them.
 """
 
 from __future__ import annotations
@@ -200,9 +202,9 @@ def _check_subdivision(k: IntervalComplex, kstar: IntervalComplex):
         raise SubdivisionError(
             f"coarse vertices missing from the subdivision: "
             f"{[str(v) for v in missing]}")
-    for i in range(k.n_edges):
-        a, b = k.edge(i)
-        if not any(a < w < b for w in kstar.vertices):
+    for a, b in zip(k.vertices, k.vertices[1:]):
+        # Both complexes end at b or beyond, so a fine vertex follows a.
+        if not kstar.vertices[bisect.bisect_right(kstar.vertices, a)] < b:
             raise SubdivisionError(
                 f"edge [{a}, {b}] is not split: subdivision is not proper")
 
@@ -519,9 +521,12 @@ def refine(system: SimplicialSystem1D,
         fibers[base].append(j)
     successors = [fibers[i] for i in chart.image_edge]
 
-    # A cell is [lo / den, hi / den] in chart coordinates, den > 0, with
-    # lo as a Fraction of t for sorting; root is the word's first edge.
-    cells: list[tuple[Fraction, int, int, int, int]] = []
+    # A cell is [lo / den, hi / den] in chart coordinates, den > 0; root is
+    # the word's first edge.  The chain y -> (n y + b) / d maps a fine edge's
+    # successors, in order, left to right when d > 0 and right to left when
+    # d < 0, so pushing them reversed or as they are pops the cells in
+    # spatial order.
+    cells: list[tuple[int, int, int, int]] = []
     stack = [(j, 1, 1, 0, 1, j) for j in reversed(range(len(lengths)))]
     while stack:
         j, at, n, b, d, root = stack.pop()
@@ -529,19 +534,18 @@ def refine(system: SimplicialSystem1D,
             lo, hi = n * x[j] + b, n * x[j + 1] + b
             if d < 0:
                 lo, hi, d = -hi, -lo, -d
-            cells.append((Fraction(lo, d * chart.scale), lo, hi, d, root))
+            cells.append((lo, hi, d, root))
             if len(cells) > limit:
                 raise CapExceededError(
                     f"refinement would exceed the cell cap {limit}")
             continue
         n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
-        for j2 in reversed(successors[j]):
-            stack.append((j2, at + 1, n, b, d, root))
+        stack.extend((j2, at + 1, n, b, d, root) for j2 in
+                     (reversed(successors[j]) if d > 0 else successors[j]))
 
-    cells.sort(key=lambda cell: cell[0])
     cursor, cursor_den = chart.coarse_x[0], 1
     mesh_num, mesh_den = 0, 1
-    for _, lo, hi, d, root in cells:
+    for lo, hi, d, root in cells:
         if lo * cursor_den != cursor * d:
             raise NumericalError("decoded cells do not tile the space")
         cursor, cursor_den = hi, d
@@ -558,7 +562,8 @@ def refine(system: SimplicialSystem1D,
         raise NumericalError(f"refined mesh {mesh_d} exceeds its bound {bound}")
     # The cells tile the space, so their left ends and the right end of the
     # space are the vertices.
-    vertices = [cell[0] for cell in cells] + [system.k.hi]
+    vertices = [Fraction(lo, d * chart.scale) for lo, _, d, _ in cells]
+    vertices.append(system.k.hi)
     report = MeshReport(depth=depth, cells=len(cells), mesh_d=mesh_d,
                         bound=bound)
     return IntervalComplex(tuple(vertices)), report
@@ -997,6 +1002,68 @@ def tractability_report_pl(system: SimplicialSystem1D,
                     absorption=absorption)
 
 
+# The float screen of decoded windows.  Chart coordinates up to
+# _SCREEN_MAX_X are exact doubles, as are their sums and differences; past
+# it every window is decoded exactly.  _SCREEN_SLACK is the constant c of
+# the error bound in _screen_windows.
+_SCREEN_MAX_X = 2 ** 50
+_SCREEN_SLACK = 8.0
+
+
+def _screen_windows(system: SimplicialSystem1D, path: Sequence[int],
+                    depth: int, segments: int, breakpoints: np.ndarray,
+                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin every decoded window in float where a proven error bound allows.
+
+    Window i's midpoint is the midpoint of fine edge path[i + depth] pulled
+    back through branches path[i + depth - 1], ..., path[i]; branch j is
+    y -> x[j] + s[j] (y - P[j]) with s[j] = length[j] / rise[j] and P[j] the
+    coarse image of fine vertex j.  All windows advance together, innermost
+    branch first.
+
+    Let u = 2^-53 and X the largest |chart coordinate|, at most
+    _SCREEN_MAX_X, so coordinates, lengths and rises are exact doubles and
+    the first midpoint is exact.  Along a G* path the exact y lies in the
+    coarse edge branch j maps onto, so |s[j] (y - P[j])| <= length[j] <= 2X
+    and the exact image lies within X of 0.  One step, evaluated as
+    x[j] + s' (y - P[j]) with s' = fl(s[j]) and three roundings, then turns
+    an error e on y into at most |s'| (1 + 5.1 u) e + 7.1 u X.  The bound
+    carried beside y, e <- fl(|s'| (1 + 2^-48)) e + c u X with c = 8, stays
+    above that after its own three roundings.  One more c u X covers the
+    rounding of y -/+ e and of the float breakpoints, each at most u X.
+
+    A window is settled when [y - e, y + e] lies strictly between two
+    consecutive breakpoints and the gap between them lies in the support;
+    its bin is that gap's label.  ``labels`` holds one label per gap (a bin,
+    or -1 off the support, also before the first and past the last
+    breakpoint).  Returns (label, settled) per window.
+    """
+    chart = system.chart
+    steps = np.asarray(path, dtype=np.intp)
+    x = np.array(chart.x, dtype=float)
+    image = np.array([chart.coarse_x[v] for v in system.vertex_images],
+                     dtype=float)
+    slope = np.array(chart.length, dtype=float) / np.array(chart.rise,
+                                                           dtype=float)
+    growth = np.abs(slope) * (1.0 + 2.0 ** -48)
+    slack = _SCREEN_SLACK * 2.0 ** -53 * max(abs(chart.coarse_x[0]),
+                                             abs(chart.coarse_x[-1]))
+
+    j = steps[depth:depth + segments]
+    y = (x[j] + x[j + 1]) * 0.5
+    e = np.zeros(segments)
+    for k in range(depth - 1, -1, -1):
+        j = steps[k:k + segments]
+        y = x[j] + slope[j] * (y - image[j])
+        e = growth[j] * e + slack
+    e += slack
+    gap = np.searchsorted(breakpoints, y - e, side="left")
+    label = labels[gap]
+    settled = (gap == np.searchsorted(breakpoints, y + e, side="right")) \
+        & (label >= 0)
+    return label, settled
+
+
 @dataclass(frozen=True)
 class BirkhoffResult:
     segments: int
@@ -1014,11 +1081,15 @@ def decode_orbit_histogram(report: PLReport, star_class,
 
     Samples one Markov path of the fine cover G* (nu on each J-fiber, built
     here from the model) started in the ergodic measure of a terminal fine
-    class, decodes every length-``depth`` window to an exact interval
-    (sliding the affine window product, never iterating g forward), and
-    compares the bin histogram of the interval midpoints on the class
+    class, decodes every length-``depth`` window to the midpoint of its
+    interval (pulling back through local inverses, never iterating g
+    forward), and compares the bin histogram of those midpoints on the class
     support against the invariant density, at the statistical threshold
-    5/sqrt(segments).
+    5/sqrt(segments).  All windows are binned at once in float beside a
+    proven error bound (``_screen_windows``); each window whose bound
+    straddles a piece end or a bin boundary, and every window when the chart
+    exceeds exact doubles, is decoded by its exact integer chain.  So the
+    counts equal those of exact decoding.
     """
     if segments < 1 or depth < 1 or bins < 1:
         raise ValidationError("segments, depth and bins must be positive")
@@ -1072,32 +1143,55 @@ def decode_orbit_histogram(report: PLReport, star_class,
     if sum(bin_mass) != 1:
         raise NumericalError(f"bin masses sum to {sum(bin_mass)}, not 1")
 
-    # The window is the chain of local inverses along path[i:i + depth], an
-    # integer triple (n, b, d) as in IntegerChart.
-    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
-    n, b, d = 1, 0, 1
-    for j in path[:depth]:
-        n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
+    def bin_of(mid: int, den: int) -> int | None:
+        """Bin of the chart point mid / den (den > 0); None off the support."""
+        p = bisect.bisect_right(piece_lo, mid // den) - 1
+        if p < 0 or mid > piece_hi[p] * den:
+            return None
+        coord = mid + (piece_start[p] - piece_lo[p]) * den
+        return min(coord * bins // (den * total), bins - 1)
 
     counts = [0] * bins
-    for i in range(segments):
-        # Midpoint of the decoded interval: mid / den in chart units.
+    pending = range(segments)
+    if max(abs(chart.coarse_x[0]), abs(chart.coarse_x[-1])) <= _SCREEN_MAX_X:
+        # bin_of is constant between consecutive breakpoints: the piece ends
+        # and the bin boundaries, pulled back from the concatenation.
+        breakpoints = set(piece_lo) | set(piece_hi)
+        for q in range(1, bins):
+            cut = Fraction(total * q, bins)
+            breakpoints.update(lo + cut - start for lo, start, hi in
+                               zip(piece_lo, piece_start, piece_hi)
+                               if start < cut < start + hi - lo)
+        breakpoints = sorted(Fraction(v) for v in breakpoints)
+        labels = [-1]
+        for a, c in zip(breakpoints, breakpoints[1:]):
+            gap_mid = (a + c) / 2
+            q = bin_of(gap_mid.numerator, gap_mid.denominator)
+            labels.append(-1 if q is None else q)
+        labels.append(-1)
+        label, settled = _screen_windows(
+            system, path, depth, segments,
+            np.array([float(v) for v in breakpoints]), np.array(labels))
+        counts = np.bincount(label[settled], minlength=bins).tolist()
+        pending = np.flatnonzero(~settled).tolist()
+
+    # A window the screen leaves open is decoded exactly: the chain of local
+    # inverses along path[i:i + depth], an integer triple (n, b, d) as in
+    # IntegerChart, applied to the midpoint of fine edge path[i + depth].
+    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
+    for i in pending:
+        n, b, d = 1, 0, 1
+        for j in path[i:i + depth]:
+            n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
         j = path[i + depth]
         mid, den = n * (x[j] + x[j + 1]) + 2 * b, 2 * d
         if den < 0:
             mid, den = -mid, -den
-        p = bisect.bisect_right(piece_lo, mid // den) - 1
-        if p < 0 or mid > piece_hi[p] * den:
+        q = bin_of(mid, den)
+        if q is None:
             raise NumericalError(f"decoded point {Fraction(mid, den * chart.scale)}"
                                  " left the class support")
-        coord = mid + (piece_start[p] - piece_lo[p]) * den
-        counts[min(coord * bins // (den * total), bins - 1)] += 1
-        if i + 1 < segments:
-            first = path[i]
-            d //= rise[first]
-            n //= lengths[first]
-            b = (b - offset[first] * d) // lengths[first]
-            n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
+        counts[q] += 1
 
     max_dev = max(abs(counts[q] / segments - float(bin_mass[q]))
                   for q in range(bins))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tractable_dyn as td
-from tractable_dyn import markov
+from tractable_dyn import markov, simplicial1d
 
 import oracles
 
@@ -205,6 +205,103 @@ def test_decode_matches_reference(all_systems):
     assert compared >= len(all_systems)
 
 
+def two_blocks(left, right):
+    """Coarse edges [0, 1] and [1, 2], each mapped onto itself: two terminal
+    classes, fine edges {0, 1} and {2, 3, 4}, with cuts over the
+    denominators left and right."""
+    half, third = F(left // 2, left), F(right // 3, right)
+    return _system([F(0), F(1), F(2)],
+                   [F(0), half, F(1), 1 + third, 2 - third, F(2)],
+                   [1, 0, 1, 2, 1, 2])
+
+
+def _decode_both(system, **kwargs):
+    report = td.tractability_report_pl(system)
+    for pair in report.analysis.terminal_pairs:
+        args = (report, pair.star_members)
+        yield (td.decode_orbit_histogram(*args, **kwargs),
+               oracles.decode_orbit_histogram(*args, **kwargs))
+
+
+def test_decode_exact_fallback_matches_reference(all_systems, monkeypatch):
+    # A slack of 2^60 widens every float error bound past the whole space,
+    # so the screen settles no window and each one is decoded exactly.
+    monkeypatch.setattr(simplicial1d, "_SCREEN_SLACK", 2.0 ** 60)
+    screen = simplicial1d._screen_windows
+    settled = []
+
+    def spy(*args):
+        label, ok = screen(*args)
+        settled.append(int(ok.sum()))
+        return label, ok
+    monkeypatch.setattr(simplicial1d, "_screen_windows", spy)
+    for seed, system in enumerate(all_systems):
+        for got, want in _decode_both(system, segments=200, depth=25,
+                                      bins=7, seed=seed):
+            assert got == want
+    assert settled and not any(settled)
+
+
+def test_decode_beyond_double_range_matches_reference():
+    # Denominators 2^31 - 1 and 2^31 - 19 put the chart scale above 2^60,
+    # past exact doubles, so every window is decoded exactly.
+    system = two_blocks(2**31 - 1, 2**31 - 19)
+    assert system.chart.scale > 2**60
+    compared = 0
+    for got, want in _decode_both(system, segments=300, depth=40, bins=9,
+                                  seed=11):
+        assert got == want
+        compared += 1
+    assert compared == 2
+
+
+def test_decode_point_off_the_support_still_raises(monkeypatch):
+    # Feed the decoder of class {0, 1} a path of class {2, 3, 4}: every
+    # decoded point lies in [1, 2], off the class support [0, 1].
+    def other_class(spec, length, seed):
+        return [2 + i % 3 for i in range(length)]
+    monkeypatch.setattr(markov, "sample_path", other_class)
+    monkeypatch.setattr(oracles, "sample_path", other_class)
+    system = two_blocks(2, 3)
+    report = td.tractability_report_pl(system)
+    pair = next(p for p in report.analysis.terminal_pairs
+                if 0 in p.star_members)
+    args = (report, pair.star_members)
+    kwargs = dict(segments=50, depth=10, bins=4, seed=0)
+    with pytest.raises(td.NumericalError) as got:
+        td.decode_orbit_histogram(*args, **kwargs)
+    with pytest.raises(AssertionError) as want:
+        oracles.decode_orbit_histogram(*args, **kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_screen_defers_every_window_on_a_breakpoint(all_systems):
+    # With every window's exact midpoint made a breakpoint, no float error
+    # bound may settle any window; with only the ends of the space as
+    # breakpoints, every window settles in the one gap.
+    rng = random.Random(5)
+    depth, segments = 30, 60
+    for system in all_systems:
+        chart = system.chart
+        fibers = {}
+        for j, base in enumerate(chart.j_edge):
+            fibers.setdefault(base, []).append(j)
+        path = [rng.randrange(system.kstar.n_edges)]
+        while len(path) < segments + depth:
+            path.append(rng.choice(fibers[chart.image_edge[path[-1]]]))
+        mids = sorted({sum(oracles.code_interval(system, path[i:i + depth + 1]))
+                       * chart.scale / 2 for i in range(segments)})
+        labels = np.array([-1] + [0] * (len(mids) - 1) + [-1])
+        _, settled = simplicial1d._screen_windows(
+            system, path, depth, segments,
+            np.array([float(m) for m in mids]), labels)
+        assert not settled.any()
+        ends = np.array([float(chart.coarse_x[0]), float(chart.coarse_x[-1])])
+        label, settled = simplicial1d._screen_windows(
+            system, path, depth, segments, ends, np.array([-1, 0, -1]))
+        assert settled.all() and not label.any()
+
+
 @given(st.integers(0, 2**32), st.sampled_from(["conftest", "mixed", "vmap"]))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -267,15 +364,25 @@ def test_sample_path_matches_dense_scan(all_systems):
         weights[size // 2:] = 1.0 / (size - size // 2)
         specs.append(td.MarkovMeasureSpec(cover,
                                           td.Distribution.from_weights(weights)))
-    for seed, spec in enumerate(specs):
-        assert td.sample_path(spec, 3000, seed) == \
-            oracles.sample_path(spec, 3000, seed)
+    runs = [(seed, spec, 3000) for seed, spec in enumerate(specs)]
+    # Seeds 2^63 and 2^64 - 1 wrap the uint64 counter at the first draw; the
+    # last path runs past the first block of draws.
+    runs += [(2**63, specs[0], 3000), (2**64 - 1, specs[-1], 3000),
+             (len(specs), specs[-2], markov._DRAW_BLOCK + 7)]
+    for seed, spec, length in runs:
+        assert td.sample_path(spec, length, seed) == \
+            oracles.sample_path(spec, length, seed)
 
 
 def test_sample_path_rounding_fallback_matches_dense_scan(monkeypatch):
     # Ten weights of 0.1 sum to 1 - 2^-53 in floats; a draw at that value
     # passes every partial sum and falls back to the last positive entry.
-    monkeypatch.setattr(markov, "_unit_float", lambda bits: 1.0 - 2.0 ** -53)
+    # The library draws the whole path from _uniforms, the oracle draw by
+    # draw through _unit_float; both are pinned to that value.
+    top = 1.0 - 2.0 ** -53
+    monkeypatch.setattr(markov, "_uniforms",
+                        lambda seed, start, count: np.full(count, top))
+    monkeypatch.setattr(markov, "_unit_float", lambda bits: top)
     relation = td.FiniteRelation(tuple(map(str, range(12))),
                                  frozenset((i, j) for i in range(12)
                                            for j in range(1, 11)))
