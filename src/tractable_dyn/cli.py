@@ -26,6 +26,7 @@ import argparse
 import bisect
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -80,8 +81,7 @@ def _json_text(data) -> str:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(cell) for cell in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -166,27 +166,44 @@ def cmd_subshift_report(args) -> int:
 
 def _star_cylinder_rows(analysis: two_alphabet.Analysis,
                         max_length: int) -> list[list]:
-    """Ergodic cylinder measures of all fine words up to a length."""
+    """Ergodic cylinder measures of all fine words up to a length.
+
+    Integers over one common denominator per class (Henrici's rule): with
+    nu(t) = a_t / D and v_B(i) = b_i / E, the word t_0 .. t_(L-1) weighs
+    b_(J t_0) a_(t_0) .. a_(t_(L-1)) / (E D^L), reduced once per row.
+    """
     model = analysis.model
     limit = resolve_cell_cap()
     rows: list[list] = []
     successors = (analysis.correspondence.star_decomposition.relation
                   .successor_table())
+    common_nu, a = model.scaled_nu
+    kstar, j_map = model.kstar, model.j_map
+    gcd = math.gcd
     for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
-        stack = [((t,), Fraction(v_b[model.j_map[t]]) * model.nu[t])
+        cls = pair.base_class_index
+        common_v, b = two_alphabet.scaled_weights(v_b)
+        # denominators[L] = E D^L, grown as the walk gets deeper.
+        denominators = [common_v, common_v * common_nu]
+        stack = [(t, b[j_map[t]] * a[t], 1, kstar[t])
                  for t in sorted(pair.star_members, reverse=True)]
         while stack:
-            word, weight = stack.pop()
-            rows.append([pair.base_class_index,
-                         ".".join(model.kstar[t] for t in word),
-                         format_rational(weight)])
+            t, num, length, label = stack.pop()
+            if length == len(denominators):
+                denominators.append(denominators[-1] * common_nu)
+            den = denominators[length]
+            g = gcd(num, den)
+            den //= g
+            rows.append([cls, label, str(num // g) if den == 1
+                         else f"{num // g}/{den}"])
             if len(rows) > limit:
                 raise CapExceededError(
                     f"cylinder table would exceed the cell cap {limit}")
-            if len(word) == max_length:
+            if length == max_length:
                 continue
-            for t2 in reversed(successors[word[-1]]):
-                stack.append((word + (t2,), weight * model.nu[t2]))
+            for t2 in reversed(successors[t]):
+                stack.append((t2, num * a[t2], length + 1,
+                              label + "." + kstar[t2]))
     return rows
 
 

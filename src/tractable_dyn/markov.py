@@ -67,9 +67,14 @@ class StochasticCover:
     matrix: np.ndarray  # matrix[j, i] = transition weight i -> j
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           np.array(self.matrix, dtype=float, copy=True))
-        self.matrix.setflags(write=False)
+        # A float64 array that owns its data and is read-only (what
+        # validate_cover passes) is kept as it is; anything else is copied.
+        matrix = self.matrix
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and matrix.flags.owndata and not matrix.flags.writeable):
+            matrix = np.array(matrix, dtype=float, copy=True)
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:
@@ -134,8 +139,13 @@ class DecayCertificate:
 
 
 def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
-    """Check support pattern and column sums, returning the cover."""
-    arr = np.asarray(matrix, dtype=float)
+    """Check support pattern and column sums, returning the cover.
+
+    The cover holds one read-only float64 copy of ``matrix``, so later
+    changes to the caller's array do not reach it.
+    """
+    arr = np.array(matrix, dtype=float, copy=True)
+    arr.setflags(write=False)
     size = len(relation.elements)
     if arr.shape != (size, size):
         raise CoverError(f"matrix shape {arr.shape} does not match {size} elements")
@@ -509,19 +519,20 @@ def genericity_check(cover: StochasticCover,
     spec = ergodic_measure_spec(cover, decomposition,
                                 decomposition.classes[terminal])
 
+    # Window s_0 .. s_(L-1) gets the code sum s_i size^(L-1-i): codes follow
+    # the lexicographic order of itertools.product, and size^L <= t / 10
+    # keeps them inside int64.
+    symbols = np.asarray(path, dtype=np.int64)
+    codes = np.zeros(t, dtype=np.int64)
     max_dev = 0.0
     for length in range(1, word_length_cap + 1):
         windows = t - length + 1
-        counts: dict[tuple[int, ...], int] = {}
-        for start in range(windows):
-            key = path[start:start + length]
-            counts[key] = counts.get(key, 0) + 1
-        words = [(s,) for s in range(size)]
-        for _ in range(length - 1):
-            words = [w + (s,) for w in words for s in range(size)]
-        for word in words:
+        codes = codes[:windows] * size + symbols[length - 1:]
+        counts = np.bincount(codes, minlength=size ** length).tolist()
+        words = itertools.product(range(size), repeat=length)
+        for word, count in zip(words, counts):
             expected = cylinder_measure(spec, word)
-            observed = counts.get(word, 0) / windows
+            observed = count / windows
             max_dev = max(max_dev, abs(observed - expected))
 
     return GenericityReport(t, word_length_cap, terminal, max_dev, threshold,

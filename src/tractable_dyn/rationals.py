@@ -48,7 +48,7 @@ def _rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _scaled(values) -> tuple[int, list[int]]:
+def scale_to_integers(values) -> tuple[int, list[int]]:
     """(L, [x L for x in values]) with L the lcm of their denominators."""
     common = math.lcm(*(x.denominator for x in values))
     return common, [x.numerator * (common // x.denominator) for x in values]
@@ -159,7 +159,7 @@ def _candidate(residues: list[int], modulus: int) -> list[Fraction] | None:
 
 def _satisfies(rows, rhs: list[int], x: list[Fraction]) -> bool:
     """A x == b exactly, over the entries of sparse integer rows."""
-    common, scaled = _scaled(x)
+    common, scaled = scale_to_integers(x)
     return all(sum(a * scaled[j] for j, a in row.items()) == b * common
                for row, b in zip(rows, rhs))
 
@@ -184,27 +184,37 @@ def solve_linear_exact(matrix: Sequence[Mapping[int, Fraction]],
     b: list[int] = []
     hadamard_sq = 1
     for row, r in zip(matrix, rhs):
-        _, ints = _scaled([_rational(x) for x in row.values()] + [_rational(r)])
+        _, ints = scale_to_integers(
+            [_rational(x) for x in row.values()] + [_rational(r)])
         rows.append(dict(zip(row, ints[:-1])))
         b.append(ints[-1])
         hadamard_sq *= sum(a * a for a in ints)
     # |det A| and every |det A_j| (Cramer) are at most hadamard.
     hadamard = math.isqrt(hadamard_sq)
 
-    row_index = [i for i, row in enumerate(rows) for _ in row]
-    cols = [j for row in rows for j in row]
-    values = [a for row in rows for a in row.values()]
-    small = all(abs(v) < 2**63 for v in values + b)
-    integer = np.zeros((n, n + 1), dtype=np.int64 if small else object)
-    integer[row_index, cols] = values
-    integer[:, n] = b
+    # The system stays sparse: each prime reduces the entries (then b) and
+    # scatters them into the one dense array that _solve_mod overwrites.
+    row_index = np.array([i for i, row in enumerate(rows) for _ in row],
+                         dtype=np.intp)
+    cols = np.array([j for row in rows for j in row], dtype=np.intp)
+    entries = [a for row in rows for a in row.values()] + b
+    stored = len(entries) - n
+    small = all(abs(v) < 2**63 for v in entries)
+    if small:
+        entries = np.array(entries, dtype=np.int64)
+    aug = np.empty((n, n + 1), dtype=np.int64)
 
     modulus, residues = 1, [0] * n
     skipped, index = 1, 0
     while skipped <= hadamard:
         p = _prime(index)
         index += 1
-        x = _solve_mod((integer % p).astype(np.int64, copy=False), p)
+        reduced = (entries % p if small
+                   else np.array([v % p for v in entries], dtype=np.int64))
+        aug.fill(0)
+        aug[row_index, cols] = reduced[:stored]
+        aug[:, n] = reduced[stored:]
+        x = _solve_mod(aug, p)
         if x is None:
             skipped *= p
             continue
@@ -241,7 +251,7 @@ def stationary_exact(block: Sequence[Mapping[int, Fraction]]) -> list[Fraction]:
         for i, x in zip(row, values):
             col_sums[i] += x
         # Row j of P - I, scaled to integers.
-        scale, ints = _scaled(values)
+        scale, ints = scale_to_integers(values)
         entries = dict(zip(row, ints))
         entries[j] = entries.get(j, 0) - scale
         balance.append(entries)

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
-from .rationals import format_rational, parse_rational, stationary_exact
+from .rationals import (format_rational, parse_rational, scale_to_integers,
+                        stationary_exact)
 from .relation import BasicSetDecomposition, FiniteRelation, basic_sets
 
 
@@ -50,6 +51,13 @@ class TwoAlphabetModel:
         for t, i in enumerate(self.j_map):
             fibers[i].append(t)
         return {i: tuple(fiber) for i, fiber in fibers.items()}
+
+    @cached_property
+    def scaled_nu(self) -> tuple[int, tuple[int, ...]]:
+        """(D, a) with D the lcm of nu's denominators and a[t] = nu(t) D,
+        built once."""
+        common, ints = scale_to_integers(self.nu)
+        return common, tuple(ints)
 
     def fiber(self, k_index: int) -> tuple[int, ...]:
         return self._fibers.get(k_index, ())
@@ -287,6 +295,13 @@ def lift_stationary(model: TwoAlphabetModel, stationary) -> list[Fraction]:
     return lifted
 
 
+def scaled_weights(weights: dict) -> tuple[int, dict[int, int]]:
+    """(E, {i: w_i E}) for rational weights, E the lcm of their
+    denominators."""
+    common, ints = scale_to_integers([Fraction(x) for x in weights.values()])
+    return common, dict(zip(weights, ints))
+
+
 def stationary_identity_max_error(model: TwoAlphabetModel,
                                   pair: CorrespondencePair,
                                   v_b: dict[int, Fraction]) -> Fraction:
@@ -294,14 +309,18 @@ def stationary_identity_max_error(model: TwoAlphabetModel,
 
     For every coarse symbol s, the lifted weights of the fine symbols in the
     class that map onto s must reproduce v_B(s).  The error is an exact
-    Fraction, 0 when the identity holds.
+    Fraction, 0 when the identity holds.  It is computed in integers over
+    the one denominator E D (nu = a / D, v_B = b / E): the class pushes
+    b_(J t) a_t onto gamma(t), and that mass is compared with b_s D.
     """
-    members = set(pair.star_members)
-    lifted = {t: Fraction(v_b.get(model.j_map[t], 0)) * model.nu[t]
-              for t in members}
-    mass = _gamma_mass(model, lifted, members)
-    return max(abs(pushed - Fraction(v_b.get(s, 0)))
-               for s, pushed in enumerate(mass))
+    common_nu, a = model.scaled_nu
+    common_v, b = scaled_weights(v_b)
+    mass = [0] * len(model.k)
+    for t in pair.star_members:
+        mass[model.gamma[t]] += b.get(model.j_map[t], 0) * a[t]
+    worst = max(abs(pushed - b.get(s, 0) * common_nu)
+                for s, pushed in enumerate(mass))
+    return Fraction(worst, common_v * common_nu)
 
 
 @dataclass(frozen=True)

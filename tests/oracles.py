@@ -11,7 +11,10 @@ definitions, the fiber sums, the dense balance check and the stationarity
 identity are the cell-by-cell loops that the library replaced with a boolean
 mask and with passes over the J-fibers.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
-certified solves modulo primes.
+certified solves modulo primes.  The genericity check counts windows as
+tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
+per word, where the library counts codes with ``np.bincount`` and keeps
+integers over one common denominator.
 """
 
 from fractions import Fraction
@@ -202,6 +205,61 @@ def stationary_identity_max_error(model, pair, v_b):
         expected = Fraction(v_b.get(s, 0))
         worst = max(worst, abs(total - expected))
     return worst
+
+
+def cylinder_csv(analysis, max_length):
+    """``blockmap-approx --format csv --words max_length`` output, by a
+    depth-first walk that multiplies one Fraction per word (no cell cap)."""
+    model = analysis.model
+    successors = (analysis.correspondence.star_decomposition.relation
+                  .successor_table())
+    lines = ["class,word,measure"]
+    for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
+        stack = [((t,), Fraction(v_b[model.j_map[t]]) * model.nu[t])
+                 for t in sorted(pair.star_members, reverse=True)]
+        while stack:
+            word, weight = stack.pop()
+            row = [pair.base_class_index,
+                   ".".join(model.kstar[t] for t in word),
+                   td.rationals.format_rational(weight)]
+            lines.append(",".join(str(cell) for cell in row))
+            if len(word) == max_length:
+                continue
+            for t2 in reversed(successors[word[-1]]):
+                stack.append((word + (t2,), weight * model.nu[t2]))
+    return "\n".join(lines) + "\n"
+
+
+def genericity_check(cover, decomposition, path, word_length_cap):
+    """``markov.genericity_check`` counting each window as a tuple slice in
+    a dict, words enumerated by repeated extension."""
+    path = td.relation.check_word(cover.relation, path)
+    t = len(path)
+    size = cover.size
+    threshold = 5.0 / (t ** 0.5)
+    terminal = td.endset_certificate(cover.relation, decomposition, path)
+    if terminal is None:
+        return td.GenericityReport(t, word_length_cap, None, float("inf"),
+                                   threshold, False,
+                                   "path never entered a terminal class")
+    spec = td.ergodic_measure_spec(cover, decomposition,
+                                   decomposition.classes[terminal])
+    max_dev = 0.0
+    for length in range(1, word_length_cap + 1):
+        windows = t - length + 1
+        counts = {}
+        for start in range(windows):
+            key = path[start:start + length]
+            counts[key] = counts.get(key, 0) + 1
+        words = [(s,) for s in range(size)]
+        for _ in range(length - 1):
+            words = [w + (s,) for w in words for s in range(size)]
+        for word in words:
+            expected = td.cylinder_measure(spec, word)
+            observed = counts.get(word, 0) / windows
+            max_dev = max(max_dev, abs(observed - expected))
+    return td.GenericityReport(t, word_length_cap, terminal, max_dev,
+                               threshold, max_dev <= threshold)
 
 
 def block_code_image(code, word):

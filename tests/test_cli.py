@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+import tractable_dyn as td
+from oracles import cylinder_csv
 from tractable_dyn.cli import main
 
 RELATION_B = {
@@ -215,6 +218,38 @@ def test_blockmap_csv_words_respect_the_cap(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == 1 + 1020
+
+
+def test_blockmap_csv_matches_the_fraction_oracle(tmp_path, capsys):
+    # Random codes, and codes that mostly copy their first symbol, which
+    # split into several terminal classes; words up to 4 where the table
+    # stays within 20000 rows.
+    rng = random.Random(59)
+    path, target = tmp_path / "code.json", tmp_path / "rows.csv"
+    several = 0
+    for n_symbols, window in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
+        for copy in (0.0, 0.9):
+            phi = [v % n_symbols if rng.random() < copy
+                   else rng.randrange(n_symbols)
+                   for v in range(n_symbols ** window)]
+            write(path, {"N": n_symbols, "m": window, "phi": phi})
+            code = td.SlidingBlockCode(n_symbols, window, tuple(phi))
+            analysis = td.tractability_report_shiftlike(
+                td.derive_gamma(code, 1)).analysis
+            several += len(analysis.terminal_pairs) >= 2
+            fine = sum(len(p.star_members) for p in analysis.terminal_pairs)
+            fanout = n_symbols ** max(window - 1, 1)
+            for words in range(1, 5):
+                if fine * fanout ** (words - 1) > 20000:
+                    break
+                code_rc, out, _ = run(
+                    capsys, "blockmap-approx", "--input", str(path),
+                    "--n", "1", "--format", "csv", "--words", str(words),
+                    "--out", str(target))
+                assert (code_rc, out) == (0, "")
+                assert target.read_bytes() == cylinder_csv(
+                    analysis, words).encode(), (phi, words)
+    assert several >= 4
 
 
 def test_blockmap_trace_needs_both_flags(tmp_path, capsys):

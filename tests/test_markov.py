@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tractable_dyn as td
+import oracles
 from oracles import check_cover_support
 
 
@@ -72,6 +73,20 @@ def test_column_sums_checked(relation_b):
     matrix = [[1.0, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.5, 1.0]]
     with pytest.raises(td.CoverError):
         td.validate_cover(relation_b, matrix)
+
+
+def test_cover_holds_its_own_read_only_copy():
+    matrix = np.array([[0.5, 0.25], [0.5, 0.75]])
+    cover = td.validate_cover(full_relation(2), matrix)
+    matrix[0, 0] = 0.0
+    assert cover.matrix[0, 0] == 0.5
+    assert not cover.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        cover.matrix[0, 0] = 1.0
+    # The validated copy is the cover's matrix: it is not copied again.
+    assert td.StochasticCover(cover.relation, cover.matrix).matrix is cover.matrix
+    writeable = td.StochasticCover(cover.relation, matrix)
+    assert writeable.matrix is not matrix and not writeable.matrix.flags.writeable
 
 
 def test_length_induced_cover_of_the_absorbing_example(relation_b):
@@ -362,6 +377,26 @@ def test_genericity_report_fields(cover_b, relation_b):
     assert data["terminal_class"] in (0, 2)
     assert data["threshold"] == pytest.approx(5 / math.sqrt(10_000))
     assert data["pass"] is (data["max_dev"] <= data["threshold"])
+
+
+def test_genericity_matches_the_dict_counting_oracle(cover_b, relation_b):
+    rng = random.Random(43)
+    cases = [(cover_b, relation_b)]
+    for n in (2, 3, 4, 5):
+        cover = random_full_domain_cover(rng, n)
+        cases.append((cover, cover.relation))
+    checked = 0
+    for cover, relation in cases:
+        decomposition = td.basic_sets(relation)
+        spec = td.MarkovMeasureSpec(cover, td.Distribution.uniform(cover.size))
+        for length in (1, 2, 3):
+            seed = rng.randrange(2**64)
+            path = td.sample_path(spec, 10 * cover.size ** length + 17, seed)
+            report = td.genericity_check(cover, decomposition, path, length)
+            assert report == oracles.genericity_check(
+                cover, decomposition, path, length), (cover.size, length)
+            checked += report.terminal_class is not None
+    assert checked >= 12
 
 
 # --- subshift report ---

@@ -319,6 +319,36 @@ def test_stationary_identity_exact_on_terminal_pairs():
                 model, pair, v_b) == 0
 
 
+def test_perturbed_stationary_vector_fails_the_identity(monkeypatch):
+    rng = random.Random(31)
+    perturbed = 0
+    for _ in range(30):
+        model = random_model(rng)
+        for pair in td.basic_set_correspondence(model).pairs:
+            if not pair.terminal:
+                continue
+            v_b = td.two_alphabet.base_class_stationary(model, pair.base_members)
+            i = rng.choice(pair.base_members)
+            bad = dict(v_b)
+            bad[i] += Fraction(1, rng.randint(2, 9))
+            error = td.two_alphabet.stationary_identity_max_error(
+                model, pair, bad)
+            assert error == stationary_identity_max_error(model, pair, bad)
+            # A one-element class maps its whole mass onto itself, so only
+            # there does the identity survive the change.
+            assert (error == 0) == (len(pair.base_members) == 1)
+            perturbed += error != 0
+    assert perturbed >= 10
+    # analyze raises on the error it computes.
+    model = shift_pair_model()
+    monkeypatch.setattr(td.two_alphabet, "base_class_stationary",
+                        lambda model, members: {0: Fraction(2, 3),
+                                                1: Fraction(1, 3)})
+    with pytest.raises(td.CorrespondenceError,
+                       match="identity fails by 1/6 on class 0"):
+        td.analyze(model)
+
+
 def random_rationals(rng, count):
     return [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(count)]
 
