@@ -16,15 +16,15 @@ from .markov import (DecayCertificate, Distribution, GenericityReport,
                      stationary_distribution, tractability_report_subshift,
                      transient_decay, uniform_cover, validate_cover)
 from .relation import (BasicSetDecomposition, FiniteRelation, basic_sets,
-                       compose, endset_certificate, inverse, orbit_closure,
+                       compose, endset_certificate, inverse,
                        relation_from_json, relation_to_json,
                        restrict_to_infinite_domain)
 from .shiftlike import (ShiftLikeSystem, ShiftlikeReport, SlidingBlockCode,
                         Word, all_words, apply_g, bernoulli_cylinder, code_R,
                         decode_H, derive_gamma, shadow_Q,
                         tractability_report_shiftlike)
-from .simplicial1d import (AffineMap, BirkhoffResult, IntervalComplex,
-                           MeshReport, PLReport, RepairReport, RoundoffReport,
+from .simplicial1d import (BirkhoffResult, IntervalComplex, MeshReport,
+                           PLReport, RepairReport, RoundoffReport,
                            SimplicialSystem1D, barycentric, build_system,
                            code_H_1d, column_stochastic_norm_bound,
                            decode_orbit_histogram, lebesgue_distribution_data,

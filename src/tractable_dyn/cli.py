@@ -367,12 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv")):
+    def common(p, formats=("json", "csv"), seed=False):
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--out", default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="64-bit simulation seed (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="64-bit simulation seed (default 0)")
         p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("relation-analyze",
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subshift-report",
                        help="tractability report of a stochastic cover")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--simulate", type=_positive("--simulate"), default=None,
                    metavar="T", help="sample a path of length T and attach "
                                      "a genericity section")
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plmap-approx",
                        help="simplicial analysis of a piecewise-linear map")
-    common(p, formats=("json", "csv", "svg"))
+    common(p, formats=("json", "csv", "svg"), seed=True)
     p.add_argument("--repair", action="store_true",
                    help="repair a degenerate vertex map instead of rejecting")
     p.add_argument("--simulate", type=_positive("--simulate"), default=None,

@@ -24,8 +24,7 @@ so every pass below runs in O(n + E).  The order between classes is read
 off the condensation DAG (one node per strong component) that Tarjan's
 pass emits in reverse topological order: each component's set of reachable
 classes is the union of its successors' sets, kept as an int bitset.  No
-transitive closure over elements is built; ``orbit_closure`` remains for
-callers that want one.
+transitive closure over elements is built.
 """
 
 from __future__ import annotations
@@ -55,20 +54,12 @@ class FiniteRelation:
     def from_labels(cls, elements, labelled_edges) -> "FiniteRelation":
         elements = tuple(elements)
         index = {label: i for i, label in enumerate(elements)}
-        if len(index) != len(elements):
-            raise ValidationError("element labels must be distinct")
         edges = set()
         for a, b in labelled_edges:
             if a not in index or b not in index:
                 raise ValidationError(f"edge ({a!r}, {b!r}) uses unknown labels")
             edges.add((index[a], index[b]))
         return cls(elements, frozenset(edges))
-
-    def index(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown element label {label!r}") from None
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...],
@@ -86,9 +77,6 @@ class FiniteRelation:
 
     def predecessors(self, j: int) -> tuple[int, ...]:
         return self._adjacency[1][j]
-
-    def out_degree(self, i: int) -> int:
-        return len(self._adjacency[0][i])
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
@@ -152,28 +140,6 @@ def compose(first: FiniteRelation, second: FiniteRelation) -> FiniteRelation:
 def inverse(relation: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(relation.elements,
                           frozenset((j, i) for i, j in relation.edges))
-
-
-def orbit_closure(relation: FiniteRelation) -> FiniteRelation:
-    """Union of all positive powers of the relation (transitive closure).
-
-    On a finite set this equals the chain relation of the induced subshift,
-    so one closure serves both roles.
-    """
-    succ = relation.successor_table()
-    n = len(relation.elements)
-    edges = set()
-    for start in range(n):
-        seen = set(succ[start])
-        frontier = list(seen)
-        while frontier:
-            node = frontier.pop()
-            for nxt in succ[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        edges.update((start, j) for j in seen)
-    return FiniteRelation(relation.elements, frozenset(edges))
 
 
 def restrict_to_infinite_domain(
@@ -385,8 +351,13 @@ def endset_certificate(relation: FiniteRelation,
     Returns the terminal class index, or None when the word has not entered a
     terminal class yet.
     """
-    word = check_word(relation, word)
-    c = decomposition.class_of(word[-1])
+    return _terminal_class_at(decomposition, check_word(relation, word)[-1])
+
+
+def _terminal_class_at(decomposition: BasicSetDecomposition,
+                       element: int) -> int | None:
+    """The terminal class containing an element, or None."""
+    c = decomposition.class_of(element)
     if c is not None and decomposition.terminal_flags[c]:
         return c
     return None

@@ -135,36 +135,6 @@ def metric_d(complex_: IntervalComplex, x, y) -> Fraction:
                 for i in keys), start=Fraction(0))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Exact rational affine map t -> scale * t + offset."""
-
-    scale: Fraction
-    offset: Fraction
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(Fraction(1), Fraction(0))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.scale * x + self.offset
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner."""
-        return AffineMap(self.scale * inner.scale,
-                         self.scale * inner.offset + self.offset)
-
-    def inverse(self) -> "AffineMap":
-        if self.scale == 0:
-            raise ValidationError("constant affine map has no inverse")
-        return AffineMap(1 / self.scale, -self.offset / self.scale)
-
-    def interval_image(self, lo: Fraction, hi: Fraction
-                       ) -> tuple[Fraction, Fraction]:
-        a, b = self(lo), self(hi)
-        return (a, b) if a <= b else (b, a)
-
-
 def _normalize_vmap(kstar: IntervalComplex, k: IntervalComplex,
                     vmap) -> tuple[int, ...]:
     if isinstance(vmap, Mapping):
@@ -292,20 +262,6 @@ class SimplicialSystem1D:
         """Coarse edge containing a fine edge."""
         self.kstar.edge(star_edge)  # range check
         return self.chart.j_edge[star_edge]
-
-    def star_edge_image(self, star_edge: int) -> int:
-        """Coarse edge the fine edge maps onto."""
-        p0 = self.vertex_images[star_edge]
-        p1 = self.vertex_images[star_edge + 1]
-        return min(p0, p1)
-
-    def local_inverse(self, star_edge: int) -> AffineMap:
-        """Affine inverse of g from the image coarse edge onto the fine edge."""
-        w0, w1 = self.kstar.edge(star_edge)
-        p0 = self.image_value(star_edge)
-        p1 = self.image_value(star_edge + 1)
-        scale = (w1 - w0) / (p1 - p0)
-        return AffineMap(scale, w0 - scale * p0)
 
     def k_edge_label(self, i: int) -> str:
         return f"I{i + 1}"

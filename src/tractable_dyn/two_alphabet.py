@@ -29,8 +29,7 @@ import numpy as np
 
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
-from .rationals import (format_rational, parse_rational, scale_to_integers,
-                        stationary_exact)
+from .rationals import parse_rational, scale_to_integers, stationary_exact
 from .relation import BasicSetDecomposition, FiniteRelation, basic_sets
 
 
@@ -410,26 +409,3 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
         value *= model.nu[t]
     return value
 
-
-def model_from_json(data) -> TwoAlphabetModel:
-    if not isinstance(data, dict):
-        raise ValidationError("model file must be a JSON object")
-    required = {"Kstar", "K", "J", "gamma", "nu"}
-    missing = required - set(data)
-    if missing:
-        raise ValidationError(f"model file missing fields: {sorted(missing)}")
-    unknown = set(data) - required
-    if unknown:
-        raise ValidationError(f"unknown model fields: {sorted(unknown)}")
-    return build_model(data["Kstar"], data["K"], data["J"], data["gamma"],
-                       data["nu"])
-
-
-def model_to_json(model: TwoAlphabetModel) -> dict:
-    return {
-        "Kstar": list(model.kstar),
-        "K": list(model.k),
-        "J": {t: model.k[i] for t, i in zip(model.kstar, model.j_map)},
-        "gamma": {t: model.k[s] for t, s in zip(model.kstar, model.gamma)},
-        "nu": {t: format_rational(x) for t, x in zip(model.kstar, model.nu)},
-    }

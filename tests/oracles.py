@@ -4,12 +4,13 @@ The closure helpers work on plain index edge sets with O(n^3) passes, so
 results are easy to audit and slow on purpose.  The sampling, decoding,
 refinement and word-coding references below are the straightforward
 versions of the library's integer-chart loops: a dense scan of every column
-entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``)
-composed and inverted step by step.  The block-code image uses a fresh power per
-symbol.  The cover-support scan, the G and G*
-definitions, the fiber sums, the dense balance check and the stationarity
-identity are the cell-by-cell loops that the library replaced with a boolean
-mask and with passes over the J-fibers.  The exact solver is dense
+entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``,
+``star_edge_image``) composed and inverted step by step.  These three are
+the ``Fraction`` referee for the integer chart and live only here.  The
+block-code image uses a fresh power per symbol.  The cover-support scan,
+the G and G* definitions, the fiber sums, the dense balance check and the
+stationarity identity are the cell-by-cell loops that the library replaced
+with a boolean mask and with passes over the J-fibers.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
 certified solves modulo primes.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
@@ -17,6 +18,7 @@ per word, where the library counts codes with ``np.bincount`` and keeps
 integers over one common denominator.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -304,11 +306,53 @@ def sample_path(spec, length, seed):
     return path
 
 
+@dataclass(frozen=True)
+class AffineMap:
+    """Exact rational affine map t -> scale * t + offset."""
+
+    scale: Fraction
+    offset: Fraction
+
+    @classmethod
+    def identity(cls):
+        return cls(Fraction(1), Fraction(0))
+
+    def __call__(self, x):
+        return self.scale * x + self.offset
+
+    def compose(self, inner):
+        """self after inner."""
+        return AffineMap(self.scale * inner.scale,
+                         self.scale * inner.offset + self.offset)
+
+    def inverse(self):
+        return AffineMap(1 / self.scale, -self.offset / self.scale)
+
+    def interval_image(self, lo, hi):
+        a, b = self(lo), self(hi)
+        return (a, b) if a <= b else (b, a)
+
+
+def star_edge_image(system, star_edge):
+    """Coarse edge that a fine edge of the system maps onto."""
+    return min(system.vertex_images[star_edge],
+               system.vertex_images[star_edge + 1])
+
+
+def local_inverse(system, star_edge):
+    """Affine inverse of g from the image coarse edge onto the fine edge."""
+    w0, w1 = system.kstar.edge(star_edge)
+    p0 = system.image_value(star_edge)
+    p1 = system.image_value(star_edge + 1)
+    scale = (w1 - w0) / (p1 - p0)
+    return AffineMap(scale, w0 - scale * p0)
+
+
 def code_interval(system, word):
     """Interval of a fine-edge word: the last edge pulled back in Fractions."""
     lo, hi = system.kstar.edge(word[-1])
     for j in reversed(word[:-1]):
-        lo, hi = system.local_inverse(j).interval_image(lo, hi)
+        lo, hi = local_inverse(system, j).interval_image(lo, hi)
     return lo, hi
 
 
@@ -317,10 +361,10 @@ def refine(system, depth):
     n_star = system.kstar.n_edges
     length = max(depth, 1)
     successors = [[j2 for j2 in range(n_star)
-                   if system.j_edge(j2) == system.star_edge_image(j)]
+                   if system.j_edge(j2) == star_edge_image(system, j)]
                   for j in range(n_star)]
     intervals = []
-    stack = [(j, 1, td.AffineMap.identity(), j)
+    stack = [(j, 1, AffineMap.identity(), j)
              for j in reversed(range(n_star))]
     while stack:
         j, at, chain, root = stack.pop()
@@ -328,7 +372,7 @@ def refine(system, depth):
             lo, hi = chain.interval_image(*system.kstar.edge(j))
             intervals.append((lo, hi, root))
             continue
-        extended = chain.compose(system.local_inverse(j))
+        extended = chain.compose(local_inverse(system, j))
         for j2 in reversed(successors[j]):
             stack.append((j2, at + 1, extended, root))
 
@@ -388,8 +432,8 @@ def decode_orbit_histogram(report, star_class, segments, depth, bins, seed):
                 bin_mass[b] += overlap * density
     assert sum(bin_mass) == 1
 
-    maps = [system.local_inverse(j) for j in range(system.kstar.n_edges)]
-    window = td.AffineMap.identity()
+    maps = [local_inverse(system, j) for j in range(system.kstar.n_edges)]
+    window = AffineMap.identity()
     for i in range(depth):
         window = window.compose(maps[path[i]])
     counts = [0] * bins

@@ -5,7 +5,7 @@ import pytest
 
 import tractable_dyn as td
 from oracles import cylinder_csv
-from tractable_dyn.cli import main
+from tractable_dyn.cli import build_parser, main
 
 RELATION_B = {
     "elements": ["I1", "I2", "I3"],
@@ -198,6 +198,12 @@ def test_blockmap_env_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "1024")
     code, _, _ = run(capsys, "blockmap-approx", "--input", path, "--n", "6")
     assert code == 0
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "abc")
+    with pytest.raises(td.ValidationError):
+        td.config.resolve_cell_cap()
+    code, out, err = run(capsys, "blockmap-approx", "--input", path, "--n", "6")
+    assert (code, out) == (2, "")
+    assert "TRACTABLE_DYN_CELL_CAP" in err
 
 
 def test_blockmap_csv_words_respect_the_cap(tmp_path, capsys, monkeypatch):
@@ -399,3 +405,19 @@ def test_plmap_out_system_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "plmap-approx", "--input", str(out_system))
     assert code == 0
     assert "repair" not in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [["relation-analyze"],
+                                  ["blockmap-approx", "--n", "1"]])
+def test_seed_is_rejected_where_nothing_is_sampled(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", "x.json", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["subshift-report", "plmap-approx"])
+def test_seed_defaults_to_zero_where_paths_are_sampled(command):
+    parser = build_parser()
+    assert parser.parse_args([command, "--input", "x"]).seed == 0
+    assert parser.parse_args([command, "--input", "x", "--seed", "9"]).seed == 9

@@ -146,14 +146,14 @@ def test_chart_matches_fraction_geometry(all_systems):
         assert [F(v, chart.scale) for v in chart.x] == list(system.kstar.vertices)
         assert [F(v, chart.scale) for v in chart.coarse_x] == list(system.k.vertices)
         for j in range(system.kstar.n_edges):
-            branch = system.local_inverse(j)
-            for y in system.k.edge(system.star_edge_image(j)):
+            branch = oracles.local_inverse(system, j)
+            for y in system.k.edge(oracles.star_edge_image(system, j)):
                 t = F(chart.length[j] * y * chart.scale + chart.offset[j],
                       chart.rise[j] * chart.scale)
                 assert t == branch(y)
             a, _ = system.kstar.edge(j)
             assert chart.j_edge[j] == system.k.locate_edge(a)
-            assert chart.image_edge[j] == system.star_edge_image(j)
+            assert chart.image_edge[j] == oracles.star_edge_image(system, j)
 
 
 def test_theta_and_labels_match_their_definitions(all_systems):

@@ -170,6 +170,23 @@ def test_stationary_periodic_cycle_needs_no_power_iteration():
     assert np.allclose(v.weights, [0.5, 0.5], atol=1e-12)
 
 
+def test_stationary_cesaro_fallback_after_a_degenerate_solve(monkeypatch):
+    # 1e-17 off the diagonal rounds away in the balance system, so the
+    # solve returns the point mass [1, 0]; the fallback's uniform start is
+    # already stationary.
+    cover = td.validate_cover(full_relation(2), [[1, 1e-17], [1e-17, 1]])
+    solved = []
+
+    def spy(system, rhs, solve=np.linalg.solve):
+        solved.append(solve(system, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    v = td.stationary_distribution(cover, (0, 1))
+    assert [list(x) for x in solved] == [[1.0, 0.0]]
+    assert list(v.weights) == [0.5, 0.5]
+
+
 def test_stationary_rejects_leaky_class(cover_b):
     with pytest.raises(td.NotTerminalError):
         td.stationary_distribution(cover_b, (1,))
@@ -359,6 +376,33 @@ def test_genericity_constant_chain_has_zero_deviation():
     report = td.genericity_check(cover, decomposition, path, 2)
     assert report.passed
     assert report.max_deviation == 0.0
+
+
+def test_genericity_path_outside_every_terminal_class():
+    relation = td.FiniteRelation.from_labels(
+        "ab", [("a", "a"), ("a", "b"), ("b", "b")])
+    report = td.genericity_check(td.uniform_cover(relation),
+                                 td.basic_sets(relation), [0] * 40, 1)
+    assert not report.passed
+    assert report.terminal_class is None
+    assert report.note == "path never entered a terminal class"
+
+
+def test_genericity_checks_the_path_once(cover_b, relation_b, monkeypatch):
+    calls = []
+
+    def counting(relation, word, check=td.relation.check_word):
+        calls.append(1)
+        return check(relation, word)
+
+    monkeypatch.setattr(td.markov, "check_word", counting)
+    monkeypatch.setattr(td.relation, "check_word", counting)
+    decomposition = td.basic_sets(relation_b)
+    spec = td.MarkovMeasureSpec(cover_b, td.Distribution.point_mass(3, 1))
+    for seed in range(3):
+        path = td.sample_path(spec, 100, seed)
+        td.genericity_check(cover_b, decomposition, path, 1)
+        assert len(calls) == seed + 1
 
 
 def test_genericity_requires_long_paths(cover_b, relation_b):

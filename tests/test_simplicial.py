@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tractable_dyn as td
+from oracles import AffineMap, local_inverse, star_edge_image
 
 F = Fraction
 
@@ -70,13 +71,13 @@ def test_metric_axioms_on_random_points():
 
 
 def test_affine_map_algebra():
-    double = td.AffineMap(F(2), F(1))
+    double = AffineMap(F(2), F(1))
     half = double.inverse()
     assert double(F(3)) == 7
     assert half(F(7)) == 3
     assert double.compose(half)(F(5)) == 5
     assert double.interval_image(F(0), F(1)) == (F(1), F(3))
-    flip = td.AffineMap(F(-1), F(1))
+    flip = AffineMap(F(-1), F(1))
     assert flip.interval_image(F(0), F(1)) == (F(0), F(1))
 
 
@@ -88,12 +89,12 @@ def test_example_a_structure(example_a):
         ["I1.1", "I1.2", "I2.1", "I2.2"]
     assert [example_a.k_edge_label(i) for i in range(2)] == ["I1", "I2"]
     assert [example_a.j_edge(j) for j in range(4)] == [0, 0, 1, 1]
-    assert [example_a.star_edge_image(j) for j in range(4)] == [0, 0, 1, 1]
+    assert [star_edge_image(example_a, j) for j in range(4)] == [0, 0, 1, 1]
 
 
 def test_example_b_structure(example_b):
     assert [example_b.j_edge(j) for j in range(6)] == [0, 0, 1, 1, 2, 2]
-    assert [example_b.star_edge_image(j) for j in range(6)] == [0, 0, 1, 2, 2, 2]
+    assert [star_edge_image(example_b, j) for j in range(6)] == [0, 0, 1, 2, 2, 2]
 
 
 def test_build_rejects_collapsed_edges():
@@ -173,10 +174,10 @@ def test_local_inverses_contract(random_pl_system):
         factor = 1 - td.theta(system)
         for _ in range(40):
             j = rng.randrange(system.kstar.n_edges)
-            lo, hi = system.k.edge(system.star_edge_image(j))
+            lo, hi = system.k.edge(star_edge_image(system, j))
             x1 = lo + (hi - lo) * F(rng.randint(0, 128), 128)
             x2 = lo + (hi - lo) * F(rng.randint(0, 128), 128)
-            branch = system.local_inverse(j)
+            branch = local_inverse(system, j)
             assert td.metric_d(system.k, branch(x1), branch(x2)) <= \
                 factor * td.metric_d(system.k, x1, x2)
 
@@ -215,7 +216,7 @@ def test_code_word_lengths_shrink_geometrically(random_pl_system):
         factor = 1 - td.theta(system)
         successors = [
             [j2 for j2 in range(system.kstar.n_edges)
-             if system.j_edge(j2) == system.star_edge_image(j)]
+             if system.j_edge(j2) == star_edge_image(system, j)]
             for j in range(system.kstar.n_edges)]
         for _ in range(15):
             word = [rng.randrange(system.kstar.n_edges)]
@@ -341,6 +342,15 @@ def test_roundoff_constant_function():
     td.theta(system)
 
 
+def test_roundoff_keeps_a_nondegenerate_tent():
+    system, report = td.roundoff(lambda x: 1 - abs(1 - 2 * x), cx(0, 1), 2)
+    assert not report.repaired
+    assert report.repair is None
+    assert report.error_bound == 2
+    assert system.kstar.vertices == (0, F(1, 2), 1)
+    assert system.vertex_images == (0, 1, 0)
+
+
 def test_roundoff_requires_positive_lipschitz():
     with pytest.raises(td.ValidationError):
         td.roundoff(lambda x: 1.0, cx(0, 1, 2), 0.0)
@@ -370,6 +380,17 @@ def test_roundoff_tracks_a_piecewise_linear_target(example_b):
 
 
 # --- reports ---
+
+
+def test_report_support_of_a_class_with_a_gap():
+    system = td.build_system(
+        cx(0, 1, 2, 3), cx(0, F(1, 2), 1, F(3, 2), 2, F(5, 2), 3),
+        {F(0): 2, F(1, 2): 3, F(1): 2, F(3, 2): 1, F(2): 0, F(5, 2): 1,
+         F(3): 0})
+    data = td.tractability_report_pl(system).to_json_dict()
+    assert data["terminal"] == [["I1", "I3"]]
+    assert [entry["support"] for entry in data["measures"]] == \
+        [[["0", "1"], ["2", "3"]]]
 
 
 def test_report_example_a(example_a):

@@ -57,10 +57,6 @@ def test_fiber_sum_must_be_one():
 def test_float_nu_is_rejected():
     with pytest.raises(td.ValidationError):
         td.build_model(("a", "b"), ("s",), ("s", "s"), ("s", "s"), [0.5, 0.5])
-    data = td.two_alphabet.model_to_json(shift_pair_model())
-    data["nu"] = {t: 0.5 for t in data["Kstar"]}
-    with pytest.raises(td.ValidationError):
-        td.two_alphabet.model_from_json(data)
 
 
 def test_fiber_sum_check_matches_the_scan():
@@ -457,20 +453,3 @@ def test_cylinder_star_matches_float_markov_measure():
         exact = td.ergodic_cylinder_measure_star(model, pair.star_members, word)
         assert float(exact) == pytest.approx(
             td.cylinder_measure(spec, word), abs=1e-12)
-
-
-# --- serialization ---
-
-
-def test_model_json_round_trip():
-    model = shift_pair_model()
-    data = td.two_alphabet.model_to_json(model)
-    again = td.two_alphabet.model_from_json(data)
-    assert again == model
-
-
-def test_model_json_rejects_unknown_fields():
-    data = td.two_alphabet.model_to_json(identity_model())
-    data["extra"] = True
-    with pytest.raises(td.ValidationError):
-        td.two_alphabet.model_from_json(data)
