@@ -164,47 +164,71 @@ def cmd_subshift_report(args) -> int:
     return 0
 
 
-def _star_cylinder_rows(analysis: two_alphabet.Analysis,
-                        max_length: int) -> list[list]:
-    """Ergodic cylinder measures of all fine words up to a length.
+def _star_cylinder_csv(analysis: two_alphabet.Analysis,
+                       max_length: int) -> str:
+    """Ergodic cylinder measures of all fine words up to a length, as the
+    finished ``class,word,measure`` table, for a model with one nu weight
+    on every fine symbol (shift-like models weigh each 1/N^k).
 
     Integers over one common denominator per class (Henrici's rule): with
-    nu(t) = a_t / D and v_B(i) = b_i / E, the word t_0 .. t_(L-1) weighs
-    b_(J t_0) a_(t_0) .. a_(t_(L-1)) / (E D^L), reduced once per row.
+    nu = 1 / D and v_B(i) = b_i / E, the word t_0 .. t_(L-1) weighs
+    b_(J t_0) / (E D^L).  The walk is depth first, the children of t being
+    the J-fiber over gamma(t) in increasing order; each distinct (numerator,
+    length) of a class is reduced and formatted once, and the words of the
+    last length are written from their parent in one join.
     """
     model = analysis.model
     limit = resolve_cell_cap()
-    rows: list[list] = []
-    successors = (analysis.correspondence.star_decomposition.relation
-                  .successor_table())
     common_nu, a = model.scaled_nu
-    kstar, j_map = model.kstar, model.j_map
+    if any(weight != 1 for weight in a):
+        raise ValidationError(
+            "cylinder tables need the same nu on every fine symbol")
+    kstar, j_map, gamma = model.kstar, model.j_map, model.gamma
+    fibers = [model.fiber(s) for s in range(len(model.k))]
+    fiber_labels = [[kstar[t] for t in fiber] for fiber in fibers]
     gcd = math.gcd
+    lines = ["class,word,measure"]
+    count = 0
     for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
-        cls = pair.base_class_index
+        head = f"{pair.base_class_index},"
         common_v, b = two_alphabet.scaled_weights(v_b)
         # denominators[L] = E D^L, grown as the walk gets deeper.
         denominators = [common_v, common_v * common_nu]
-        stack = [(t, b[j_map[t]] * a[t], 1, kstar[t])
+        measures: dict[tuple[int, int], str] = {}
+
+        def measure(num: int, length: int) -> str:
+            text = measures.get((num, length))
+            if text is None:
+                while len(denominators) <= length:
+                    denominators.append(denominators[-1] * common_nu)
+                den = denominators[length]
+                g = gcd(num, den)
+                text = (str(num // g) if den == g
+                        else f"{num // g}/{den // g}")
+                measures[num, length] = text
+            return text
+
+        stack = [(t, b[j_map[t]], 1, kstar[t])
                  for t in sorted(pair.star_members, reverse=True)]
         while stack:
             t, num, length, label = stack.pop()
-            if length == len(denominators):
-                denominators.append(denominators[-1] * common_nu)
-            den = denominators[length]
-            g = gcd(num, den)
-            den //= g
-            rows.append([cls, label, str(num // g) if den == 1
-                         else f"{num // g}/{den}"])
-            if len(rows) > limit:
+            lines.append(f"{head}{label},{measure(num, length)}")
+            s = gamma[t]
+            length += 1
+            count += 1 + len(fibers[s]) * (length == max_length)
+            if count > limit:
                 raise CapExceededError(
                     f"cylinder table would exceed the cell cap {limit}")
-            if length == max_length:
-                continue
-            for t2 in reversed(successors[t]):
-                stack.append((t2, num * a[t2], length + 1,
-                              label + "." + kstar[t2]))
-    return rows
+            if length < max_length:
+                stack.extend((t2, num, length, label + "." + kstar[t2])
+                             for t2 in reversed(fibers[s]))
+            elif length == max_length:
+                prefix = head + label + "."
+                tail = "," + measure(num, length)
+                lines.append(prefix + (tail + "\n" + prefix).join(
+                    fiber_labels[s]) + tail)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def cmd_blockmap_approx(args) -> int:
@@ -216,8 +240,7 @@ def cmd_blockmap_approx(args) -> int:
     # Every output is built before any file is written, so a failed run
     # (a capped table, a bad prefix) leaves none.
     if args.format == "csv":
-        text = _csv_text(["class", "word", "measure"],
-                         _star_cylinder_rows(report.analysis, args.words))
+        text = _star_cylinder_csv(report.analysis, args.words)
     else:
         text = _json_text(report.to_json_dict())
     if args.prefix is not None:

@@ -153,10 +153,9 @@ def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
     if np.any(arr < 0) or np.any(arr > 1 + COLUMN_SUM_TOL):
         raise CoverError("matrix entries must lie in [0, 1]")
     # support[i, j]: (i, j) is an edge, i.e. arr[j, i] must be positive.
-    support = np.zeros((size, size), dtype=bool)
-    if relation.edges:
-        sources, targets = zip(*relation.edges)
-        support[sources, targets] = True
+    support = np.zeros(size * size, dtype=bool)
+    support[relation._edge_codes()] = True  # code i size + j
+    support = support.reshape(size, size)
     weights = arr.T
     bad = np.where(support, weights <= 0, weights != 0)
     if bad.any():

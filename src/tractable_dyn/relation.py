@@ -10,7 +10,7 @@ plain graph theory, kept deterministic so reports serialize byte-for-byte.
 
 Conventions
 -----------
-* Elements are labelled strings; edges are stored as index pairs ``(i, j)``
+* Elements are labelled strings; an edge is an index pair ``(i, j)``
   meaning i -> j.
 * ``compose(first, second)`` applies ``first`` and then ``second`` (i.e. the
   set-map composition ``second ∘ first``).
@@ -19,73 +19,193 @@ Conventions
 
 Cost
 ----
-A relation builds its successor and predecessor tables once, on first use,
-so every pass below runs in O(n + E).  The order between classes is read
-off the condensation DAG (one node per strong component) that Tarjan's
-pass emits in reverse topological order: each component's set of reachable
-classes is the union of its successors' sets, kept as an int bitset.  No
-transitive closure over elements is built.
+A relation is stored as one sorted tuple of successor indices per element,
+which is what every pass below reads, so each runs in O(n + E).  Callers
+that already hold successor lists (the two-alphabet G* is its J-fibers)
+hand them over without making an edge tuple.  ``edges`` is a read-only set
+view over those tuples: its ``len`` is exact and O(1), it iterates in
+sorted order and answers membership by bisection.  Predecessor tuples are
+built on first use.  The order between classes is read off the
+condensation DAG (one node per strong component) that Tarjan's pass emits
+in reverse topological order: each component's set of reachable classes is
+the union of its successors' sets, kept as an int bitset.  No transitive
+closure over elements is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import operator
+from bisect import bisect_left
+from collections.abc import Set
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError, ElementMismatchError, ValidationError, WordError
 
 
-@dataclass(frozen=True)
+class EdgeView(Set):
+    """The edges ``(i, j)`` of a relation, read from its successor tuples."""
+
+    __slots__ = ("_succ", "_count")
+
+    def __init__(self, succ: tuple[tuple[int, ...], ...], count: int):
+        self._succ = succ
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for i, targets in enumerate(self._succ):
+            for j in targets:
+                yield i, j
+
+    def __contains__(self, pair) -> bool:
+        try:
+            i, j = pair
+            if not 0 <= i < len(self._succ):
+                return False
+            targets = self._succ[i]
+            at = bisect_left(targets, j)
+        except (TypeError, ValueError):
+            return False
+        return at < len(targets) and targets[at] == j
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"EdgeView({sorted(self)!r})"
+
+
 class FiniteRelation:
-    """A directed relation on an ordered finite set of labelled elements."""
+    """A directed relation on an ordered finite set of labelled elements.
 
-    elements: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
+    ``FiniteRelation(elements, edges)`` takes index pairs ``(i, j)``;
+    ``from_successors`` takes one successor collection per element.  A
+    relation is immutable once built: it is hashed, and decompositions and
+    covers hold it.
+    """
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValidationError("element labels must be distinct")
-        n = len(self.elements)
-        for i, j in self.edges:
+    __slots__ = ("elements", "edges", "_succ", "_pred", "_codes")
+
+    def __init__(self, elements, edges=()):
+        elements = tuple(elements)
+        n = len(elements)
+        succ: list[set[int]] = [set() for _ in elements]
+        for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"edge ({i}, {j}) out of range for {n} elements")
+                raise ValidationError(
+                    f"edge ({i}, {j}) out of range for {n} elements")
+            succ[i].add(j)
+        self._store(elements, tuple(tuple(sorted(s)) for s in succ))
+
+    @classmethod
+    def from_successors(cls, elements, successors) -> "FiniteRelation":
+        """The relation with ``successors[i]`` as the targets of element i.
+
+        Each entry must be a tuple of strictly increasing indices in range.
+        It is stored as given, so a tuple shared between elements stays
+        shared and is checked once.
+        """
+        elements, succ = tuple(elements), tuple(successors)
+        n = len(elements)
+        if len(succ) != n:
+            raise ValidationError(
+                f"{len(succ)} successor tuples for {n} elements")
+        checked = set()
+        for i, targets in enumerate(succ):
+            if id(targets) in checked:
+                continue
+            checked.add(id(targets))
+            if not isinstance(targets, tuple) or targets and (
+                    targets[0] < 0 or targets[-1] >= n
+                    or any(map(operator.ge, targets, targets[1:]))):
+                raise ValidationError(
+                    f"successors of {elements[i]!r} must be a tuple of "
+                    f"increasing indices below {n}")
+        relation = cls.__new__(cls)
+        relation._store(elements, succ)
+        return relation
+
+    def _store(self, elements, succ):
+        if len(set(elements)) != len(elements):
+            raise ValidationError("element labels must be distinct")
+        init = object.__setattr__
+        init(self, "elements", elements)
+        init(self, "_succ", succ)
+        init(self, "edges", EdgeView(succ, sum(map(len, succ))))
+        init(self, "_pred", None)
+        init(self, "_codes", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_successors, (self.elements, self._succ)
 
     @classmethod
     def from_labels(cls, elements, labelled_edges) -> "FiniteRelation":
         elements = tuple(elements)
         index = {label: i for i, label in enumerate(elements)}
-        edges = set()
+        edges = []
         for a, b in labelled_edges:
             if a not in index or b not in index:
                 raise ValidationError(f"edge ({a!r}, {b!r}) uses unknown labels")
-            edges.add((index[a], index[b]))
-        return cls(elements, frozenset(edges))
+            edges.append((index[a], index[b]))
+        return cls(elements, edges)
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...],
-                                  tuple[tuple[int, ...], ...]]:
-        """Sorted successor and predecessor tuples per element, built once."""
-        succ: list[list[int]] = [[] for _ in self.elements]
-        pred: list[list[int]] = [[] for _ in self.elements]
-        for i, j in sorted(self.edges):
-            succ[i].append(j)
-            pred[j].append(i)
-        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
+    def __eq__(self, other):
+        if not isinstance(other, FiniteRelation):
+            return NotImplemented
+        return self.elements == other.elements and self._succ == other._succ
+
+    def __hash__(self):
+        return hash((self.elements, self._succ))
+
+    def __repr__(self) -> str:
+        return (f"FiniteRelation(elements={self.elements!r}, "
+                f"edges={self.edges!r})")
+
+    def _predecessor_table(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted predecessor tuples per element, built once."""
+        if self._pred is None:
+            pred: list[list[int]] = [[] for _ in self.elements]
+            for i, targets in enumerate(self._succ):
+                for j in targets:
+                    pred[j].append(i)
+            object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
+        return self._pred
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[0][i]
+        return self._succ[i]
 
     def predecessors(self, j: int) -> tuple[int, ...]:
-        return self._adjacency[1][j]
+        return self._predecessor_table()[j]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
-    def successor_table(self) -> list[list[int]]:
-        return [list(succ) for succ in self._adjacency[0]]
-
     def edge_labels(self) -> list[tuple[str, str]]:
         return sorted((self.elements[i], self.elements[j]) for i, j in self.edges)
+
+    def _edge_codes(self) -> np.ndarray:
+        """Sorted int64 codes i * n + j of the edges, built once."""
+        if self._codes is None:
+            n = len(self.elements)
+            sources = np.repeat(np.arange(n, dtype=np.int64),
+                                [len(targets) for targets in self._succ])
+            targets = np.fromiter(itertools.chain.from_iterable(self._succ),
+                                  dtype=np.int64, count=len(self.edges))
+            codes = sources * n + targets
+            codes.flags.writeable = False
+            object.__setattr__(self, "_codes", codes)
+        return self._codes
 
 
 @dataclass(frozen=True)
@@ -130,16 +250,15 @@ def _require_same_elements(first: FiniteRelation, second: FiniteRelation):
 def compose(first: FiniteRelation, second: FiniteRelation) -> FiniteRelation:
     """Relational composition in application order: first, then second."""
     _require_same_elements(first, second)
-    by_source: dict[int, set[int]] = {}
-    for i, j in second.edges:
-        by_source.setdefault(i, set()).add(j)
-    edges = {(i, k) for i, j in first.edges for k in by_source.get(j, ())}
-    return FiniteRelation(first.elements, frozenset(edges))
+    then = second._succ
+    return FiniteRelation.from_successors(first.elements, (
+        tuple(sorted({k for j in targets for k in then[j]}))
+        for targets in first._succ))
 
 
 def inverse(relation: FiniteRelation) -> FiniteRelation:
-    return FiniteRelation(relation.elements,
-                          frozenset((j, i) for i, j in relation.edges))
+    return FiniteRelation.from_successors(relation.elements,
+                                          relation._predecessor_table())
 
 
 def restrict_to_infinite_domain(
@@ -150,7 +269,7 @@ def restrict_to_infinite_domain(
     original order).  A relation with no cycles collapses to the empty
     relation, signalling an empty sample-path space.
     """
-    succ, pred = relation._adjacency
+    succ, pred = relation._succ, relation._predecessor_table()
     n = len(relation.elements)
     degree = [len(s) for s in succ]
     alive = [True] * n
@@ -162,63 +281,64 @@ def restrict_to_infinite_domain(
             degree[i] -= 1
             if degree[i] == 0:
                 starved.append(i)
-    kept = tuple(i for i in range(n) if alive[i])
+    kept = [i for i in range(n) if alive[i]]
     labels = tuple(relation.elements[i] for i in kept)
-    renumber = {old: new for new, old in enumerate(kept)}
-    new_edges = frozenset((renumber[i], renumber[j]) for i, j in relation.edges
-                          if alive[i] and alive[j])
-    return FiniteRelation(labels, new_edges), labels
+    # Renumbering keeps the order, so the successor tuples stay sorted.
+    renumber = [-1] * n
+    for new, old in enumerate(kept):
+        renumber[old] = new
+    return FiniteRelation.from_successors(labels, (
+        tuple(renumber[j] for j in succ[i] if alive[j]) for i in kept)), labels
 
 
-def _strong_components(relation: FiniteRelation) -> list[list[int]]:
+def _strong_components(succ) -> list[list[int]]:
     """Tarjan's algorithm, iterative, deterministic component order.
 
-    Components come out in reverse topological order of the condensation:
-    every component reachable from another is emitted before it.
+    ``succ`` holds one successor sequence per element.  Components come out
+    in reverse topological order of the condensation: every component
+    reachable from another is emitted before it.  An emitted element gets
+    the index n, above every live index, so no on-stack flags are needed.
     """
-    succ = relation._adjacency[0]
-    n = len(relation.elements)
+    n = len(succ)
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    depth = [0] * n       # position of each element on the Tarjan stack
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        depth[root] = len(stack)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for pos in range(child_pos, len(succ[node])):
-                nxt = succ[node][pos]
-                if index_of[nxt] == -1:
-                    work.append((node, pos + 1))
-                    work.append((nxt, 0))
-                    recurse = True
+            node, targets = work[-1]
+            for nxt in targets:
+                seen = index_of[nxt]
+                if seen == -1:
+                    index_of[nxt] = low[nxt] = counter
+                    counter += 1
+                    depth[nxt] = len(stack)
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index_of[nxt])
-            if recurse:
-                continue
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if seen < low[node]:
+                    low[node] = seen
+            else:
+                work.pop()
+                lowest = low[node]
+                if lowest == index_of[node]:
+                    component = stack[depth[node]:]
+                    del stack[depth[node]:]
+                    for member in component:
+                        index_of[member] = n
+                    component.sort()
+                    components.append(component)
+                elif lowest < low[work[-1][0]]:
+                    low[work[-1][0]] = lowest
     return components
 
 
@@ -230,7 +350,7 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
     rejected for the same reason.
     """
     n = len(relation.elements)
-    succ = relation._adjacency[0]
+    succ = relation._succ
     starved = [relation.elements[i] for i in range(n) if not succ[i]]
     if n == 0:
         raise DomainError("empty relation has no basic sets")
@@ -239,7 +359,7 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
             "elements without outgoing edges (restrict first): "
             + ", ".join(starved))
 
-    components = _strong_components(relation)
+    components = _strong_components(succ)
     component_of = [0] * n
     for k, comp in enumerate(components):
         for i in comp:
@@ -251,30 +371,39 @@ def basic_sets(relation: FiniteRelation) -> BasicSetDecomposition:
     for c, k in enumerate(cyclic_components):
         class_of_component[k] = c
 
+    # One pass over the condensation.  reach[k]: bitset of the classes
+    # reachable from component k by a nonempty path; upto[k] adds k's own
+    # class.  Successor components were emitted earlier, so their bitsets
+    # are complete when k is reached.  A successor tuple shared by several
+    # members (G* shares its J-fibers) is read once per component.
     leaves = [False] * len(components)
-    for i, j in relation.edges:
-        if component_of[i] != component_of[j]:
-            leaves[component_of[i]] = True
-    terminal_flags = tuple(not leaves[k] for k in cyclic_components)
-
-    terminal_members = {i for c, k in enumerate(cyclic_components)
-                        if terminal_flags[c] for i in components[k]}
-    transient = tuple(i for i in range(n) if i not in terminal_members)
-
-    # reach[k]: bitset of the classes reachable from component k by a
-    # nonempty path; upto[k] adds k's own class.  Successor components were
-    # emitted earlier, so their bitsets are complete when k is reached.
     reach = [0] * len(components)
     upto = [0] * len(components)
     for k, comp in enumerate(components):
         bits = 0
+        read = set()
         for i in comp:
-            for j in succ[i]:
-                if component_of[j] != k:
-                    bits |= upto[component_of[j]]
+            targets = succ[i]
+            if id(targets) in read:
+                continue
+            read.add(id(targets))
+            for j in targets:
+                other = component_of[j]
+                if other != k:
+                    leaves[k] = True
+                    bits |= upto[other]
         reach[k] = bits
         c = class_of_component[k]
         upto[k] = bits if c is None else bits | 1 << c
+    terminal_flags = tuple(not leaves[k] for k in cyclic_components)
+
+    in_terminal = [False] * n
+    for c, k in enumerate(cyclic_components):
+        if terminal_flags[c]:
+            for i in components[k]:
+                in_terminal[i] = True
+    transient = tuple(i for i in range(n) if not in_terminal[i])
+
     order = set()
     for a, k in enumerate(cyclic_components):
         digits = bin(reach[k])[:1:-1]  # digits[b] is bit b
@@ -325,19 +454,38 @@ def tractability_json(decomposition: BasicSetDecomposition, decay,
     return out
 
 
+def _first_non_edge(relation: FiniteRelation, word: tuple) -> int | None:
+    """Position p of the first pair (word[p], word[p+1]) that is not an edge,
+    or None, for a word of symbols in range.
+
+    One ``np.searchsorted`` of the pair codes a n + b against the
+    relation's sorted edge codes, in place of a lookup per step.
+    """
+    if len(word) < 2:
+        return None
+    codes = relation._edge_codes()
+    if not len(codes):
+        return 0
+    symbols = np.array(word, dtype=np.int64)
+    pairs = symbols[:-1] * len(relation.elements) + symbols[1:]
+    at = np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)
+    found = codes[at] == pairs
+    return None if found.all() else int(np.argmin(found))
+
+
 def check_word(relation: FiniteRelation, word) -> tuple[int, ...]:
     """Validate a sample-path word (sequence of element indices)."""
     word = tuple(word)
     if not word:
         raise WordError("empty word")
     n = len(relation.elements)
-    for s in word:
-        if not (0 <= s < n):
-            raise WordError(f"symbol {s} out of range")
-    for a, b in zip(word, word[1:]):
-        if not relation.has_edge(a, b):
-            raise WordError(
-                f"({relation.elements[a]}, {relation.elements[b]}) is not an edge")
+    if min(word) < 0 or max(word) >= n:
+        bad = next(s for s in word if not 0 <= s < n)
+        raise WordError(f"symbol {bad} out of range")
+    p = _first_non_edge(relation, word)
+    if p is not None:
+        raise WordError(f"({relation.elements[word[p]]}, "
+                        f"{relation.elements[word[p + 1]]}) is not an edge")
     return word
 
 

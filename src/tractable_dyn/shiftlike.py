@@ -108,13 +108,33 @@ class Word:
         return self.to_string()
 
 
-def all_words(n_symbols: int, length: int) -> list[Word]:
+def _capped_word_count(n_symbols: int, length: int) -> int:
+    """N^length, the number of words of a length, within the cell cap."""
     count = n_symbols ** length
     limit = resolve_cell_cap()
     if count > limit:
         raise CapExceededError(
             f"{count} words of length {length} exceed the cell cap {limit}")
-    return [Word(n_symbols, length, value) for value in range(count)]
+    return count
+
+
+def all_words(n_symbols: int, length: int) -> list[Word]:
+    return [Word(n_symbols, length, value)
+            for value in range(_capped_word_count(n_symbols, length))]
+
+
+def _word_labels(n_symbols: int, length: int) -> list[list[str]]:
+    """``Word.to_string`` of every word of each length 1 .. length, indexed
+    by packed value, in one pass: label(d + N r) = digit d + label(r)."""
+    _capped_word_count(n_symbols, length)
+    if n_symbols > len(_DIGITS):
+        digits, sep = [str(d) for d in range(n_symbols)], "."
+    else:
+        digits, sep = list(_DIGITS[:n_symbols]), ""
+    labels = [digits]
+    for _ in range(length - 1):
+        labels.append([d + sep + rest for rest in labels[-1] for d in digits])
+    return labels
 
 
 @dataclass(frozen=True)
@@ -322,15 +342,15 @@ def to_two_alphabet(system: ShiftLikeSystem) -> two_alphabet.TwoAlphabetModel:
     J truncates to the first n symbols, gamma is the system table, and nu is
     the uniform Bernoulli weight 1/N^k on every J-fiber.
     """
-    width = system.n + system.k
-    fine = all_words(system.n_symbols, width)
-    coarse = all_words(system.n_symbols, system.n)
+    labels = _word_labels(system.n_symbols, system.n + system.k)
+    fine = labels[-1]
+    coarse = system.n_symbols ** system.n
     nu = Fraction(1, system.n_symbols ** system.k)
     return two_alphabet.build_model(
-        kstar=[w.to_string() for w in fine],
-        k=[w.to_string() for w in coarse],
-        j_map=[w.prefix(system.n).value for w in fine],
-        gamma=[system.gamma[w.value] for w in fine],
+        kstar=fine,
+        k=labels[system.n - 1],
+        j_map=[value % coarse for value in range(len(fine))],
+        gamma=system.gamma,
         nu=[nu] * len(fine),
     )
 

@@ -7,7 +7,10 @@ weights with unit sum over each J-fiber) this induces:
 
 * a relation G on K      -- (s1, s2) when some fine symbol lies over s1 and
                             maps onto s2;
-* a relation G* on K*    -- (t1, t2) when t2 lies over gamma(t1);
+* a relation G* on K*    -- (t1, t2) when t2 lies over gamma(t1), so the
+                            successors of t1 are the J-fiber over gamma(t1):
+                            G* is stored as those fiber tuples, shared
+                            between the fine symbols with one image;
 * a stochastic cover of G.  G* needs no stored cover: its column for t1 is
   nu on the J-fiber over gamma(t1), built from the fibers where it is used.
 
@@ -63,11 +66,18 @@ class TwoAlphabetModel:
 
     @cached_property
     def _relations(self) -> tuple[FiniteRelation, FiniteRelation]:
-        """G on K and G* on K*, built once (see ``induced_relations``)."""
-        g = FiniteRelation(self.k, frozenset(zip(self.j_map, self.gamma)))
-        gstar = FiniteRelation(self.kstar, frozenset(
-            (t1, t2) for t1, s in enumerate(self.gamma)
-            for t2 in self.fiber(s)))
+        """G on K and G* on K*, built once (see ``induced_relations``).
+
+        G's successors of i are the gamma images of the fiber over i; G*'s
+        successor tuple of t is the fiber tuple over gamma(t) itself, shared
+        by every t with the same image, so no edge tuple is made.
+        """
+        fibers = [self.fiber(i) for i in range(len(self.k))]
+        gamma = self.gamma
+        g = FiniteRelation.from_successors(self.k, [
+            tuple(sorted({gamma[t] for t in fiber})) for fiber in fibers])
+        gstar = FiniteRelation.from_successors(
+            self.kstar, [fibers[s] for s in gamma])
         return g, gstar
 
 
@@ -130,9 +140,13 @@ def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
     for label, value in zip(kstar, model.nu):
         if value <= 0:
             raise ValidationError(f"nu[{label!r}] must be positive")
+    # Over D, the lcm of nu's denominators, a fiber sums to 1 exactly when
+    # its integer weights a[t] = nu(t) D sum to D.
+    common, a = model.scaled_nu
     for i in range(len(k)):
-        total = sum(model.nu[t] for t in model.fiber(i))
-        if total != 1:
+        fiber = model.fiber(i)
+        if sum(a[t] for t in fiber) != common:
+            total = sum(model.nu[t] for t in fiber)
             raise ValidationError(
                 f"nu over the fiber of {k[i]!r} sums to {total}, expected 1")
     return model
@@ -146,10 +160,17 @@ def induced_relations(model: TwoAlphabetModel
 
 
 def induced_covers(model: TwoAlphabetModel) -> markov.StochasticCover:
-    """Floating-point stochastic cover of G, validated against G."""
+    """Floating-point stochastic cover of G, validated against G.
+
+    Each cell adds float(nu(t)) = a_t / D (one correctly rounded division,
+    as ``Fraction.__float__`` does) over its fine symbols in K* order.
+    """
+    common, a = model.scaled_nu
+    cells: dict[tuple[int, int], float] = {}
+    for cell, weight in zip(zip(model.gamma, model.j_map), a):
+        cells[cell] = cells.get(cell, 0.0) + weight / common
     g_matrix = np.zeros((len(model.k), len(model.k)))
-    for t, nu in enumerate(model.nu):
-        g_matrix[model.gamma[t], model.j_map[t]] += float(nu)
+    g_matrix[tuple(zip(*cells))] = list(cells.values())
     return markov.validate_cover(induced_relations(model)[0], g_matrix)
 
 
@@ -237,21 +258,26 @@ def base_class_stationary(model: TwoAlphabetModel,
     J-fibers of the class builds the class block of the coarse cover as
     sparse rows (row j maps i to the weight of i -> j) and the mass each
     member leaks out of the class, so the cost is the class's fibers.
+    Weights are summed as the integers a = nu D and divided by D once per
+    entry.
     """
+    common, a = model.scaled_nu
     members = tuple(sorted(set(int(i) for i in base_members)))
     position = {i: p for p, i in enumerate(members)}
-    block: list[dict[int, Fraction]] = [{} for _ in members]
+    scaled: list[dict[int, int]] = [{} for _ in members]
     for p, i in enumerate(members):
-        leak = Fraction(0)
+        leak = 0
         for t in model.fiber(i):
             q = position.get(model.gamma[t])
             if q is None:
-                leak += model.nu[t]
+                leak += a[t]
             else:
-                block[q][p] = block[q].get(p, 0) + model.nu[t]
+                scaled[q][p] = scaled[q].get(p, 0) + a[t]
         if leak != 0:
-            raise NotTerminalError(
-                f"class loses mass {leak} from {model.k[i]!r}")
+            raise NotTerminalError(f"class loses mass {Fraction(leak, common)}"
+                                   f" from {model.k[i]!r}")
+    block = [{p: Fraction(w, common) for p, w in row.items()}
+             for row in scaled]
     return dict(zip(members, stationary_exact(block)))
 
 

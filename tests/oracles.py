@@ -15,11 +15,18 @@ Gauss-Jordan elimination over ``Fraction``, which the library replaced with
 certified solves modulo primes.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
 per word, where the library counts codes with ``np.bincount`` and keeps
-integers over one common denominator.
+integers over one common denominator.  ``FrozensetRelation`` is the
+relation stored as a frozenset of edge tuples and re-sorted into successor
+tables, with its Tarjan pass and decomposition, its restriction,
+composition and inverse, and the G and G* that the two-alphabet model built
+as edge sets; the library now keeps sorted successor tuples and takes G*
+from the J-fibers.  ``shiftlike_two_alphabet`` builds the shift-like model
+from one ``Word`` per fine word.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -213,8 +220,7 @@ def cylinder_csv(analysis, max_length):
     """``blockmap-approx --format csv --words max_length`` output, by a
     depth-first walk that multiplies one Fraction per word (no cell cap)."""
     model = analysis.model
-    successors = (analysis.correspondence.star_decomposition.relation
-                  .successor_table())
+    successors = analysis.correspondence.star_decomposition.relation.successors
     lines = ["class,word,measure"]
     for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
         stack = [((t,), Fraction(v_b[model.j_map[t]]) * model.nu[t])
@@ -227,7 +233,7 @@ def cylinder_csv(analysis, max_length):
             lines.append(",".join(str(cell) for cell in row))
             if len(word) == max_length:
                 continue
-            for t2 in reversed(successors[word[-1]]):
+            for t2 in reversed(successors(word[-1])):
                 stack.append((word + (t2,), weight * model.nu[t2]))
     return "\n".join(lines) + "\n"
 
@@ -451,3 +457,189 @@ def decode_orbit_histogram(report, star_class, segments, depth, bins, seed):
     return td.BirkhoffResult(segments=segments, depth=depth, bins=bins,
                              max_deviation=max_dev, threshold=threshold,
                              passed=max_dev <= threshold)
+
+
+@dataclass(frozen=True)
+class FrozensetRelation:
+    """A relation as a frozenset of index pairs, adjacency built on demand."""
+
+    elements: tuple
+    edges: frozenset
+
+    def __post_init__(self):
+        if len(set(self.elements)) != len(self.elements):
+            raise td.ValidationError("element labels must be distinct")
+        n = len(self.elements)
+        for i, j in self.edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise td.ValidationError(
+                    f"edge ({i}, {j}) out of range for {n} elements")
+
+    @cached_property
+    def _adjacency(self):
+        """Sorted successor and predecessor tuples per element."""
+        succ = [[] for _ in self.elements]
+        pred = [[] for _ in self.elements]
+        for i, j in sorted(self.edges):
+            succ[i].append(j)
+            pred[j].append(i)
+        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
+
+    def successors(self, i):
+        return self._adjacency[0][i]
+
+    def predecessors(self, j):
+        return self._adjacency[1][j]
+
+    def has_edge(self, i, j):
+        return (i, j) in self.edges
+
+
+def frozenset_strong_components(relation):
+    """Iterative Tarjan over the sorted successor tables, with on-stack
+    flags, components in reverse topological order."""
+    succ = relation._adjacency[0]
+    n = len(relation.elements)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child_pos = work.pop()
+            if child_pos == 0:
+                index_of[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            recurse = False
+            for pos in range(child_pos, len(succ[node])):
+                nxt = succ[node][pos]
+                if index_of[nxt] == -1:
+                    work.append((node, pos + 1))
+                    work.append((nxt, 0))
+                    recurse = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index_of[nxt])
+            if recurse:
+                continue
+            if low[node] == index_of[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(sorted(component))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return components
+
+
+def frozenset_basic_sets(relation):
+    """(classes, terminal_flags, transient, order) of a full-domain
+    relation, from the condensation of ``frozenset_strong_components``."""
+    n = len(relation.elements)
+    succ = relation._adjacency[0]
+    components = frozenset_strong_components(relation)
+    component_of = [0] * n
+    for k, comp in enumerate(components):
+        for i in comp:
+            component_of[i] = k
+    cyclic = [k for k, comp in enumerate(components)
+              if len(comp) > 1 or relation.has_edge(comp[0], comp[0])]
+    cyclic.sort(key=lambda k: components[k][0])
+    class_of_component = [None] * len(components)
+    for c, k in enumerate(cyclic):
+        class_of_component[k] = c
+    leaves = [False] * len(components)
+    for i, j in relation.edges:
+        if component_of[i] != component_of[j]:
+            leaves[component_of[i]] = True
+    flags = tuple(not leaves[k] for k in cyclic)
+    terminal_members = {i for c, k in enumerate(cyclic) if flags[c]
+                        for i in components[k]}
+    transient = tuple(i for i in range(n) if i not in terminal_members)
+    reach = [0] * len(components)
+    upto = [0] * len(components)
+    for k, comp in enumerate(components):
+        bits = 0
+        for i in comp:
+            for j in succ[i]:
+                if component_of[j] != k:
+                    bits |= upto[component_of[j]]
+        reach[k] = bits
+        c = class_of_component[k]
+        upto[k] = bits if c is None else bits | 1 << c
+    order = frozenset((a, b) for a, k in enumerate(cyclic)
+                      for b in range(len(cyclic)) if reach[k] >> b & 1)
+    classes = tuple(tuple(components[k]) for k in cyclic)
+    return classes, flags, transient, order
+
+
+def frozenset_restrict(relation):
+    """Drop starved elements until none is left; reindex the rest."""
+    succ, pred = relation._adjacency
+    n = len(relation.elements)
+    degree = [len(s) for s in succ]
+    alive = [True] * n
+    starved = [i for i in range(n) if degree[i] == 0]
+    while starved:
+        j = starved.pop()
+        alive[j] = False
+        for i in pred[j]:
+            degree[i] -= 1
+            if degree[i] == 0:
+                starved.append(i)
+    kept = tuple(i for i in range(n) if alive[i])
+    labels = tuple(relation.elements[i] for i in kept)
+    renumber = {old: new for new, old in enumerate(kept)}
+    return FrozensetRelation(labels, frozenset(
+        (renumber[i], renumber[j]) for i, j in relation.edges
+        if alive[i] and alive[j])), labels
+
+
+def frozenset_compose(first, second):
+    by_source = {}
+    for i, j in second.edges:
+        by_source.setdefault(i, set()).add(j)
+    return FrozensetRelation(first.elements, frozenset(
+        (i, k) for i, j in first.edges for k in by_source.get(j, ())))
+
+
+def frozenset_inverse(relation):
+    return FrozensetRelation(relation.elements,
+                             frozenset((j, i) for i, j in relation.edges))
+
+
+def frozenset_induced_relations(model):
+    """G = {(J t, gamma t)} and G* = {(t1, t2): t2 over gamma(t1)} as
+    frozenset relations."""
+    g = FrozensetRelation(model.k, frozenset(zip(model.j_map, model.gamma)))
+    gstar = FrozensetRelation(model.kstar, frozenset(
+        (t1, t2) for t1, s in enumerate(model.gamma)
+        for t2 in model.fiber(s)))
+    return g, gstar
+
+
+def shiftlike_two_alphabet(system):
+    """The shift-like model with one ``Word`` per fine and coarse word."""
+    width = system.n + system.k
+    fine = td.all_words(system.n_symbols, width)
+    coarse = td.all_words(system.n_symbols, system.n)
+    nu = Fraction(1, system.n_symbols ** system.k)
+    return td.build_model(
+        kstar=[w.to_string() for w in fine],
+        k=[w.to_string() for w in coarse],
+        j_map=[w.prefix(system.n).value for w in fine],
+        gamma=[system.gamma[w.value] for w in fine],
+        nu=[nu] * len(fine),
+    )

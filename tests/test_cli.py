@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -256,6 +257,18 @@ def test_blockmap_csv_matches_the_fraction_oracle(tmp_path, capsys):
                 assert target.read_bytes() == cylinder_csv(
                     analysis, words).encode(), (phi, words)
     assert several >= 4
+
+
+def test_cylinder_table_rejects_unequal_fine_weights():
+    # blockmap-approx builds shift-like models, which weigh every fine word
+    # alike; a model that weighs one fiber unevenly is refused.
+    model = td.build_model(["t0", "t1", "t2", "t3"], ["s0", "s1"],
+                           [0, 0, 1, 1], [0, 1, 1, 0],
+                           [Fraction(1, 3), Fraction(2, 3),
+                            Fraction(1, 2), Fraction(1, 2)])
+    analysis = td.analyze(model)
+    with pytest.raises(td.ValidationError, match="same nu"):
+        td.cli._star_cylinder_csv(analysis, 2)
 
 
 def test_blockmap_trace_needs_both_flags(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Byte-for-byte golden outputs of the CLI on the README inputs.
+"""Byte-for-byte golden outputs of the CLI on the README inputs and on a
+seeded random corpus.
 
 Each case runs one CLI command on the files in ``tests/golden/inputs`` and
 compares its exit code, stdout and every output file it writes with the
@@ -6,13 +7,22 @@ bytes stored under ``tests/golden/<case>/``.  The same cases run once
 in-process and once in a ``python -O`` subprocess, so the outputs and the
 internal invariants hold in optimised mode too.
 
+The ``rand_*`` cases read inputs that ``_random_inputs`` draws from fixed
+seeds: relations with starved tails, self-loops and chains of classes, a
+cover with transient elements, block codes with two or more terminal
+classes and a PL map with two terminal classes.
+
 To record the golden files again (only when an output is meant to change):
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [case ...]`` (every case when
+none is named; the random inputs are redrawn first, to the same bytes).
 """
 
+import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,6 +63,40 @@ CASES = [
                    "--format", "svg"], []),
     ("plmap_csv", ["plmap-approx", "--input", "{in}/system_b.json",
                    "--format", "csv"], []),
+    ("rand_relation_a_json", ["relation-analyze", "--input",
+                              "{in}/rand_relation_a.json"], []),
+    ("rand_relation_a_csv", ["relation-analyze", "--input",
+                             "{in}/rand_relation_a.json", "--format", "csv"],
+     []),
+    ("rand_relation_b_json", ["relation-analyze", "--input",
+                              "{in}/rand_relation_b.json"], []),
+    ("rand_relation_b_csv", ["relation-analyze", "--input",
+                             "{in}/rand_relation_b.json", "--format", "csv"],
+     []),
+    ("rand_subshift_simulate", ["subshift-report", "--input",
+                                "{in}/rand_cover.json", "--simulate", "3000",
+                                "--words", "2", "--seed", "11"], []),
+    ("rand_subshift_csv", ["subshift-report", "--input",
+                           "{in}/rand_cover.json", "--format", "csv"], []),
+    ("rand_blockmap_json", ["blockmap-approx", "--input",
+                            "{in}/rand_code_a.json", "--n", "2"], []),
+    ("rand_blockmap_csv", ["blockmap-approx", "--input",
+                           "{in}/rand_code_a.json", "--n", "2",
+                           "--format", "csv", "--words", "3"], []),
+    ("rand_blockmap_trace", ["blockmap-approx", "--input",
+                             "{in}/rand_code_a.json", "--n", "2",
+                             "--prefix", "0110100110010110011", "--depth",
+                             "5", "--trace", "{out}/trace.csv",
+                             "--out-system", "{out}/system.json"],
+     ["trace.csv", "system.json"]),
+    ("rand_blockmap_n3_csv", ["blockmap-approx", "--input",
+                              "{in}/rand_code_b.json", "--n", "1",
+                              "--format", "csv", "--words", "3"], []),
+    ("rand_plmap_json", ["plmap-approx", "--input", "{in}/rand_pl.json",
+                         "--simulate", "500", "--depth", "12",
+                         "--seed", "5"], []),
+    ("rand_plmap_csv", ["plmap-approx", "--input", "{in}/rand_pl.json",
+                        "--format", "csv"], []),
 ]
 IDS = [name for name, _, _ in CASES]
 
@@ -93,10 +137,134 @@ def test_golden_under_python_O(name, template, files, tmp_path):
     _check(name, files, code, stdout, tmp_path)
 
 
-def _record():
+def _random_relation(rng, n_classes, tails):
+    """Labelled edges: cycles of 1-4 elements (a lone element has a
+    self-loop), chained by edges from class to class, plus transient
+    elements feeding the classes and starved tails hanging off them."""
+    edges = set()
+    classes = []
+    count = 0
+    for _ in range(n_classes):
+        size = rng.randint(1, 4)
+        members = list(range(count, count + size))
+        count += size
+        for a, b in zip(members, members[1:] + members[:1]):
+            edges.add((a, b))
+        for _ in range(rng.randint(0, size)):
+            edges.add((rng.choice(members), rng.choice(members)))
+        classes.append(members)
+    for c in range(1, n_classes):
+        if rng.random() < 0.6:
+            edges.add((rng.choice(classes[rng.randrange(c)]),
+                       rng.choice(classes[c])))
+    for _ in range(n_classes):
+        edges.add((count, rng.choice(rng.choice(classes))))
+        if rng.random() < 0.5:
+            edges.add((count, count - 1))
+        count += 1
+    for _ in range(tails):
+        prev = rng.randrange(count)
+        for _ in range(rng.randint(1, 3)):
+            edges.add((prev, count))
+            prev = count
+            count += 1
+    order = list(range(count))
+    rng.shuffle(order)
+    labels = [f"v{order[i]:02d}" for i in range(count)]
+    pairs = sorted([labels[a], labels[b]] for a, b in edges)
+    rng.shuffle(pairs)
+    return {"elements": sorted(labels), "edges": pairs}
+
+
+def _random_cover(rng):
+    """A relation with transient elements and a column-stochastic matrix
+    whose entries are multiples of 1/8 (exact in binary)."""
+    relation = _random_relation(rng, 4, 0)
+    labels = relation["elements"]
+    index = {label: i for i, label in enumerate(labels)}
+    succ = [[] for _ in labels]
+    for a, b in relation["edges"]:
+        succ[index[a]].append(index[b])
+    matrix = [[0.0] * len(labels) for _ in labels]
+    for i, targets in enumerate(succ):
+        targets.sort()
+        cuts = sorted(rng.sample(range(1, 8), len(targets) - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [8])]
+        for j, part in zip(targets, parts):
+            matrix[j][i] = part / 8
+    return {"relation": relation, "matrix": matrix}
+
+
+def _random_code(rng, n_symbols, window, n, transient):
+    """A block code whose rounding at n has two or more terminal classes,
+    and also a transient element (``transient``) or else a terminal class
+    of two or more elements."""
+    import tractable_dyn as td
+    from oracles import closure_decomposition
+
+    coarse = n_symbols ** n
+    while True:
+        phi = [rng.randrange(n_symbols) for _ in range(n_symbols ** window)]
+        system = td.derive_gamma(td.SlidingBlockCode(n_symbols, window,
+                                                     tuple(phi)), n)
+        edges = {(t % coarse, image) for t, image in enumerate(system.gamma)}
+        classes, flags, rest, _ = closure_decomposition(coarse, edges)
+        terminal = [c for c, flag in zip(classes, flags) if flag]
+        if len(terminal) >= 2 and (
+                bool(rest) if transient else max(map(len, terminal)) >= 2):
+            return {"N": n_symbols, "m": window, "phi": phi}
+
+
+def _random_pl(rng):
+    """A PL map on [0, 4] with two terminal classes."""
+    import tractable_dyn as td
+
+    cuts = [Fraction(i, 4) for i in range(1, 4)]
+    while True:
+        fine = []
+        for lo in range(4):
+            fine.append(Fraction(lo))
+            fine.extend(lo + c for c in sorted(rng.sample(cuts,
+                                                          rng.randint(1, 2))))
+        fine.append(Fraction(4))
+        pos = rng.randint(0, 4)
+        images = [pos]
+        for _ in range(len(fine) - 1):
+            pos = 1 if pos == 0 else 3 if pos == 4 else pos + rng.choice((-1, 1))
+            images.append(pos)
+        data = {"K": {"vertices": [str(i) for i in range(5)]},
+                "Kstar": {"vertices": [str(x) for x in fine]},
+                "vmap": {str(x): str(i) for x, i in zip(fine, images)}}
+        try:
+            report = td.tractability_report_pl(
+                td.simplicial1d.system_from_json(data))
+        except td.TractableDynError:
+            continue
+        if len(report.analysis.terminal_pairs) == 2:
+            return data
+
+
+def _random_inputs() -> dict:
+    """File name -> JSON data of every random input, from fixed seeds."""
+    return {
+        "rand_relation_a.json": _random_relation(random.Random(101), 4, 2),
+        "rand_relation_b.json": _random_relation(random.Random(102), 9, 4),
+        "rand_cover.json": _random_cover(random.Random(103)),
+        "rand_code_a.json": _random_code(random.Random(104), 2, 3, 2, True),
+        "rand_code_b.json": _random_code(random.Random(105), 3, 2, 1, False),
+        "rand_pl.json": _random_pl(random.Random(106)),
+    }
+
+
+def _record(names):
     import tempfile
 
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    for file_name, data in _random_inputs().items():
+        (INPUTS / file_name).write_text(json.dumps(data) + "\n")
     for name, template, files in CASES:
+        if names and name not in names:
+            continue
         case = GOLDEN / name
         case.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory() as out_dir:
@@ -109,4 +277,4 @@ def _record():
 
 
 if __name__ == "__main__":
-    _record()
+    _record(set(sys.argv[1:]))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tractable_dyn as td
+import oracles
 from oracles import closure_decomposition, prune_starved
 
 
@@ -213,14 +217,10 @@ def test_basic_sets_against_closure_oracle_layered():
 @given(relations())
 def test_adjacency_tables_match_edge_scans(r):
     n = len(r.elements)
-    table = r.successor_table()
     for i in range(n):
         assert r.successors(i) == tuple(sorted(j for a, j in r.edges if a == i))
         assert r.predecessors(i) == tuple(
             sorted(a for a, j in r.edges if j == i))
-        assert table[i] == list(r.successors(i))
-    table[0].append(-1)  # a fresh copy each call
-    assert r.successor_table()[0] == list(r.successors(0))
 
 
 def test_sparse_relation_at_8000_elements_within_budget():
@@ -243,6 +243,180 @@ def test_sparse_relation_at_8000_elements_within_budget():
     inside = set(giant)
     assert all(set(kept_relation.successors(i)) <= inside for i in giant)
     assert d.terminal_flags[d.class_of(giant[0])]
+
+
+def chained_relation(rng, n):
+    """Edges on n shuffled elements in blocks: cycles with extra inner
+    edges, self-loops, singletons on no cycle and starved elements.  Edges
+    between blocks only point forward, so the classes form chains."""
+    blocks, size = [], 0
+    while size < n:
+        length = min(rng.choice((1, 1, 2, 3, 5, 8)), n - size)
+        blocks.append(list(range(size, size + length)))
+        size += length
+    edges = set()
+    for b, members in enumerate(blocks):
+        later = [i for m in blocks[b + 1:] for i in m]
+        roll = rng.random()
+        if len(members) > 1 or roll < 0.4:
+            edges.update(zip(members, members[1:] + members[:1]))
+            edges.update((rng.choice(members), rng.choice(members))
+                         for _ in range(rng.randint(0, len(members))))
+        elif roll < 0.8 and not later:
+            continue  # a starved singleton
+        for _ in range(rng.choice((0, 1, 1, 2, 3)) if later else 0):
+            edges.add((rng.choice(members), rng.choice(later)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return frozenset((perm[i], perm[j]) for i, j in edges)
+
+
+@pytest.mark.parametrize("seed,n", [(1, 1), (2, 7), (3, 40), (4, 300),
+                                    (5, 2000)])
+def test_relation_matches_the_frozenset_oracle(seed, n):
+    rng = random.Random(seed)
+    labels = tuple(f"x{i}" for i in range(n))
+    for _ in range(6 if n < 1000 else 2):
+        edges = chained_relation(rng, n)
+        r = td.FiniteRelation(labels, edges)
+        o = oracles.FrozensetRelation(labels, edges)
+        assert r.edges == frozenset(edges) and len(r.edges) == len(edges)
+        assert list(r.edges) == sorted(edges)
+        for i in range(n):
+            assert r.successors(i) == o.successors(i)
+            assert r.predecessors(i) == o.predecessors(i)
+        probes = list(edges)[:200] + [(rng.randrange(n), rng.randrange(n))
+                                      for _ in range(200)]
+        probes += [(-1, 0), (n, 0), (0, n), ("a", 0), (0,)]
+        for pair in probes:
+            assert (pair in r.edges) == (pair in o.edges), pair
+            if len(pair) == 2 and all(isinstance(x, int) and 0 <= x < n
+                                       for x in pair):
+                assert r.has_edge(*pair) == o.has_edge(*pair)
+        kept_r, kept = td.restrict_to_infinite_domain(r)
+        kept_o, kept_labels = oracles.frozenset_restrict(o)
+        assert kept == kept_labels
+        assert kept_r.edges == kept_o.edges
+        if kept:
+            d = td.basic_sets(kept_r)
+            assert (d.classes, d.terminal_flags, d.transient, d.order) == (
+                oracles.frozenset_basic_sets(kept_o))
+        other = chained_relation(rng, n)
+        assert td.compose(r, td.FiniteRelation(labels, other)).edges == (
+            oracles.frozenset_compose(
+                o, oracles.FrozensetRelation(labels, other)).edges)
+        assert td.inverse(r).edges == oracles.frozenset_inverse(o).edges
+        assert td.inverse(r) == td.FiniteRelation(
+            labels, oracles.frozenset_inverse(o).edges)
+
+
+def test_decomposition_on_chains_of_classes_and_non_cyclic_singletons():
+    rng = random.Random(17)
+    seen_chain = seen_singleton = 0
+    for _ in range(30):
+        n = rng.randint(10, 60)
+        kept_r, _ = td.restrict_to_infinite_domain(
+            td.FiniteRelation(tuple(map(str, range(n))),
+                              chained_relation(rng, n)))
+        if not kept_r.elements:
+            continue
+        d = td.basic_sets(kept_r)
+        in_class = {i for c in d.classes for i in c}
+        seen_singleton += any(i not in in_class
+                              for i in range(len(kept_r.elements)))
+        seen_chain += any((a, b) in d.order and (b, c) in d.order
+                          for a in range(len(d.classes))
+                          for b in range(len(d.classes))
+                          for c in range(len(d.classes)))
+    assert seen_chain >= 10 and seen_singleton >= 10
+
+
+def test_edges_view_is_read_only_and_exact():
+    r = td.FiniteRelation(("a", "b", "c"), [(2, 0), (0, 1), (0, 1), (1, 1)])
+    assert len(r.edges) == 3
+    assert list(r.edges) == [(0, 1), (1, 1), (2, 0)]
+    assert r.edges == frozenset({(0, 1), (1, 1), (2, 0)})
+    assert frozenset({(0, 1), (1, 1), (2, 0)}) == r.edges
+    assert r.edges != frozenset({(0, 1), (1, 1)})
+    with pytest.raises(AttributeError):
+        r.edges.add((0, 0))
+    assert hash(r) == hash(td.FiniteRelation(("a", "b", "c"),
+                                             {(0, 1), (1, 1), (2, 0)}))
+    with pytest.raises(td.ValidationError, match="out of range"):
+        td.FiniteRelation(("a",), [(0, 1)])
+    with pytest.raises(td.ValidationError, match="distinct"):
+        td.FiniteRelation(("a", "a"), [])
+
+
+def test_relation_is_immutable():
+    r = td.FiniteRelation(("a", "b"), [(0, 1), (1, 0)])
+    h = hash(r)
+    for name, value in (("edges", frozenset()), ("elements", ("c", "d")),
+                        ("_succ", ((), ())), ("_codes", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.edges
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    codes = r._edge_codes()
+    with pytest.raises(ValueError):
+        codes[0] = 5
+    assert r.edges == frozenset({(0, 1), (1, 0)}) and hash(r) == h
+    assert r.has_edge(0, 1) and r.predecessors(0) == (1,)
+    for clone in (copy.copy(r), copy.deepcopy(r),
+                  pickle.loads(pickle.dumps(r))):
+        assert clone == r and clone.edges == r.edges
+
+
+def test_from_successors_keeps_shared_tuples():
+    shared = (0, 1)
+    r = td.FiniteRelation.from_successors(("a", "b", "c"),
+                                          [shared, shared, (2,)])
+    assert r.successors(0) is shared and r.successors(1) is shared
+    assert r == td.FiniteRelation(("a", "b", "c"),
+                                  [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    d = td.basic_sets(r)
+    assert d.classes == ((0, 1), (2,)) and d.terminal_flags == (True, True)
+    for bad in ([(1, 0), (), ()], [(0, 3), (), ()], [(-1,), (), ()],
+                [(0, 0), (), ()], [[0], (), ()], [(), ()]):
+        with pytest.raises(td.ValidationError):
+            td.FiniteRelation.from_successors(("a", "b", "c"), bad)
+
+
+# --- path checks ---
+
+
+def test_check_word_names_the_first_bad_pair_and_symbol():
+    r = rel("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    assert td.relation.check_word(r, [0, 1, 2, 0, 1]) == (0, 1, 2, 0, 1)
+    with pytest.raises(td.WordError, match=r"^\(b, a\) is not an edge$"):
+        td.relation.check_word(r, [0, 1, 0, 0, 2])
+    with pytest.raises(td.WordError, match=r"^symbol 5 out of range$"):
+        td.relation.check_word(r, [0, 1, 5, -1])
+    with pytest.raises(td.WordError, match=r"^symbol -1 out of range$"):
+        td.relation.check_word(r, [0, -1, 5])
+    with pytest.raises(td.WordError, match=r"^\(a, a\) is not an edge$"):
+        td.relation.check_word(rel("a", []), [0, 0])
+    assert td.relation.check_word(rel("a", []), [0]) == (0,)
+
+
+def test_check_word_matches_stepwise_membership():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        edges = chained_relation(rng, n)
+        r = td.FiniteRelation(tuple(map(str, range(n))), edges)
+        word = [rng.randrange(n) for _ in range(rng.randint(1, 30))]
+        bad = next((p for p in range(len(word) - 1)
+                    if (word[p], word[p + 1]) not in edges), None)
+        if bad is None:
+            assert td.relation.check_word(r, word) == tuple(word)
+        else:
+            with pytest.raises(td.WordError) as info:
+                td.relation.check_word(r, word)
+            assert str(info.value) == (
+                f"({word[bad]}, {word[bad + 1]}) is not an edge")
 
 
 # --- endset certificates ---

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tractable_dyn as td
+import oracles
 from oracles import block_code_image
 from tractable_dyn import Word
 
@@ -378,3 +379,25 @@ def test_system_json_checks_cap_before_the_table():
 def test_code_json_rejects_wrong_table_size():
     with pytest.raises(td.ValidationError):
         td.shiftlike.code_from_json({"N": 2, "m": 2, "phi": [0, 1]})
+
+
+@pytest.mark.parametrize("n_symbols", [2, 3, 4])
+def test_two_alphabet_model_matches_the_word_oracle(n_symbols, monkeypatch):
+    rng = random.Random(47 + n_symbols)
+    for n, k in [(1, 2), (2, 2), (1, 3), (2, 1)]:
+        if n_symbols ** (n + k) > 1024:
+            continue
+        gamma = tuple(rng.randrange(n_symbols ** n)
+                      for _ in range(n_symbols ** (n + k)))
+        system = td.ShiftLikeSystem(n_symbols, n, k, gamma)
+        model = td.shiftlike.to_two_alphabet(system)
+        assert model == oracles.shiftlike_two_alphabet(system)
+        assert model.kstar == tuple(
+            w.to_string() for w in td.all_words(n_symbols, n + k))
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", str(n_symbols ** 3 - 1))
+    system = td.ShiftLikeSystem(n_symbols, 1, 2, (0,) * n_symbols ** 3)
+    with pytest.raises(td.CapExceededError) as got:
+        td.shiftlike.to_two_alphabet(system)
+    with pytest.raises(td.CapExceededError) as want:
+        oracles.shiftlike_two_alphabet(system)
+    assert str(got.value) == str(want.value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tractable_dyn as td
+import oracles
 from oracles import (closure_decomposition, dense_balance_failures,
                      fiber_sums, g_matrix, gstar_cover, gstar_float_cover,
                      stationary_identity_max_error)
@@ -81,6 +82,17 @@ def test_fiber_sum_check_matches_the_scan():
             td.build_model(model.kstar, model.k, model.j_map, model.gamma, nu)
         rejected += 1
     assert rejected >= 15
+
+
+def test_fiber_sum_just_above_one_keeps_its_message():
+    nu = [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10 ** 30)]
+    total = Fraction(1) + Fraction(1, 10 ** 30)
+    with pytest.raises(td.ValidationError) as info:
+        td.build_model(("a", "b", "c"), ("s", "u"), ("s", "s", "u"),
+                       ("s", "u", "u"), nu + [1])
+    assert str(info.value) == (
+        f"nu over the fiber of 's' sums to {total}, expected 1")
+    assert str(total) == "1000000000000000000000000000001/" + "1" + "0" * 30
 
 
 def test_j_must_be_surjective():
@@ -197,6 +209,56 @@ def test_analyze_peak_memory_stays_off_the_dense_fine_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_relations_of_codes_match_the_frozenset_oracle():
+    # Random codes, and codes that mostly copy their first symbol, which
+    # split into several classes.
+    rng = random.Random(41)
+    several = 0
+    for n_symbols, window, n in [(2, 2, 1), (2, 2, 4), (2, 3, 2), (2, 3, 5),
+                                 (2, 4, 3), (3, 2, 1), (3, 2, 3), (3, 3, 2),
+                                 (3, 4, 1), (3, 4, 2)]:
+        for copy in (0.0, 0.9):
+            phi = tuple(v % n_symbols if rng.random() < copy
+                        else rng.randrange(n_symbols)
+                        for v in range(n_symbols ** window))
+            model = td.shiftlike.to_two_alphabet(td.derive_gamma(
+                td.SlidingBlockCode(n_symbols, window, phi), n))
+            for got, want in zip(td.induced_relations(model),
+                                 oracles.frozenset_induced_relations(model)):
+                assert got.edges == want.edges
+                assert len(got.edges) == len(want.edges)
+                for i in range(len(got.elements)):
+                    assert got.successors(i) == want.successors(i)
+                    assert got.predecessors(i) == want.predecessors(i)
+                d = td.basic_sets(got)
+                assert (d.classes, d.terminal_flags, d.transient,
+                        d.order) == oracles.frozenset_basic_sets(want)
+            g, gstar = td.induced_relations(model)
+            assert all(gstar.successors(t) is model.fiber(s)
+                       for t, s in enumerate(model.gamma))
+            several += len(td.basic_sets(g).classes) >= 2
+    assert several >= 5
+
+
+def test_correspondence_peak_memory_stays_off_edge_tuples():
+    # |K*| = 6561 with 177147 G* edges; the model is built outside the
+    # traced region, G and G* and both decompositions inside it.
+    rng = random.Random(43)
+    phi = tuple(rng.randrange(3) for _ in range(3 ** 4))
+    model = td.shiftlike.to_two_alphabet(
+        td.derive_gamma(td.SlidingBlockCode(3, 4, phi), 5))
+    assert len(model.kstar) == 6561
+    tracemalloc.start()
+    try:
+        correspondence = td.basic_set_correspondence(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(td.induced_relations(model)[1].edges) == 177147
+    assert correspondence.pairs
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 # --- basic-set correspondence ---
@@ -425,6 +487,13 @@ def test_cylinder_zero_outside_the_class(example_b):
                    if t not in set(first.star_members))
     assert td.ergodic_cylinder_measure_star(
         model, first.star_members, (outside,)) == 0
+
+
+def test_class_stationary_names_the_mass_a_class_loses(example_b):
+    model = td.simplicial1d.to_two_alphabet(example_b)
+    with pytest.raises(td.NotTerminalError,
+                       match=r"^class loses mass 1/2 from 'I2'$"):
+        td.two_alphabet.base_class_stationary(model, [1])
 
 
 def test_cylinder_measure_star_rejects_leaky_class(example_b):
