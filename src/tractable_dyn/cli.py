@@ -16,8 +16,8 @@ the per-command numbers; ``--format svg`` is accepted by plmap-approx only.
 Output goes to stdout unless ``--out`` names a file, in which case the file
 is written atomically (temp file then rename).
 
-Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
-4 numerical or internal-consistency failure.
+Exit codes: 0 success, 2 invalid input or an unwritable output, 3
+enumeration cap exceeded, 4 numerical or internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import markov, plot, shiftlike, simplicial1d, two_alphabet
 from .config import resolve_cell_cap
@@ -64,15 +63,18 @@ def _write_text(path: str | None, text: str):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tractable-dyn-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tractable-dyn-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_text(data) -> str:
@@ -309,10 +311,8 @@ def cmd_plmap_approx(args) -> int:
         if not isinstance(data["samples"], dict):
             raise ValidationError("'samples' must be an object of x: f(x)")
         f, points, max_slope = _interpolant(data["samples"])
-        raw_lip = data["lip"]
-        lip = Fraction(raw_lip) if isinstance(raw_lip, float) \
-            else parse_rational(raw_lip)
-        if Fraction(lip) < max_slope:
+        lip = simplicial1d.parse_lipschitz(data["lip"])
+        if lip < max_slope:
             raise ValidationError(
                 f"lip = {lip} is below the sampled slope {max_slope}")
         if (points[0][0], points[-1][0]) != (k.lo, k.hi):

@@ -45,16 +45,6 @@ DECOMPOSE_TOL = 1e-9
 _DRAW_BLOCK = 1 << 16
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 generator: (state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return state, z
-
-
 def _unit_float(bits: int) -> float:
     # 53 high bits -> double in [0, 1)
     return (bits >> 11) * (2.0 ** -53)
@@ -87,7 +77,6 @@ class Distribution:
     """Non-negative weights summing to 1 over an indexed element set."""
 
     weights: np.ndarray
-    support: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights",
@@ -99,13 +88,12 @@ class Distribution:
         arr = np.asarray(weights, dtype=float)
         if arr.ndim != 1:
             raise ValidationError("distribution weights must be a vector")
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValidationError("distribution weights must be non-negative")
         if abs(float(arr.sum()) - 1.0) > COLUMN_SUM_TOL:
             raise ValidationError(
                 f"distribution sums to {arr.sum():.17g}, expected 1")
-        support = tuple(int(i) for i in np.nonzero(arr > 0)[0])
-        return cls(arr, support)
+        return cls(arr)
 
     @classmethod
     def point_mass(cls, size: int, index: int) -> "Distribution":
@@ -150,11 +138,11 @@ def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
     size = len(relation.elements)
     if arr.shape != (size, size):
         raise CoverError(f"matrix shape {arr.shape} does not match {size} elements")
-    if np.any(arr < 0) or np.any(arr > 1 + COLUMN_SUM_TOL):
+    if not ((arr >= 0).all() and (arr <= 1 + COLUMN_SUM_TOL).all()):
         raise CoverError("matrix entries must lie in [0, 1]")
     # support[i, j]: (i, j) is an edge, i.e. arr[j, i] must be positive.
     support = np.zeros(size * size, dtype=bool)
-    support[relation._edge_codes()] = True  # code i size + j
+    support[relation._edge_codes] = True  # code i size + j
     support = support.reshape(size, size)
     weights = arr.T
     bad = np.where(support, weights <= 0, weights != 0)
@@ -176,18 +164,30 @@ def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
     return StochasticCover(relation, arr)
 
 
-def uniform_cover(relation: FiniteRelation) -> StochasticCover:
-    """Equal weight on each outgoing edge."""
+def cover_from_columns(relation: FiniteRelation, columns) -> StochasticCover:
+    """The cover with weight ``columns[i][p]`` on the edge i -> successors(i)[p].
+
+    The weights go into the dense ``matrix[j, i]`` layout in one assignment
+    through the sorted edge codes i n + j, the flat indices of ``matrix.T``,
+    and the matrix is checked by ``validate_cover``.
+    """
     size = len(relation.elements)
     matrix = np.zeros((size, size))
-    for i in range(size):
+    matrix.T.flat[relation._edge_codes] = np.fromiter(
+        itertools.chain.from_iterable(columns), dtype=float,
+        count=len(relation.edges))
+    return validate_cover(relation, matrix)
+
+
+def uniform_cover(relation: FiniteRelation) -> StochasticCover:
+    """Equal weight on each outgoing edge."""
+    columns = []
+    for i, label in enumerate(relation.elements):
         succ = relation.successors(i)
         if not succ:
-            raise DomainError(
-                f"element {relation.elements[i]!r} has no outgoing edge")
-        for j in succ:
-            matrix[j, i] = 1.0 / len(succ)
-    return validate_cover(relation, matrix)
+            raise DomainError(f"element {label!r} has no outgoing edge")
+        columns.append([1.0 / len(succ)] * len(succ))
+    return cover_from_columns(relation, columns)
 
 
 def transient_decay(cover: StochasticCover,
@@ -407,7 +407,8 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
     splitmix64 is counter-based: draw i (from 0) mixes seed + (i + 1) gamma
     mod 2^64, so a run of draws is one pass of wrapping ``uint64``
-    arithmetic, bit-identical to the same calls of ``_splitmix64``.
+    arithmetic, bit-identical to stepping the generator's state one draw at
+    a time.
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)

@@ -19,17 +19,19 @@ Conventions
 
 Cost
 ----
-A relation is stored as one sorted tuple of successor indices per element,
-which is what every pass below reads, so each runs in O(n + E).  Callers
-that already hold successor lists (the two-alphabet G* is its J-fibers)
-hand them over without making an edge tuple.  ``edges`` is a read-only set
-view over those tuples: its ``len`` is exact and O(1), it iterates in
-sorted order and answers membership by bisection.  Predecessor tuples are
-built on first use.  The order between classes is read off the
-condensation DAG (one node per strong component) that Tarjan's pass emits
-in reverse topological order: each component's set of reachable classes is
-the union of its successors' sets, kept as an int bitset.  No transitive
-closure over elements is built.
+A relation is a frozen dataclass of its labels and one sorted tuple of
+successor indices per element, which is what every pass below reads, so
+each runs in O(n + E).  Callers that already hold successor lists (the
+two-alphabet G* is its J-fibers) hand them over without making an edge
+tuple.  Everything else is a ``cached_property`` built on first use:
+``edges``, a read-only set view over the successor tuples whose ``len`` is
+exact and O(1), which iterates in sorted order and answers membership by
+bisection; the predecessor tuples; and the sorted int64 edge codes
+i n + j, which path checks search and ``markov`` fills covers through.
+The order between classes is read off the condensation DAG (one node per
+strong component) that Tarjan's pass emits in reverse topological order:
+each component's set of reachable classes is the union of its successors'
+sets, kept as an int bitset.  No transitive closure over elements is built.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from collections.abc import Set
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,6 +82,7 @@ class EdgeView(Set):
         return f"EdgeView({sorted(self)!r})"
 
 
+@dataclass(frozen=True)
 class FiniteRelation:
     """A directed relation on an ordered finite set of labelled elements.
 
@@ -89,7 +92,8 @@ class FiniteRelation:
     covers hold it.
     """
 
-    __slots__ = ("elements", "edges", "_succ", "_pred", "_codes")
+    elements: tuple[str, ...]
+    _succ: tuple[tuple[int, ...], ...]
 
     def __init__(self, elements, edges=()):
         elements = tuple(elements)
@@ -133,18 +137,8 @@ class FiniteRelation:
     def _store(self, elements, succ):
         if len(set(elements)) != len(elements):
             raise ValidationError("element labels must be distinct")
-        init = object.__setattr__
-        init(self, "elements", elements)
-        init(self, "_succ", succ)
-        init(self, "edges", EdgeView(succ, sum(map(len, succ))))
-        init(self, "_pred", None)
-        init(self, "_codes", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_succ", succ)
 
     def __reduce__(self):
         return type(self).from_successors, (self.elements, self._succ)
@@ -160,52 +154,46 @@ class FiniteRelation:
             edges.append((index[a], index[b]))
         return cls(elements, edges)
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteRelation):
-            return NotImplemented
-        return self.elements == other.elements and self._succ == other._succ
-
-    def __hash__(self):
-        return hash((self.elements, self._succ))
-
     def __repr__(self) -> str:
         return (f"FiniteRelation(elements={self.elements!r}, "
                 f"edges={self.edges!r})")
 
-    def _predecessor_table(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted predecessor tuples per element, built once."""
-        if self._pred is None:
-            pred: list[list[int]] = [[] for _ in self.elements]
-            for i, targets in enumerate(self._succ):
-                for j in targets:
-                    pred[j].append(i)
-            object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
-        return self._pred
+    @cached_property
+    def edges(self) -> EdgeView:
+        return EdgeView(self._succ, sum(map(len, self._succ)))
+
+    @cached_property
+    def _pred(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted predecessor tuples per element."""
+        pred: list[list[int]] = [[] for _ in self.elements]
+        for i, targets in enumerate(self._succ):
+            for j in targets:
+                pred[j].append(i)
+        return tuple(map(tuple, pred))
+
+    @cached_property
+    def _edge_codes(self) -> np.ndarray:
+        """Sorted read-only int64 codes i * n + j of the edges."""
+        n = len(self.elements)
+        sources = np.repeat(np.arange(n, dtype=np.int64),
+                            [len(targets) for targets in self._succ])
+        targets = np.fromiter(itertools.chain.from_iterable(self._succ),
+                              dtype=np.int64, count=len(self.edges))
+        codes = sources * n + targets
+        codes.flags.writeable = False
+        return codes
 
     def successors(self, i: int) -> tuple[int, ...]:
         return self._succ[i]
 
     def predecessors(self, j: int) -> tuple[int, ...]:
-        return self._predecessor_table()[j]
+        return self._pred[j]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return sorted((self.elements[i], self.elements[j]) for i, j in self.edges)
-
-    def _edge_codes(self) -> np.ndarray:
-        """Sorted int64 codes i * n + j of the edges, built once."""
-        if self._codes is None:
-            n = len(self.elements)
-            sources = np.repeat(np.arange(n, dtype=np.int64),
-                                [len(targets) for targets in self._succ])
-            targets = np.fromiter(itertools.chain.from_iterable(self._succ),
-                                  dtype=np.int64, count=len(self.edges))
-            codes = sources * n + targets
-            codes.flags.writeable = False
-            object.__setattr__(self, "_codes", codes)
-        return self._codes
 
 
 @dataclass(frozen=True)
@@ -257,8 +245,7 @@ def compose(first: FiniteRelation, second: FiniteRelation) -> FiniteRelation:
 
 
 def inverse(relation: FiniteRelation) -> FiniteRelation:
-    return FiniteRelation.from_successors(relation.elements,
-                                          relation._predecessor_table())
+    return FiniteRelation.from_successors(relation.elements, relation._pred)
 
 
 def restrict_to_infinite_domain(
@@ -269,7 +256,7 @@ def restrict_to_infinite_domain(
     original order).  A relation with no cycles collapses to the empty
     relation, signalling an empty sample-path space.
     """
-    succ, pred = relation._succ, relation._predecessor_table()
+    succ, pred = relation._succ, relation._pred
     n = len(relation.elements)
     degree = [len(s) for s in succ]
     alive = [True] * n
@@ -463,7 +450,7 @@ def _first_non_edge(relation: FiniteRelation, word: tuple) -> int | None:
     """
     if len(word) < 2:
         return None
-    codes = relation._edge_codes()
+    codes = relation._edge_codes
     if not len(codes):
         return 0
     symbols = np.array(word, dtype=np.int64)

@@ -658,6 +658,16 @@ def _neighbourhood_bounds(k: IntervalComplex):
     return vertex_bounds, edge_bounds
 
 
+def parse_lipschitz(value) -> Fraction:
+    """A Lipschitz bound as a Fraction: a finite float (taken exactly), an
+    int, a Fraction or a "p/q" string; anything else is a ValidationError."""
+    if not isinstance(value, float):
+        return parse_rational(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"Lipschitz bound must be finite, not {value}")
+    return Fraction(value)
+
+
 def roundoff(f: Callable[[float], float], k: IntervalComplex,
              lipschitz) -> tuple[SimplicialSystem1D, RoundoffReport]:
     """Round a Lipschitz self-map of the interval to a simplicial system.
@@ -670,8 +680,7 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
     2 mesh(K) of f in the sup metric; if the rounded vertex map collapses
     edges it is repaired, adding at most 4 mesh(K).
     """
-    lip = Fraction(parse_rational(lipschitz)) if not isinstance(lipschitz, float) \
-        else Fraction(lipschitz)
+    lip = parse_lipschitz(lipschitz)
     if lip <= 0:
         raise ValidationError("Lipschitz bound must be positive")
 
@@ -930,7 +939,7 @@ def tractability_report_pl(system: SimplicialSystem1D,
         weights = np.asarray([float(x) for x in background], dtype=float)
         if len(weights) != system.k.n_edges:
             raise ValidationError("background must weight every coarse edge")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ValidationError("background weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValidationError("background weights must sum to 1")
@@ -1064,12 +1073,10 @@ def decode_orbit_histogram(report: PLReport, star_class,
         initial[t] = float(v_b[model.j_map[t]] * model.nu[t])
     # The G* cover: column t1 is nu on the fiber over gamma(t1).
     nu = [float(x) for x in model.nu]
-    matrix = np.zeros((len(nu), len(nu)))
-    for t1, s in enumerate(model.gamma):
-        for t2 in model.fiber(s):
-            matrix[t2, t1] = nu[t2]
+    columns = [[nu[t] for t in model.fiber(s)] for s in range(len(model.k))]
     gstar = report.analysis.correspondence.star_decomposition.relation
-    spec = markov.MarkovMeasureSpec(markov.validate_cover(gstar, matrix),
+    cover = markov.cover_from_columns(gstar, (columns[s] for s in model.gamma))
+    spec = markov.MarkovMeasureSpec(cover,
                                     markov.Distribution.from_weights(initial))
     path = markov.sample_path(spec, segments + depth, seed)
 

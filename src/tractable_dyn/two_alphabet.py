@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
 from .rationals import parse_rational, scale_to_integers, stationary_exact
@@ -162,23 +160,23 @@ def induced_relations(model: TwoAlphabetModel
 def induced_covers(model: TwoAlphabetModel) -> markov.StochasticCover:
     """Floating-point stochastic cover of G, validated against G.
 
-    Each cell adds float(nu(t)) = a_t / D (one correctly rounded division,
-    as ``Fraction.__float__`` does) over its fine symbols in K* order.
+    Each edge J(t) -> gamma(t) adds float(nu(t)) = a_t / D (one correctly
+    rounded division, as ``Fraction.__float__`` does) over its fine symbols
+    in K* order.
     """
     common, a = model.scaled_nu
     cells: dict[tuple[int, int], float] = {}
-    for cell, weight in zip(zip(model.gamma, model.j_map), a):
+    for cell, weight in zip(zip(model.j_map, model.gamma), a):
         cells[cell] = cells.get(cell, 0.0) + weight / common
-    g_matrix = np.zeros((len(model.k), len(model.k)))
-    g_matrix[tuple(zip(*cells))] = list(cells.values())
-    return markov.validate_cover(induced_relations(model)[0], g_matrix)
+    g = induced_relations(model)[0]
+    return markov.cover_from_columns(g, (
+        [cells[i, j] for j in g.successors(i)] for i in range(len(model.k))))
 
 
 @dataclass(frozen=True)
 class CorrespondencePair:
     """One matched pair of basic sets (fine class over coarse class)."""
 
-    star_class_index: int
     base_class_index: int
     star_members: tuple[int, ...]
     base_members: tuple[int, ...]
@@ -237,7 +235,6 @@ def basic_set_correspondence(model: TwoAlphabetModel) -> Correspondence:
                     f"terminal fine class {cs} is not the full J-preimage "
                     f"of coarse class {cb}")
         pairs.append(CorrespondencePair(
-            star_class_index=cs,
             base_class_index=cb,
             star_members=tuple(star_members),
             base_members=tuple(base.classes[cb]),

@@ -7,7 +7,11 @@ versions of the library's integer-chart loops: a dense scan of every column
 entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``,
 ``star_edge_image``) composed and inverted step by step.  These three are
 the ``Fraction`` referee for the integer chart and live only here.  The
-block-code image uses a fresh power per symbol.  The cover-support scan,
+block-code image uses a fresh power per symbol, and ``splitmix64`` steps
+the generator's state one draw at a time.  The uniform cover and the
+decoder's float G* cover are filled cell by cell in loops over the
+successors, where the library writes every weight in one assignment
+through the sorted edge codes.  The cover-support scan,
 the G and G* definitions, the fiber sums, the dense balance check and the
 stationarity identity are the cell-by-cell loops that the library replaced
 with a boolean mask and with passes over the J-fibers.  The exact solver is dense
@@ -120,6 +124,28 @@ def check_cover_support(relation, matrix):
                 raise td.CoverError(
                     f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
                     f"has weight {matrix[j][i]:.17g}")
+
+
+def uniform_cover_matrix(relation):
+    """Equal weight on each outgoing edge, one cell at a time."""
+    size = len(relation.elements)
+    matrix = np.zeros((size, size))
+    for i in range(size):
+        succ = relation.successors(i)
+        for j in succ:
+            matrix[j, i] = 1.0 / len(succ)
+    return matrix
+
+
+def decoder_gstar_matrix(model):
+    """The float G* cover of the decoder by a double loop over the fibers:
+    column t1 is float(nu) on the fiber over gamma(t1)."""
+    nu = [float(x) for x in model.nu]
+    matrix = np.zeros((len(nu), len(nu)))
+    for t1, s in enumerate(model.gamma):
+        for t2 in model.fiber(s):
+            matrix[t2, t1] = nu[t2]
+    return matrix
 
 
 def gstar_cover(model):
@@ -282,6 +308,16 @@ def block_code_image(code, word):
     return td.Word(base, word.length - code.window + 1, out)
 
 
+def splitmix64(state):
+    """One step of the splitmix64 generator: (state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & markov._MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & markov._MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & markov._MASK64
+    z = z ^ (z >> 31)
+    return state, z
+
+
 def sample_path(spec, length, seed):
     """Inverse-CDF Markov path scanning every entry of each column."""
     state = seed & markov._MASK64
@@ -289,7 +325,7 @@ def sample_path(spec, length, seed):
     size = spec.cover.size
 
     def draw(weights, state):
-        state, bits = markov._splitmix64(state)
+        state, bits = splitmix64(state)
         u = markov._unit_float(bits)
         acc = 0.0
         last_positive = None

@@ -149,6 +149,17 @@ def test_subshift_report_bad_columns(tmp_path, capsys):
     assert "column" in err
 
 
+def test_subshift_report_rejects_nan_weights(tmp_path, capsys):
+    path = write(tmp_path / "cover.json", {
+        "relation": {"elements": ["a", "b"],
+                     "edges": [["a", "a"], ["a", "b"], ["b", "b"]]},
+        "matrix": [[0.5, 0.0], [0.5, float("nan")]],
+    })
+    code, out, err = run(capsys, "subshift-report", "--input", path)
+    assert (code, out) == (2, "")
+    assert "must lie in [0, 1]" in err
+
+
 def test_subshift_report_csv(tmp_path, capsys):
     path = cover_files(tmp_path)
     code, out, _ = run(capsys, "subshift-report", "--input", path,
@@ -361,6 +372,32 @@ def test_plmap_rejects_undersized_lipschitz(tmp_path, capsys):
     code, _, err = run(capsys, "plmap-approx", "--input", path)
     assert code == 2
     assert "Lip" in err or "lip" in err
+
+
+@pytest.mark.parametrize("lip", [float("nan"), float("inf")])
+def test_plmap_rejects_non_finite_lipschitz(tmp_path, capsys, lip):
+    path = write(tmp_path / "sampled.json", dict(SAMPLED, lip=lip))
+    code, out, err = run(capsys, "plmap-approx", "--input", path)
+    assert (code, out) == (2, "")
+    assert "Lipschitz bound must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-system", "--out-plot"])
+def test_unwritable_output_exits_2(tmp_path, capsys, flag):
+    path = write(tmp_path / "a.json", SYSTEM_A)
+    target = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, "plmap-approx", "--input", path,
+                       flag, str(target))
+    assert code == 2
+    assert f"cannot write {target}" in err
+    # A directory in place of the file fails at the rename, and the temp
+    # file beside it is removed.
+    (tmp_path / "dir").mkdir()
+    code, _, err = run(capsys, "plmap-approx", "--input", path,
+                       flag, str(tmp_path / "dir"))
+    assert code == 2
+    assert f"cannot write {tmp_path / 'dir'}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "dir"]
 
 
 def test_plmap_svg_outputs(tmp_path, capsys):

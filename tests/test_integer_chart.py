@@ -337,6 +337,26 @@ def test_decode_matches_reference_on_large_schedule_shapes(n_edges):
         oracles.decode_orbit_histogram(*args, **kwargs)
 
 
+def test_decoder_gstar_cover_matches_the_fiber_loop(all_systems, monkeypatch):
+    matrices = []
+    sample_path = markov.sample_path
+
+    def recording(spec, length, seed):
+        matrices.append(spec.cover.matrix)
+        return sample_path(spec, length, seed)
+
+    monkeypatch.setattr(markov, "sample_path", recording)
+    for system in all_systems:
+        report = td.tractability_report_pl(system)
+        pair = report.analysis.terminal_pairs[0]
+        td.decode_orbit_histogram(report, pair.star_members, segments=10,
+                                  depth=2, bins=2, seed=0)
+        matrix = matrices.pop()
+        assert matrix.flags.c_contiguous
+        assert matrix.tobytes() == \
+            oracles.decoder_gstar_matrix(report.analysis.model).tobytes()
+
+
 def _sparse_cover(rng, size, out_degree):
     edges = set()
     for i in range(size):

@@ -114,6 +114,24 @@ def test_uniform_cover_self_consistent_on_random_relations():
         td.validate_cover(cover.relation, cover.matrix)
 
 
+def test_uniform_cover_matches_the_cell_loop():
+    rng = random.Random(29)
+    for _ in range(25):
+        relation = random_full_domain_cover(rng, rng.randint(1, 12)).relation
+        matrix = td.uniform_cover(relation).matrix
+        assert matrix.flags.c_contiguous
+        assert matrix.tobytes() == \
+            oracles.uniform_cover_matrix(relation).tobytes()
+
+
+def test_nan_weights_are_rejected(relation_b):
+    matrix = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, float("nan"), 1.0]]
+    with pytest.raises(td.CoverError, match=r"must lie in \[0, 1\]"):
+        td.validate_cover(relation_b, matrix)
+    with pytest.raises(td.ValidationError, match="non-negative"):
+        td.Distribution.from_weights([float("nan"), 1.0])
+
+
 # --- transient decay ---
 
 

@@ -359,7 +359,7 @@ def test_relation_is_immutable():
         del r.edges
     with pytest.raises(AttributeError):
         r.extra = 1
-    codes = r._edge_codes()
+    codes = r._edge_codes
     with pytest.raises(ValueError):
         codes[0] = 5
     assert r.edges == frozenset({(0, 1), (1, 0)}) and hash(r) == h

@@ -440,6 +440,8 @@ def test_report_rejects_bad_background(example_a):
         td.tractability_report_pl(example_a, background=[0.5, 0.6])
     with pytest.raises(td.ValidationError):
         td.tractability_report_pl(example_a, background=[1.0, 0.0])
+    with pytest.raises(td.ValidationError, match="positive"):
+        td.tractability_report_pl(example_a, background=[float("nan"), 1.0])
 
 
 def test_report_rejects_unabsorbed_transient_mass():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tractable_dyn as td
+from tractable_dyn import markov
 import oracles
 from oracles import (closure_decomposition, dense_balance_failures,
                      fiber_sums, g_matrix, gstar_cover, gstar_float_cover,
@@ -195,6 +196,25 @@ def test_gstar_from_fibers_matches_the_pairwise_definition():
             assert model.fiber(i) == tuple(
                 t for t, j in enumerate(model.j_map) if j == i)
         assert model.fiber(len(model.k)) == ()
+
+
+def test_gstar_cover_fill_matches_the_fiber_loop():
+    rng = random.Random(23)
+    models = [random_model(rng, max_base=5, max_fine=12) for _ in range(15)]
+    for n_symbols in (2, 3):
+        for window in (1, 2, 3):
+            phi = tuple(rng.randrange(n_symbols)
+                        for _ in range(n_symbols ** window))
+            models.append(td.shiftlike.to_two_alphabet(td.derive_gamma(
+                td.SlidingBlockCode(n_symbols, window, phi), 2)))
+    for model in models:
+        _, gstar = td.induced_relations(model)
+        nu = [float(x) for x in model.nu]
+        matrix = markov.cover_from_columns(gstar, (
+            [nu[t] for t in gstar.successors(t1)]
+            for t1 in range(len(nu)))).matrix
+        assert matrix.flags.c_contiguous
+        assert matrix.tobytes() == oracles.decoder_gstar_matrix(model).tobytes()
 
 
 def test_analyze_peak_memory_stays_off_the_dense_fine_matrix():
