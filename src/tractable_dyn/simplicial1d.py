@@ -678,7 +678,8 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
     coarse simplex whose neighbourhood contains its image, and cell images
     pick the nearest vertex of that simplex.  The result is within
     2 mesh(K) of f in the sup metric; if the rounded vertex map collapses
-    edges it is repaired, adding at most 4 mesh(K).
+    edges it is repaired, adding at most 4 mesh(K).  The subdivision's cell
+    count is guarded by the cell cap before any cell is made.
     """
     lip = parse_lipschitz(lipschitz)
     if lip <= 0:
@@ -698,6 +699,10 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
         else:
             delta = lebesgue / (2 * lip)
             parts.append(max(1, -(-length // delta)))
+    limit = resolve_cell_cap()
+    if sum(parts) > limit:
+        raise CapExceededError(
+            f"roundoff subdivision would exceed the cell cap {limit}")
     sub_vertices: list[Fraction] = [k.lo]
     for i in range(k.n_edges):
         a, b = k.edge(i)

@@ -6,7 +6,10 @@ refinement and word-coding references below are the straightforward
 versions of the library's integer-chart loops: a dense scan of every column
 entry, and exact ``Fraction`` affine maps (``AffineMap``, ``local_inverse``,
 ``star_edge_image``) composed and inverted step by step.  These three are
-the ``Fraction`` referee for the integer chart and live only here.  The
+the ``Fraction`` referee for the integer chart and live only here.
+``dense_transient_decay`` is the decay certificate from dense matrix
+powers, where the library pushes one mass vector along the edge list, and
+``exact_transient_mass`` is that mass over ``Fraction``.  The
 block-code image uses a fresh power per symbol, and ``splitmix64`` steps
 the generator's state one draw at a time.  The uniform cover and the
 decoder's float G* cover are filled cell by cell in loops over the
@@ -135,6 +138,73 @@ def uniform_cover_matrix(relation):
         for j in succ:
             matrix[j, i] = 1.0 / len(succ)
     return matrix
+
+
+def dense_transient_decay(cover, decomposition):
+    """The decay certificate from dense powers: the BFS depth n, then rho
+    as the largest column sum over the transient rows of
+    ``matrix_power(P, n)``, checked against rho^k for k = 1..5 by the
+    indicator row times P^n, k times."""
+    transient = set(decomposition.transient)
+    if not transient:
+        return markov.DecayCertificate(n=1, rho=0.0)
+    size = cover.size
+    dist = [-1 if i in transient else 0 for i in range(size)]
+    frontier = [i for i in range(size) if dist[i] == 0]
+    while frontier:
+        nxt = []
+        for j in frontier:
+            for i in cover.relation.predecessors(j):
+                if dist[i] == -1:
+                    dist[i] = dist[j] + 1
+                    nxt.append(i)
+        frontier = nxt
+    assert -1 not in dist
+    n = max(1, max(dist))
+    power = np.linalg.matrix_power(cover.matrix, n)
+    rows = sorted(transient)
+    rho = float(power[rows, :].sum(axis=0).max())
+    mass = np.zeros(size)
+    mass[rows] = 1.0
+    for k in range(1, 6):
+        mass = mass @ power
+        assert float(mass.max()) <= rho ** k + 1e-9
+    return markov.DecayCertificate(n=n, rho=rho)
+
+
+def exact_transient_mass(cover, transient, steps):
+    """The transient mass of P^steps started at each element, over Fraction:
+    the float weights taken exactly, one edge at a time."""
+    relation = cover.relation
+    weights = [[Fraction(float(cover.matrix[j, i]))
+                for j in relation.successors(i)]
+               for i in range(cover.size)]
+    mass = [Fraction(int(i in transient)) for i in range(cover.size)]
+    for _ in range(steps):
+        mass = [sum((w * mass[j] for j, w in
+                     zip(relation.successors(i), weights[i])), Fraction(0))
+                for i in range(cover.size)]
+    return mass
+
+
+def check_transient_decay(cover):
+    """Assert that the library's decay certificate of a cover has the
+    oracle's n, a rho within 1e-12 rho of the dense one, and a rho within
+    2 n (d_max + 1) 2^-53 of the exact transient mass, relatively; return
+    the certificate."""
+    decomposition = td.basic_sets(cover.relation)
+    cert = td.transient_decay(cover, decomposition)
+    dense = dense_transient_decay(cover, decomposition)
+    assert cert.n == dense.n
+    assert abs(cert.rho - dense.rho) <= 1e-12 * cert.rho
+    if decomposition.transient:
+        exact = max(exact_transient_mass(cover, set(decomposition.transient),
+                                         cert.n))
+        d_max = max(len(cover.relation.successors(i))
+                    for i in range(cover.size))
+        bound = 2 * cert.n * (d_max + 1) * Fraction(1, 2 ** 53) * exact
+        assert abs(Fraction(cert.rho) - exact) <= bound
+    return cert
 
 
 def decoder_gstar_matrix(model):

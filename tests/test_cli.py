@@ -160,6 +160,23 @@ def test_subshift_report_rejects_nan_weights(tmp_path, capsys):
     assert "must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("matrix", [[[0.5, 0.0], [0.5]],
+                                    [[0.5, 0.5], [0.5, "x"]],
+                                    "abc"])
+def test_subshift_report_rejects_a_malformed_matrix(tmp_path, capsys, matrix):
+    path = write(tmp_path / "cover.json", {
+        "relation": {"elements": ["a", "b"],
+                     "edges": [["a", "a"], ["a", "b"], ["b", "b"]]},
+        "matrix": matrix,
+    })
+    code, out, err = run(capsys, "subshift-report", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix is not an array of numbers")
+    with pytest.raises(td.CoverError):
+        td.validate_cover(td.FiniteRelation.from_labels(
+            ("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")]), matrix)
+
+
 def test_subshift_report_csv(tmp_path, capsys):
     path = cover_files(tmp_path)
     code, out, _ = run(capsys, "subshift-report", "--input", path,
@@ -380,6 +397,21 @@ def test_plmap_rejects_non_finite_lipschitz(tmp_path, capsys, lip):
     code, out, err = run(capsys, "plmap-approx", "--input", path)
     assert (code, out) == (2, "")
     assert "Lipschitz bound must be finite" in err
+
+
+@pytest.mark.parametrize("lip, cap", [(1e7, "1000"), (1e308, None)])
+def test_plmap_roundoff_respects_the_cell_cap(tmp_path, capsys, monkeypatch,
+                                              lip, cap):
+    # The subdivision needs about 2 lip cells: counted before any is made.
+    if cap is not None:
+        monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", cap)
+    path = write(tmp_path / "sampled.json", dict(SAMPLED, lip=lip))
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "plmap-approx", "--input", path,
+                         "--out", str(target))
+    assert (code, out) == (3, "")
+    assert "roundoff subdivision would exceed the cell cap" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sampled.json"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--out-system", "--out-plot"])

@@ -174,6 +174,14 @@ def test_theta_and_labels_match_their_definitions(all_systems):
         assert list(td.simplicial1d.to_two_alphabet(system).kstar) == labels
 
 
+def test_decay_of_the_g_cover_matches_the_oracles(all_systems):
+    leaky = 0
+    for system in all_systems:
+        cover = td.induced_covers(simplicial1d.to_two_alphabet(system))
+        leaky += oracles.check_transient_decay(cover).rho > 0
+    assert leaky >= 2
+
+
 def test_code_H_1d_matches_reference(all_systems):
     rng = random.Random(7)
     for system in all_systems:

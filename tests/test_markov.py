@@ -1,6 +1,8 @@
 import math
 import random
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import tractable_dyn as td
 import oracles
 from oracles import check_cover_support
+from tractable_dyn.cli import _load_cover
 
 
 def full_relation(n):
@@ -164,6 +167,110 @@ def test_decay_bound_verified_by_matrix_powers():
             mass = power[list(transient), :].sum(axis=0) if transient else 0.0
             assert np.max(mass) <= cert.rho ** k + 1e-9
     assert found_transient >= 5
+
+
+def planted_cover(rng, n, uniform=True):
+    """Cyclic blocks of 1..16 elements in a chain, each block with 1-3 edges
+    into later blocks unless it is terminal; about one block in four, and
+    the last, is terminal.  Uniform weights, or random ones (not dyadic)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    blocks, pos = [], 0
+    while pos < n:
+        size = min(rng.randint(1, 16), n - pos)
+        terminal = pos + size == n or rng.random() < 0.25
+        blocks.append((perm[pos:pos + size], terminal))
+        pos += size
+    edges = set()
+    for b, (members, terminal) in enumerate(blocks):
+        for a, c in zip(members, members[1:] + members[:1]):
+            edges.add((a, c))
+        for a in members:
+            for _ in range(rng.randint(0, 2)):
+                edges.add((a, rng.choice(members)))
+        if not terminal:
+            for _ in range(rng.randint(1, 3)):
+                later, _ = rng.choice(blocks[b + 1:])
+                edges.add((rng.choice(members), rng.choice(later)))
+    return weighted_cover(rng, n, edges, uniform)
+
+
+def three_out_cover(rng, n, core, uniform=True):
+    """A random 3-out core of ``core`` elements, fed by the other elements,
+    each with 3 edges into the core or into earlier fed elements."""
+    order = list(range(n))
+    rng.shuffle(order)
+    inner = order[:core]
+    edges = {(a, c) for a in inner for c in rng.sample(inner, 3)}
+    placed = inner[:]
+    for a in order[core:]:
+        edges.update((a, c) for c in rng.sample(placed, 3))
+        placed.append(a)
+    return weighted_cover(rng, n, edges, uniform)
+
+
+def weighted_cover(rng, n, edges, uniform):
+    relation = td.FiniteRelation(tuple(f"x{i}" for i in range(n)),
+                                 frozenset(edges))
+    if uniform:
+        return td.uniform_cover(relation)
+    columns = []
+    for i in range(n):
+        weights = [rng.uniform(0.1, 1.0) for _ in relation.successors(i)]
+        total = sum(weights)
+        columns.append([w / total for w in weights])
+    return td.markov.cover_from_columns(relation, columns)
+
+
+def test_decay_matches_the_dense_and_exact_oracles_on_random_covers():
+    rng = random.Random(2026)
+    depths = []
+    for n in (12, 40, 120, 300):
+        for uniform in (True, False):
+            depths.append(oracles.check_transient_decay(
+                planted_cover(rng, n, uniform)).n)
+            oracles.check_transient_decay(
+                three_out_cover(rng, n, n // 2, uniform))
+    assert max(depths) >= 10
+
+
+def test_decay_matches_the_oracles_on_the_golden_covers():
+    golden = Path(__file__).resolve().parent / "golden" / "inputs"
+    rhos = [oracles.check_transient_decay(_load_cover(str(golden / name))).rho
+            for name in ("cover.json", "rand_cover.json")]
+    assert all(rho > 0 for rho in rhos)
+
+
+def test_decay_matches_the_oracles_on_shift_like_g_covers():
+    rng = random.Random(44)
+    leaky = 0
+    for _ in range(60):
+        n_symbols = rng.choice((2, 3))
+        window = rng.randint(1, 5 - n_symbols)
+        code = td.SlidingBlockCode(n_symbols, window, tuple(
+            rng.randrange(n_symbols) for _ in range(n_symbols ** window)))
+        system = td.derive_gamma(code, rng.randint(1, 3))
+        cover = td.induced_covers(td.shiftlike.to_two_alphabet(system))
+        leaky += oracles.check_transient_decay(cover).rho > 0
+    assert leaky >= 5
+
+
+def test_decay_on_a_large_cover_stays_sparse():
+    # One dense n x n power would take 32 MiB here.
+    cover = planted_cover(random.Random(7), 2000)
+    decomposition = td.basic_sets(cover.relation)
+    cover.relation.predecessors(0)  # build the cached tables before tracing
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cert = td.transient_decay(cover, decomposition)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.n >= 10 and 0 < cert.rho < 1
+    assert peak < 2 << 20
+    assert elapsed < 1.0
 
 
 # --- stationary distributions ---
