@@ -41,10 +41,10 @@ from .relation import (basic_sets, decomposition_json, relation_from_json,
 
 _EPILOG = """\
 conventions:
-  compose(R, S) applies R first: the result is the relational composition
-  S after R, with arguments named in application order.
   Words over an alphabet of N symbols are written with digit characters
-  (0-9, then a-z); the leftmost character is symbol 0 of the word.
+  (0-9, then a-z); the leftmost character is symbol 0 of the word.  For
+  N > 36 a word is its symbols as decimal integers joined by dots, e.g.
+  "0.39.7" for symbols 0, 39 and 7.
 """
 
 
@@ -297,15 +297,15 @@ def cmd_plmap_approx(args) -> int:
     repair_report = None
     roundoff_report = None
     if set(data) == {"K", "Kstar", "vmap"}:
+        k = simplicial1d.complex_from_json(data["K"])
+        kstar = simplicial1d.complex_from_json(data["Kstar"])
+        if not isinstance(data["vmap"], dict):
+            raise ValidationError("'vmap' must be an object")
         if args.repair:
-            k = simplicial1d.complex_from_json(data["K"])
-            kstar = simplicial1d.complex_from_json(data["Kstar"])
-            if not isinstance(data["vmap"], dict):
-                raise ValidationError("'vmap' must be an object")
             system, repair_report = simplicial1d.nondegenerate_repair(
                 k, kstar, data["vmap"])
         else:
-            system = simplicial1d.system_from_json(data)
+            system = simplicial1d.build_system(k, kstar, data["vmap"])
     elif set(data) == {"K", "samples", "lip"}:
         k = simplicial1d.complex_from_json(data["K"])
         if not isinstance(data["samples"], dict):

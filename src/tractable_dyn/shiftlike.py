@@ -64,9 +64,13 @@ class Word:
 
     @classmethod
     def from_string(cls, n_symbols: int, text: str) -> "Word":
+        """Digit characters (0-9, a-z) for N <= 36; for larger N, decimal
+        symbols joined by dots, e.g. "0.39.7"."""
         if n_symbols > len(_DIGITS):
-            parts = [int(p) for p in text.split(".")] if text else []
-            return cls.from_digits(n_symbols, parts)
+            parts = text.split(".") if text else []
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValidationError(f"bad word literal {text!r}")
+            return cls.from_digits(n_symbols, map(int, parts))
         try:
             digits = [_DIGITS.index(ch) for ch in text]
         except ValueError:

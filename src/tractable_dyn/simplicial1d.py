@@ -34,6 +34,7 @@ gathered by sampling symbolic paths and decoding them.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,18 +285,23 @@ def build_system(k: IntervalComplex, kstar: IntervalComplex,
     use nondegenerate_repair for maps that collapse edges.
     """
     _check_subdivision(k, kstar)
-    images = _normalize_vmap(kstar, k, vmap)
-    for j in range(kstar.n_edges):
-        p0, p1 = images[j], images[j + 1]
-        w0, w1 = kstar.edge(j)
-        if p0 == p1:
-            raise DegenerateMapError(
-                f"edge [{w0}, {w1}] collapses to vertex {k.vertices[p0]}")
+    return _system(k, kstar, _normalize_vmap(kstar, k, vmap))
+
+
+def _system(k: IntervalComplex, kstar: IntervalComplex,
+            images: Sequence[int]) -> SimplicialSystem1D:
+    """Build from coarse-vertex indices, checking non-degeneracy only: the
+    callers have checked the subdivision."""
+    for j, (p0, p1) in enumerate(zip(images, images[1:])):
         if abs(p0 - p1) != 1:
+            w0, w1 = kstar.edge(j)
+            if p0 == p1:
+                raise DegenerateMapError(
+                    f"edge [{w0}, {w1}] collapses to vertex {k.vertices[p0]}")
             raise DegenerateMapError(
                 f"edge [{w0}, {w1}] maps onto non-adjacent vertices "
                 f"{k.vertices[p0]}, {k.vertices[p1]}")
-    return SimplicialSystem1D(k, kstar, images)
+    return SimplicialSystem1D(k, kstar, tuple(images))
 
 
 def pl_eval_vmap(k: IntervalComplex, kstar: IntervalComplex,
@@ -571,46 +577,37 @@ def nondegenerate_repair(k: IntervalComplex, kstar: IntervalComplex,
     construction).
     """
     _check_subdivision(k, kstar)
-    images = list(_normalize_vmap(kstar, k, vmap))
-    verts = list(kstar.vertices)
-    for j in range(len(verts) - 1):
-        if abs(images[j] - images[j + 1]) > 1:
+    return _repair(k, kstar, _normalize_vmap(kstar, k, vmap))
+
+
+def _repair(k: IntervalComplex, kstar: IntervalComplex,
+            images: Sequence[int]) -> tuple[SimplicialSystem1D, RepairReport]:
+    """nondegenerate_repair on coarse-vertex indices over a checked
+    subdivision."""
+    for j, (p0, p1) in enumerate(zip(images, images[1:])):
+        if abs(p0 - p1) > 1:
+            w0, w1 = kstar.edge(j)
             raise DegenerateMapError(
-                f"edge [{verts[j]}, {verts[j + 1]}] maps onto non-adjacent "
+                f"edge [{w0}, {w1}] maps onto non-adjacent "
                 "vertices; cannot repair a torn map")
 
     new_verts: list[Fraction] = []
     new_images: list[int] = []
-    reassigned = 0
-    inserted = 0
-    pos = 0
-    while pos < len(verts):
-        end = pos
-        while end + 1 < len(verts) and images[end + 1] == images[pos]:
-            end += 1
-        run_length = end - pos + 1
-        if run_length == 1:
-            new_verts.append(verts[pos])
-            new_images.append(images[pos])
-            pos += 1
-            continue
-        v = images[pos]
-        u = v - 1 if v >= 1 else v + 1
-        run_verts = verts[pos:end + 1]
-        if run_length % 2 == 0:
-            midpoint = (run_verts[0] + run_verts[1]) / 2
-            run_verts = [run_verts[0], midpoint] + run_verts[1:]
+    reassigned = inserted = 0
+    for v, run in itertools.groupby(zip(kstar.vertices, images),
+                                    key=lambda pair: pair[1]):
+        run_verts = [w for w, _ in run]
+        if len(run_verts) % 2 == 0:
+            run_verts.insert(1, (run_verts[0] + run_verts[1]) / 2)
             inserted += 1
-        for offset, w in enumerate(run_verts):
-            new_verts.append(w)
-            image = v if offset % 2 == 0 else u
-            new_images.append(image)
-            if offset % 2 == 1:
-                reassigned += 1
-        pos = end + 1
+        u = v - 1 if v >= 1 else v + 1
+        reassigned += len(run_verts) // 2
+        new_verts.extend(run_verts)
+        new_images.extend(u if offset % 2 else v
+                          for offset in range(len(run_verts)))
 
     repaired_star = IntervalComplex(tuple(new_verts))
-    system = build_system(k, repaired_star, [k.vertices[i] for i in new_images])
+    system = _system(k, repaired_star, new_images)
 
     sup_change = Fraction(0)
     for w in repaired_star.vertices:
@@ -634,28 +631,6 @@ class RoundoffReport:
     repaired: bool
     repair: RepairReport | None
     parts_per_edge: tuple[int, ...]
-
-
-def _neighbourhood_bounds(k: IntervalComplex):
-    """Open star intervals of simplices in the derived subdivision.
-
-    Returns (vertex_bounds, edge_bounds) as float pairs, with infinities at
-    the boundary of the space so domain-end containment is automatic.
-    """
-    mids = [float((a + b) / 2) for a, b in
-            (k.edge(i) for i in range(k.n_edges))]
-    inf = float("inf")
-    vertex_bounds = []
-    for i in range(len(k.vertices)):
-        left = mids[i - 1] if i - 1 >= 0 else -inf
-        right = mids[i] if i < len(mids) else inf
-        vertex_bounds.append((left, right))
-    edge_bounds = []
-    for i in range(k.n_edges):
-        left = mids[i - 1] if i - 1 >= 0 else -inf
-        right = mids[i + 1] if i + 1 < len(mids) else inf
-        edge_bounds.append((left, right))
-    return vertex_bounds, edge_bounds
 
 
 def parse_lipschitz(value) -> Fraction:
@@ -685,31 +660,21 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
     if lip <= 0:
         raise ValidationError("Lipschitz bound must be positive")
 
-    mids = [(a + b) / 2 for a, b in (k.edge(i) for i in range(k.n_edges))]
+    edges = list(zip(k.vertices, k.vertices[1:]))
+    mids = [(a + b) / 2 for a, b in edges]
+    parts = [1] * k.n_edges
     if len(mids) >= 2:
-        lebesgue = min(m2 - m1 for m1, m2 in zip(mids, mids[1:]))
-    else:
-        lebesgue = None
-
-    parts = []
-    for i in range(k.n_edges):
-        length = k.edge_length(i)
-        if lebesgue is None:
-            parts.append(1)
-        else:
-            delta = lebesgue / (2 * lip)
-            parts.append(max(1, -(-length // delta)))
+        # Cells no longer than the Lebesgue number over 2 lip.
+        delta = min(m2 - m1 for m1, m2 in zip(mids, mids[1:])) / (2 * lip)
+        parts = [max(1, -(-(b - a) // delta)) for a, b in edges]
     limit = resolve_cell_cap()
     if sum(parts) > limit:
         raise CapExceededError(
             f"roundoff subdivision would exceed the cell cap {limit}")
-    sub_vertices: list[Fraction] = [k.lo]
-    for i in range(k.n_edges):
-        a, b = k.edge(i)
-        step = (b - a) / parts[i]
-        for piece in range(1, int(parts[i]) + 1):
-            sub_vertices.append(a + piece * step)
-    coarse_cells = IntervalComplex(tuple(sub_vertices))
+    cells = [k.lo]
+    for (a, b), count in zip(edges, parts):
+        step = (b - a) / count
+        cells.extend(a + piece * step for piece in range(1, count + 1))
 
     lo_f, hi_f = float(k.lo), float(k.hi)
 
@@ -720,65 +685,64 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
                 f"f({float(x):.17g}) = {value:.17g} leaves the space")
         return value
 
-    vertex_bounds, edge_bounds = _neighbourhood_bounds(k)
+    # In the derived subdivision the open star of coarse vertex i runs
+    # between the float midpoints of edges i - 1 and i, that of edge i
+    # between the midpoints of edges i - 1 and i + 1; both are unbounded
+    # past the ends of the space.
+    float_mids = [float(m) for m in mids]
+    float_vertices = [float(v) for v in k.vertices]
 
-    def minimal_simplex(img_lo: float, img_hi: float):
-        img_lo, img_hi = max(img_lo, lo_f), min(img_hi, hi_f)
-        for i, (left, right) in enumerate(vertex_bounds):
-            if left < img_lo and img_hi < right:
-                return ("vertex", i)
-        for i, (left, right) in enumerate(edge_bounds):
-            if left < img_lo and img_hi < right:
-                return ("edge", i)
-        raise NumericalError(
-            "no simplex neighbourhood contains a cell image; "
-            "Lipschitz bound too small?")
+    def nearest_vertex(img_lo: float, img_hi: float, target: float) -> int:
+        """The vertex nearest target of the first vertex star, else the first
+        edge star, that holds [img_lo, img_hi] clipped to the space.
 
-    def pick_vertex(simplex, target: float) -> int:
-        kind, i = simplex
-        if kind == "vertex":
-            return i
-        left, right = float(k.vertices[i]), float(k.vertices[i + 1])
-        return i if abs(target - left) <= abs(target - right) else i + 1
+        With ``below`` midpoints under img_lo and ``upto`` at or under
+        img_hi, vertex star i holds it iff upto <= i <= below and edge star
+        i iff upto - 1 <= i <= below.
+        """
+        below = bisect.bisect_left(float_mids, max(img_lo, lo_f))
+        upto = bisect.bisect_right(float_mids, min(img_hi, hi_f))
+        if upto <= below:
+            return upto
+        if upto > below + 1:
+            raise NumericalError(
+                "no simplex neighbourhood contains a cell image; "
+                "Lipschitz bound too small?")
+        nearer_left = (abs(target - float_vertices[below])
+                       <= abs(target - float_vertices[below + 1]))
+        return below if nearer_left else below + 1
 
     # Derived subdivision: cell vertices keep their sample's simplex, cell
     # midpoints get the simplex of the whole cell's image bound.
     fine_vertices: list[Fraction] = []
     images: list[int] = []
-    for i in range(coarse_cells.n_edges):
-        a, b = coarse_cells.edge(i)
-        value_a = sample(a)
-        simplex_a = minimal_simplex(value_a, value_a)
+    for a, b in zip(cells, cells[1:]):
+        value = sample(a)
         fine_vertices.append(a)
-        images.append(pick_vertex(simplex_a, value_a))
-
+        images.append(nearest_vertex(value, value, value))
         mid = (a + b) / 2
-        value_mid = sample(mid)
+        value = sample(mid)
         half_span = float(lip * (b - a) / 2)
-        simplex_mid = minimal_simplex(value_mid - half_span,
-                                      value_mid + half_span)
         fine_vertices.append(mid)
-        images.append(pick_vertex(simplex_mid, value_mid))
-    last = coarse_cells.hi
-    value_last = sample(last)
-    fine_vertices.append(last)
-    images.append(pick_vertex(minimal_simplex(value_last, value_last),
-                              value_last))
+        images.append(nearest_vertex(value - half_span, value + half_span,
+                                     value))
+    value = sample(k.hi)
+    fine_vertices.append(k.hi)
+    images.append(nearest_vertex(value, value, value))
 
+    # Every coarse vertex is a cell vertex and every cell gains its midpoint,
+    # so the subdivision is proper by construction.
     fine = IntervalComplex(tuple(fine_vertices))
+    repair = None
+    if any(p0 == p1 for p0, p1 in zip(images, images[1:])):
+        system, repair = _repair(k, fine, images)
+    else:
+        system = _system(k, fine, images)
     mesh = k.mesh()
-    degenerate = any(images[j] == images[j + 1]
-                     for j in range(fine.n_edges))
-    if degenerate:
-        system, repair = nondegenerate_repair(
-            k, fine, [k.vertices[i] for i in images])
-        return system, RoundoffReport(
-            mesh=mesh, error_bound=2 * mesh + repair.bound, repaired=True,
-            repair=repair, parts_per_edge=tuple(int(p) for p in parts))
-    system = build_system(k, fine, [k.vertices[i] for i in images])
     return system, RoundoffReport(
-        mesh=mesh, error_bound=2 * mesh, repaired=False, repair=None,
-        parts_per_edge=tuple(int(p) for p in parts))
+        mesh=mesh, error_bound=2 * mesh + (repair.bound if repair else 0),
+        repaired=repair is not None, repair=repair,
+        parts_per_edge=tuple(parts))
 
 
 def class_support(system: SimplicialSystem1D,
@@ -928,7 +892,8 @@ def tractability_report_pl(system: SimplicialSystem1D,
     """Exact tractability report for a simplicial system.
 
     ``background`` weights the coarse edges (positive, summing to 1; uniform
-    by default); the report includes the share of background mass absorbed
+    by default), each a Fraction, an int, a "p/q" string or a float (other
+    numbers are converted to float); the report includes the share of background mass absorbed
     into each terminal class.  The shares come from iterating the float cover
     until transient mass falls below 1e-13; where that takes more than 100000
     steps, they are solved exactly from the fundamental matrix instead and
@@ -938,16 +903,17 @@ def tractability_report_pl(system: SimplicialSystem1D,
     analysis = two_alphabet.analyze(to_two_alphabet(system))
     decomp = analysis.correspondence.base_decomposition
 
-    if background is None:
-        weights = np.full(system.k.n_edges, 1.0 / system.k.n_edges)
-    else:
-        weights = np.asarray([float(x) for x in background], dtype=float)
-        if len(weights) != system.k.n_edges:
-            raise ValidationError("background must weight every coarse edge")
-        if not np.all(weights > 0):
-            raise ValidationError("background weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError("background weights must sum to 1")
+    n = system.k.n_edges
+    values = ([Fraction(1, n)] * n if background is None else
+              [parse_rational(x) if isinstance(x, (str, int, Fraction))
+               else float(x) for x in background])
+    if len(values) != n:
+        raise ValidationError("background must weight every coarse edge")
+    weights = np.array(values, dtype=float)
+    if not np.all(weights > 0):
+        raise ValidationError("background weights must be positive")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise ValidationError("background weights must sum to 1")
 
     # Background mass absorbed by each terminal class.
     transient = list(decomp.transient)
@@ -955,10 +921,7 @@ def tractability_report_pl(system: SimplicialSystem1D,
     steps = 0
     while transient and float(current[transient].sum()) > 1e-13:
         if steps == 100000:
-            n = system.k.n_edges
-            exact = _exact_absorption(analysis, [Fraction(1, n)] * n
-                                      if background is None
-                                      else [Fraction(x) for x in background])
+            exact = _exact_absorption(analysis, [Fraction(x) for x in values])
             absorption = {c: float(share) for c, share in exact.items()}
             break
         current = analysis.g_cover.matrix @ current

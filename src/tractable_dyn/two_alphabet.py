@@ -80,12 +80,10 @@ class TwoAlphabetModel:
 
 
 def _per_kstar(values, kstar, what: str) -> list:
-    """One entry per K* element, from a {label: entry} dict or a sequence."""
+    """One entry per K* element, from a sequence in K* order."""
     if isinstance(values, dict):
-        missing = [s for s in kstar if s not in values]
-        if missing:
-            raise ValidationError(f"{what} missing entries for {missing}")
-        return [values[s] for s in kstar]
+        raise ValidationError(f"{what} must be a sequence in K* order, "
+                              "not a dict")
     raw = list(values)
     if len(raw) != len(kstar):
         raise ValidationError(f"{what} must have one entry per K* element")
@@ -95,10 +93,6 @@ def _per_kstar(values, kstar, what: str) -> list:
 def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
     k_index = {label: i for i, label in enumerate(k)}
     raw = _per_kstar(values, kstar, what)
-    if isinstance(values, dict):
-        extra = [s for s in values if s not in kstar]
-        if extra:
-            raise ValidationError(f"{what} has unknown keys {extra}")
     out = []
     for pos, target in enumerate(raw):
         if isinstance(target, str):
@@ -117,6 +111,8 @@ def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
 def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
     """Validate and build a model.
 
+    ``j_map``, ``gamma`` and ``nu`` are sequences in K* order (a dict is a
+    ValidationError); J and gamma entries are K labels or indices into K.
     nu entries are rational: Fractions, ints or "p/q" strings (anything else
     is a ValidationError).  Each must be positive, and each J-fiber must sum
     to 1 exactly.

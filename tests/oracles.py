@@ -28,7 +28,12 @@ tables, with its Tarjan pass and decomposition, its restriction,
 composition and inverse, and the G and G* that the two-alphabet model built
 as edge sets; the library now keeps sorted successor tuples and takes G*
 from the J-fibers.  ``shiftlike_two_alphabet`` builds the shift-like model
-from one ``Word`` per fine word.
+from one ``Word`` per fine word.  ``nondegenerate_repair`` walks the runs
+of a vertex map with a while-loop, and ``roundoff`` finds each cell's
+simplex by scanning every vertex star and then every edge star
+(``neighbourhood_bounds``); both turn coarse-vertex indices back into
+vertex values for ``build_system``, where the library bisects the float
+midpoints and builds from the indices.
 """
 
 from dataclasses import dataclass
@@ -749,3 +754,156 @@ def shiftlike_two_alphabet(system):
         gamma=[system.gamma[w.value] for w in fine],
         nu=[nu] * len(fine),
     )
+
+
+def nondegenerate_repair(k, kstar, vmap):
+    """Repair by a while-loop over runs, built through ``build_system`` from
+    the repaired images turned back into coarse vertex values."""
+    from tractable_dyn.simplicial1d import _check_subdivision, _normalize_vmap
+
+    _check_subdivision(k, kstar)
+    images = list(_normalize_vmap(kstar, k, vmap))
+    verts = list(kstar.vertices)
+    for j in range(len(verts) - 1):
+        if abs(images[j] - images[j + 1]) > 1:
+            raise td.DegenerateMapError(
+                f"edge [{verts[j]}, {verts[j + 1]}] maps onto non-adjacent "
+                "vertices; cannot repair a torn map")
+
+    new_verts, new_images = [], []
+    reassigned = inserted = 0
+    pos = 0
+    while pos < len(verts):
+        end = pos
+        while end + 1 < len(verts) and images[end + 1] == images[pos]:
+            end += 1
+        run_length = end - pos + 1
+        if run_length == 1:
+            new_verts.append(verts[pos])
+            new_images.append(images[pos])
+            pos += 1
+            continue
+        v = images[pos]
+        u = v - 1 if v >= 1 else v + 1
+        run_verts = verts[pos:end + 1]
+        if run_length % 2 == 0:
+            midpoint = (run_verts[0] + run_verts[1]) / 2
+            run_verts = [run_verts[0], midpoint] + run_verts[1:]
+            inserted += 1
+        for offset, w in enumerate(run_verts):
+            new_verts.append(w)
+            new_images.append(v if offset % 2 == 0 else u)
+            if offset % 2 == 1:
+                reassigned += 1
+        pos = end + 1
+
+    repaired_star = td.IntervalComplex(tuple(new_verts))
+    system = td.build_system(k, repaired_star,
+                             [k.vertices[i] for i in new_images])
+    sup_change = Fraction(0)
+    for w in repaired_star.vertices:
+        before = td.simplicial1d.pl_eval_vmap(k, kstar, images, w)
+        sup_change = max(sup_change, abs(before - td.pl_eval(system, w)))
+    bound = 4 * k.mesh()
+    if sup_change > bound:
+        raise td.NumericalError(
+            f"repair moves the map by {sup_change}, above the bound {bound}")
+    report = td.RepairReport(changed=(reassigned + inserted) > 0,
+                             reassigned=reassigned, inserted=inserted,
+                             sup_change=sup_change, bound=bound)
+    return system, report
+
+
+def neighbourhood_bounds(k):
+    """Open star intervals of the vertices and edges of the derived
+    subdivision, as float pairs with infinities at the ends of the space."""
+    mids = [float((a + b) / 2) for a, b in
+            (k.edge(i) for i in range(k.n_edges))]
+    inf = float("inf")
+    vertex_bounds = [(mids[i - 1] if i >= 1 else -inf,
+                      mids[i] if i < len(mids) else inf)
+                     for i in range(len(k.vertices))]
+    edge_bounds = [(mids[i - 1] if i >= 1 else -inf,
+                    mids[i + 1] if i + 1 < len(mids) else inf)
+                   for i in range(k.n_edges)]
+    return vertex_bounds, edge_bounds
+
+
+def roundoff(f, k, lipschitz):
+    """Roundoff that finds each cell's simplex by scanning every vertex star
+    and then every edge star, and builds or repairs through vertex values."""
+    from tractable_dyn.config import resolve_cell_cap
+
+    lip = td.simplicial1d.parse_lipschitz(lipschitz)
+    if lip <= 0:
+        raise td.ValidationError("Lipschitz bound must be positive")
+    mids = [(a + b) / 2 for a, b in (k.edge(i) for i in range(k.n_edges))]
+    parts = [1] * k.n_edges
+    if len(mids) >= 2:
+        lebesgue = min(m2 - m1 for m1, m2 in zip(mids, mids[1:]))
+        delta = lebesgue / (2 * lip)
+        parts = [max(1, -(-k.edge_length(i) // delta))
+                 for i in range(k.n_edges)]
+    limit = resolve_cell_cap()
+    if sum(parts) > limit:
+        raise td.CapExceededError(
+            f"roundoff subdivision would exceed the cell cap {limit}")
+    sub_vertices = [k.lo]
+    for i in range(k.n_edges):
+        a, b = k.edge(i)
+        for piece in range(1, int(parts[i]) + 1):
+            sub_vertices.append(a + piece * (b - a) / parts[i])
+    cells = td.IntervalComplex(tuple(sub_vertices))
+    lo_f, hi_f = float(k.lo), float(k.hi)
+
+    def sample(x):
+        value = float(f(float(x)))
+        if not (lo_f - 1e-9 <= value <= hi_f + 1e-9):
+            raise td.MapRangeError(
+                f"f({float(x):.17g}) = {value:.17g} leaves the space")
+        return value
+
+    vertex_bounds, edge_bounds = neighbourhood_bounds(k)
+
+    def nearest_vertex(img_lo, img_hi, target):
+        img_lo, img_hi = max(img_lo, lo_f), min(img_hi, hi_f)
+        for i, (left, right) in enumerate(vertex_bounds):
+            if left < img_lo and img_hi < right:
+                return i
+        for i, (left, right) in enumerate(edge_bounds):
+            if left < img_lo and img_hi < right:
+                left_v, right_v = float(k.vertices[i]), float(k.vertices[i + 1])
+                return i if abs(target - left_v) <= abs(target - right_v) \
+                    else i + 1
+        raise td.NumericalError(
+            "no simplex neighbourhood contains a cell image; "
+            "Lipschitz bound too small?")
+
+    fine_vertices, images = [], []
+    for i in range(cells.n_edges):
+        a, b = cells.edge(i)
+        value = sample(a)
+        fine_vertices.append(a)
+        images.append(nearest_vertex(value, value, value))
+        mid = (a + b) / 2
+        value = sample(mid)
+        half_span = float(lip * (b - a) / 2)
+        fine_vertices.append(mid)
+        images.append(nearest_vertex(value - half_span, value + half_span,
+                                     value))
+    value = sample(cells.hi)
+    fine_vertices.append(cells.hi)
+    images.append(nearest_vertex(value, value, value))
+
+    fine = td.IntervalComplex(tuple(fine_vertices))
+    mesh = k.mesh()
+    parts = tuple(int(p) for p in parts)
+    values = [k.vertices[i] for i in images]
+    if any(images[j] == images[j + 1] for j in range(fine.n_edges)):
+        system, repair = nondegenerate_repair(k, fine, values)
+        return system, td.RoundoffReport(
+            mesh=mesh, error_bound=2 * mesh + repair.bound, repaired=True,
+            repair=repair, parts_per_edge=parts)
+    return td.build_system(k, fine, values), td.RoundoffReport(
+        mesh=mesh, error_bound=2 * mesh, repaired=False, repair=None,
+        parts_per_edge=parts)

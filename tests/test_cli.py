@@ -331,6 +331,27 @@ def test_blockmap_trace_rows_all_match(tmp_path, capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_blockmap_dotted_prefix_for_a_large_alphabet(tmp_path, capsys):
+    # Past 36 symbols a word is written as dotted decimal symbols; a part
+    # that is no decimal integer is invalid input, not a crash.
+    path = write(tmp_path / "code.json",
+                 {"N": 40, "m": 1, "phi": list(range(40))})
+    trace_path = tmp_path / "trace.csv"
+    code, _, _ = run(capsys, "blockmap-approx", "--input", path, "--n", "1",
+                     "--prefix", "0.39.7", "--depth", "2",
+                     "--trace", str(trace_path))
+    assert code == 0
+    assert trace_path.read_text().splitlines()[1:] == [
+        f"{step},0.39,0.39,1" for step in range(3)]
+    for prefix in ("x.1", "1..2", "1.", "+1.2"):
+        code, out, err = run(capsys, "blockmap-approx", "--input", path,
+                             "--n", "1", "--prefix", prefix,
+                             "--trace", str(tmp_path / "bad.csv"))
+        assert (code, out) == (2, "")
+        assert f"bad word literal {prefix!r}" in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 # --- plmap-approx ---
 
 
@@ -487,6 +508,47 @@ def test_plmap_out_system_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "plmap-approx", "--input", str(out_system))
     assert code == 0
     assert "repair" not in json.loads(out)
+
+
+@pytest.mark.parametrize("payload, flags, message", [
+    (["K", "Kstar", "vmap"], [], "input must be a JSON object"),
+    (dict(SYSTEM_A, vmap=["1", "0", "1", "2", "1"]), ["--repair"],
+     "'vmap' must be an object"),
+    (dict(SYSTEM_A, vmap=["1", "0", "1", "2", "1"]), [],
+     "'vmap' must be an object"),
+    (dict(SAMPLED, samples=[["0", "1"], ["2", "1"]]), [],
+     "'samples' must be an object"),
+    (dict(SAMPLED, samples={"0": "1"}), [], "need at least two sample points"),
+    (dict(SAMPLED, samples={"0": "1", "1": "0", "2/2": "0", "2": "1"}), [],
+     "sample points must have distinct x values"),
+    (dict(SAMPLED, samples={"0": "1", "3/2": "1"}), [],
+     "samples must cover the whole space"),
+    (dict(SAMPLED, lip="3/2"), [], "lip = 3/2 is below the sampled slope 2\n"),
+    (dict(SAMPLED, Kstar=SYSTEM_A["Kstar"]), [],
+     "input must have fields {K, Kstar, vmap}"),
+])
+def test_plmap_invalid_inputs_exit_2(tmp_path, capsys, payload, flags,
+                                     message):
+    path = write(tmp_path / "in.json", payload)
+    code, out, err = run(capsys, "plmap-approx", "--input", path, *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_cover_file_with_unknown_keys_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "cover.json",
+                 {"relation": RELATION_B, "matrix": [[1.0]], "extra": 1})
+    code, out, err = run(capsys, "subshift-report", "--input", path)
+    assert (code, out) == (2, "")
+    assert "cover file must be" in err
+
+
+@pytest.mark.parametrize("command", ["subshift-report", "plmap-approx"])
+def test_simulate_zero_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "x.json", "--simulate", "0"])
+    assert exc.value.code == 2
+    assert "--simulate must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["relation-analyze"],

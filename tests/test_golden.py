@@ -57,6 +57,13 @@ CASES = [
     ("plmap_samples", ["plmap-approx", "--input", "{in}/sampled.json",
                        "--simulate", "2000", "--depth", "25",
                        "--out-system", "{out}/system.json"], ["system.json"]),
+    ("plmap_repair", ["plmap-approx", "--input", "{in}/degenerate.json",
+                      "--repair", "--out-system", "{out}/system.json"],
+     ["system.json"]),
+    ("plmap_samples_repaired", ["plmap-approx", "--input",
+                                "{in}/sampled_wide.json", "--simulate", "300",
+                                "--depth", "12", "--out-system",
+                                "{out}/system.json"], ["system.json"]),
     ("plmap_two_terminal", ["plmap-approx", "--input", "{in}/system_b.json",
                             "--simulate", "2000", "--depth", "25"], []),
     ("plmap_svg", ["plmap-approx", "--input", "{in}/system.json",

@@ -59,6 +59,21 @@ def test_prefix_and_drop_partition_a_word(digits, cut):
     assert word.prefix(cut).concat(word.drop(cut)) == word
 
 
+@given(st.lists(st.integers(0, 39), max_size=12))
+def test_dotted_word_round_trip(digits):
+    word = Word.from_digits(40, digits)
+    text = word.to_string()
+    assert text == ".".join(map(str, digits))
+    assert Word.from_string(40, text) == word
+
+
+@pytest.mark.parametrize("text", ["x.1", "1..2", "1.", ".1", " 1.2", "+1",
+                                  "1_0", "\u0661"])
+def test_dotted_word_rejects_non_integer_parts(text):
+    with pytest.raises(td.ValidationError, match="bad word literal"):
+        Word.from_string(40, text)
+
+
 def test_word_rejects_bad_digits():
     with pytest.raises(td.ValidationError):
         Word.from_digits(2, [0, 2])

@@ -1,10 +1,14 @@
+import bisect
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import tractable_dyn as td
+import oracles
 from oracles import AffineMap, local_inverse, star_edge_image
 
 F = Fraction
@@ -379,6 +383,143 @@ def test_roundoff_tracks_a_piecewise_linear_target(example_b):
     assert worst <= report.error_bound + 1e-9
 
 
+def _outcome(function, *args):
+    """A function's result, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except td.TractableDynError as exc:
+        return type(exc), str(exc)
+
+
+def _random_coarse(rng):
+    vertices = [F(rng.randint(-2, 2))]
+    for _ in range(rng.randint(1, 4)):
+        vertices.append(vertices[-1] + F(rng.randint(1, 4), rng.choice((1, 2))))
+    return cx(*vertices)
+
+
+def _random_repair_input(rng):
+    """A coarse complex, a subdivision (now and then not proper) and a lazy
+    walk of images with collapses, now and then a tear or a value that is
+    no coarse vertex; the map is a dict of strings or a list."""
+    k = _random_coarse(rng)
+    fine = [k.lo]
+    for a, b in zip(k.vertices, k.vertices[1:]):
+        least = 0 if rng.random() < 0.03 else 1
+        cuts = {a + (b - a) * F(rng.randint(1, 7), 8)
+                for _ in range(rng.randint(least, 4))}
+        fine.extend(sorted(cuts))
+        fine.append(b)
+    pos = rng.randrange(len(k.vertices))
+    images = []
+    for _ in fine:
+        images.append(k.vertices[pos])
+        r = rng.random()
+        step = 0 if r < 0.45 else rng.choice((-1, 1)) if r < 0.98 \
+            else rng.choice((-2, 2))
+        pos = min(max(pos + step, 0), k.n_edges)
+    if rng.random() < 0.02:
+        images[rng.randrange(len(images))] += F(1, 3)
+    if rng.random() < 0.5:
+        return k, cx(*fine), {str(x): str(y) for x, y in zip(fine, images)}
+    return k, cx(*fine), images
+
+
+def test_repair_matches_the_run_loop_oracle():
+    rng = random.Random(1601)
+    outcomes = set()
+    for _ in range(600):
+        args = _random_repair_input(rng)
+        got = _outcome(td.nondegenerate_repair, *args)
+        assert got == _outcome(oracles.nondegenerate_repair, *args), args
+        if isinstance(got[0], td.SimplicialSystem1D):
+            assert type(got[0].vertex_images) is tuple
+            outcomes.add((got[1].inserted > 0, got[1].reassigned > 0))
+        else:
+            outcomes.add(got[0])
+    assert outcomes >= {(True, True), (False, True), (False, False),
+                        td.DegenerateMapError, td.SubdivisionError,
+                        td.ValidationError}
+
+
+def _random_roundoff_input(rng):
+    """A coarse complex, a Lipschitz bound and a float map.
+
+    The map interpolates a random walk whose slopes reach up to 1.5 times
+    the bound and which may leave the space by up to 1e-9 (``f.outside``
+    records that a sample did).  At a hashed share of its sample points it
+    returns the snap target nearest that value instead (at one in a
+    hundred, any target): a float coarse midpoint, a midpoint plus or minus
+    a cell's half span (so a cell image ends exactly on it), a coarse
+    vertex, or a point outside the space within (or, rarely, beyond) the
+    1e-9 slack.
+    """
+    k = _random_coarse(rng)
+    lip = rng.choice((F(1, 2), 1, F(3, 2), 2, 2.0, F(7, 4)))
+    lo, hi = float(k.lo), float(k.hi)
+    mids = [(a + b) / 2 for a, b in zip(k.vertices, k.vertices[1:])]
+    gap = min((m2 - m1 for m1, m2 in zip(mids, mids[1:])), default=None)
+    spans = {0.0}
+    for a, b in zip(k.vertices, k.vertices[1:]):
+        parts = 1 if gap is None else max(1, -(-(b - a) * 2 * F(lip) // gap))
+        spans.add(float(F(lip) * (b - a) / parts / 2))
+    targets = [float(m) + sign * h for m in mids for h in spans
+               for sign in (-1, 1)]
+    targets += [float(v) for v in k.vertices]
+    targets += [lo - 5e-10, hi + 5e-10, lo - 1e-9, hi + 1e-9]
+    if rng.random() < 0.05:
+        targets.append(hi + 3e-9)
+    xs = sorted({lo, hi, *(rng.uniform(lo, hi) for _ in range(4))})
+    ys = [rng.uniform(lo, hi)]
+    steep = rng.choice((0.5, 1.0, 1.5))
+    for x1, x2 in zip(xs, xs[1:]):
+        step = rng.uniform(-1, 1) * steep * float(lip) * (x2 - x1)
+        ys.append(min(max(ys[-1] + step, lo - 1e-9), hi + 1e-9))
+    snap_share = rng.choice((0.0, 0.2, 0.6))
+    seed = rng.randrange(1 << 30)
+
+    def f(x):
+        i = min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        y = ys[i] + t * (ys[i + 1] - ys[i])
+        pick = random.Random(f"{seed}:{x!r}")
+        if pick.random() < snap_share:
+            y = min(targets, key=lambda target: abs(target - y))
+        elif pick.random() < 0.01:
+            y = pick.choice(targets)
+        if not lo <= y <= hi:
+            f.outside = True
+        return y
+    f.outside = False
+    return f, k, lip
+
+
+def test_roundoff_matches_the_linear_scan_oracle():
+    rng = random.Random(1602)
+    outcomes = set()
+    for _ in range(600):
+        args = _random_roundoff_input(rng)
+        got = _outcome(td.roundoff, *args)
+        assert got == _outcome(oracles.roundoff, *args), args[1:]
+        if isinstance(got[0], td.SimplicialSystem1D):
+            outcomes.add(got[1].repaired)
+            outcomes.add("outside" if args[0].outside else "inside")
+        else:
+            outcomes.add(got[0])
+    assert outcomes >= {True, False, "outside", "inside", td.MapRangeError,
+                        td.DegenerateMapError}
+
+
+def test_roundoff_snaps_images_on_a_float_midpoint():
+    # Cell vertices mapped exactly onto the midpoint 1/2 of [0, 1] lie in
+    # no vertex star and pick the nearer end of edge [0, 1], its left end.
+    args = (lambda x: 0.5, cx(0, 1, 2), 1)
+    assert _outcome(td.roundoff, *args) == _outcome(oracles.roundoff, *args)
+    system, report = td.roundoff(*args)
+    assert report.repaired
+    assert system.vertex_images[0] == 0
+
+
 # --- reports ---
 
 
@@ -444,17 +585,47 @@ def test_report_rejects_bad_background(example_a):
         td.tractability_report_pl(example_a, background=[float("nan"), 1.0])
 
 
-def test_report_rejects_unabsorbed_transient_mass():
+def _leaky_system():
     # I2 leaks only through a fine edge of length 1e-6, so transient mass
-    # is far from absorbed when the iteration stops; the shares are then
-    # solved exactly: all of I2's third of the mass ends in I1.
+    # is far from absorbed after 100000 steps.
     eps = F(1, 10**6)
-    system = td.build_system(
+    return td.build_system(
         cx(0, 1, 2, 3),
         cx(0, F(1, 2), 1, 1 + eps, 2, F(5, 2), 3),
         {F(0): F(0), F(1, 2): F(1), F(1): F(0), 1 + eps: F(1),
          F(2): F(2), F(5, 2): F(3), F(3): F(2)})
-    report = td.tractability_report_pl(system)
+
+
+def test_background_forms_give_identical_reports(example_b):
+    # The leaky system takes the exact fallback, example b the float loop.
+    for system in (example_b, _leaky_system()):
+        reports = {json.dumps(td.tractability_report_pl(
+            system, background=form).to_json_dict(), sort_keys=True)
+            for form in ([F(1, 4), F(1, 2), F(1, 4)], [0.25, 0.5, 0.25],
+                         ["1/4", "1/2", "1/4"], ("1/4", 0.5, F(1, 4)),
+                         np.array([0.25, 0.5, 0.25], dtype=np.float32))}
+        assert len(reports) == 1
+        assert '"I2": 0.5' in reports.pop()
+
+
+@pytest.mark.parametrize("background, message", [
+    (["1/2", "3/5"], "must sum to 1"),
+    ([F(3, 2), F(-1, 2)], "must be positive"),
+    ([float("-inf"), 1.0], "must be positive"),
+    ([float("inf"), 0.5], "must sum to 1"),
+    ([1.0], "must weight every coarse edge"),
+    (["1/2", "x"], "not a rational literal"),
+])
+def test_report_background_errors(example_a, background, message):
+    with pytest.raises(td.ValidationError, match=message):
+        td.tractability_report_pl(example_a, background=background)
+
+
+def test_report_rejects_unabsorbed_transient_mass():
+    # Transient mass is far from absorbed when the iteration stops; the
+    # shares are then solved exactly: all of I2's third of the mass ends in
+    # I1.
+    report = td.tractability_report_pl(_leaky_system())
     decomp = report.analysis.correspondence.base_decomposition
     shares = {decomp.class_labels(c): report.absorption[c]
               for c in decomp.terminal_classes()}

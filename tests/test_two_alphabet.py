@@ -96,6 +96,16 @@ def test_fiber_sum_just_above_one_keeps_its_message():
     assert str(total) == "1000000000000000000000000000001/" + "1" + "0" * 30
 
 
+@pytest.mark.parametrize("field", ["j_map", "gamma", "nu"])
+def test_dict_arguments_are_rejected(field):
+    args = {"kstar": ("a", "b"), "k": ("s",), "j_map": ("s", "s"),
+            "gamma": ("s", "s"), "nu": [Fraction(1, 2), Fraction(1, 2)]}
+    td.build_model(**args)
+    args[field] = dict(zip(args["kstar"], args[field]))
+    with pytest.raises(td.ValidationError, match="not a dict"):
+        td.build_model(**args)
+
+
 def test_j_must_be_surjective():
     with pytest.raises(td.ValidationError):
         td.build_model(("a",), ("s", "u"), ("s",), ("s",), [1])
