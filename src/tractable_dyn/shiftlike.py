@@ -14,6 +14,7 @@ so long words cost nothing but bits.
 
 Tables are dense lists indexed by packed value; their size N^(n+k) is guarded
 by a configurable cell cap (TRACTABLE_DYN_CELL_CAP, default 2^24 entries).
+Messages name such sizes as N^L, never as the expanded integer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _check_alphabet(n_symbols: int):
         raise ValidationError("alphabet size must be at least 2")
 
 
+def _power_upto(n_symbols: int, length: int, limit: int) -> int | None:
+    """N^length if it is at most limit, else None.  For N >= 2 a length past
+    limit.bit_length() settles it without building N^length."""
+    if length > limit.bit_length():
+        return None
+    power = n_symbols ** length
+    return power if power <= limit else None
+
+
 @dataclass(frozen=True)
 class Word:
     """Finite word over {0..N-1}, packed little-endian (digit 0 first)."""
@@ -49,7 +59,7 @@ class Word:
             raise ValidationError("word length must be >= 0")
         if not (0 <= self.value < self.n_symbols ** self.length):
             raise ValidationError(
-                f"packed value {self.value} out of range for length {self.length}")
+                f"packed value out of range [0, {self.n_symbols}^{self.length})")
 
     @classmethod
     def from_digits(cls, n_symbols: int, digits) -> "Word":
@@ -114,11 +124,12 @@ class Word:
 
 def _capped_word_count(n_symbols: int, length: int) -> int:
     """N^length, the number of words of a length, within the cell cap."""
-    count = n_symbols ** length
+    _check_alphabet(n_symbols)
     limit = resolve_cell_cap()
-    if count > limit:
+    count = _power_upto(n_symbols, length, limit)
+    if count is None:
         raise CapExceededError(
-            f"{count} words of length {length} exceed the cell cap {limit}")
+            f"{n_symbols}^{length} words exceed the cell cap {limit}")
     return count
 
 
@@ -153,10 +164,11 @@ class SlidingBlockCode:
         _check_alphabet(self.n_symbols)
         if self.window < 1:
             raise ValidationError("window width must be >= 1")
-        expected = self.n_symbols ** self.window
-        if len(self.phi) != expected:
+        if _power_upto(self.n_symbols, self.window, len(self.phi)) \
+                != len(self.phi):
             raise ValidationError(
-                f"phi table has {len(self.phi)} entries, expected {expected}")
+                f"phi table has {len(self.phi)} entries, expected "
+                f"{self.n_symbols}^{self.window}")
         for entry in self.phi:
             if not (0 <= entry < self.n_symbols):
                 raise ValidationError(f"phi entry {entry} out of range")
@@ -193,10 +205,12 @@ class ShiftLikeSystem:
         _check_alphabet(self.n_symbols)
         if self.n < 1 or self.k < 1:
             raise ValidationError("n and k must be >= 1")
-        expected = self.n_symbols ** (self.n + self.k)
-        if len(self.gamma) != expected:
+        width = self.n + self.k
+        if _power_upto(self.n_symbols, width, len(self.gamma)) \
+                != len(self.gamma):
             raise ValidationError(
-                f"gamma table has {len(self.gamma)} entries, expected {expected}")
+                f"gamma table has {len(self.gamma)} entries, expected "
+                f"{self.n_symbols}^{width}")
         out_range = self.n_symbols ** self.n
         # Every entry is an n-word, so g(t x) = gamma(t) x is shift
         # compatible by construction: dropping n symbols of the image
@@ -215,11 +229,10 @@ def derive_gamma(code: SlidingBlockCode, n: int) -> ShiftLikeSystem:
     if n < 1:
         raise ValidationError("n must be >= 1")
     k = max(code.window - 1, 1)
-    table_size = code.n_symbols ** (n + k)
     limit = resolve_cell_cap()
-    if table_size > limit:
-        raise CapExceededError(
-            f"table of {table_size} entries exceeds the cell cap {limit}")
+    if _power_upto(code.n_symbols, n + k, limit) is None:
+        raise CapExceededError(f"table of {code.n_symbols}^{n + k} entries "
+                               f"exceeds the cell cap {limit}")
     return ShiftLikeSystem(code.n_symbols, n, k, _rounded_table(code, n, k))
 
 
@@ -418,9 +431,10 @@ def system_from_json(data) -> ShiftLikeSystem:
     if not (isinstance(gamma, list) and all(isinstance(x, int) for x in gamma)):
         raise ValidationError("'gamma' must be a list of integers")
     limit = resolve_cell_cap()
-    if n_symbols >= 2 and n >= 1 and k >= 1 and n_symbols ** (n + k) > limit:
+    if n_symbols >= 2 and n >= 1 and k >= 1 and \
+            _power_upto(n_symbols, n + k, limit) is None:
         raise CapExceededError(
-            f"table of {n_symbols ** (n + k)} entries exceeds the cap {limit}")
+            f"table of {n_symbols}^{n + k} entries exceeds the cap {limit}")
     return ShiftLikeSystem(n_symbols, n, k, tuple(gamma))
 
 

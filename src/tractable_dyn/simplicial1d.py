@@ -20,9 +20,9 @@ geometrically.  That yields:
   the rounded vertex map must be repaired.
 
 All geometry in this module is exact: results are fractions.Fraction, and
-the hot loops (decoding, refinement, word coding) run on the system's integer
-chart, where every vertex is an integer and every local inverse an integer
-affine ratio, so no gcd is taken until a result is returned.  Floating point
+g and its local inverses run only on the system's integer chart, as integer
+affine ratios, so no gcd is taken until a result is returned (``pl_eval``,
+the one Fraction evaluator of g, is kept for callers).  Floating point
 appears only in the norm-bound spot check, in Markov sampling, and in the
 screen that bins decoded windows: it evaluates them in float beside a proven
 error bound and hands every window it cannot settle to the exact chain, so
@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -192,11 +193,10 @@ class IntegerChart:
     / rise[j] with offset[j] = x[j] rise[j] - length[j] P_j.
 
     A chain of local inverses is kept as an unreduced integer triple
-    (n, b, d) meaning y -> (n y + b) / d.  Composing branch j on the right
-    gives (n length[j], n offset[j] + b rise[j], d rise[j]); because the
-    triple is never reduced, the leftmost branch i of a chain divides out
-    exactly: n // length[i], d // rise[i], and
-    b = (b - offset[i] (d // rise[i])) // length[i].
+    (n, b, d) meaning y -> (n y + b) / d; composing branch j on the right
+    gives (n length[j], n offset[j] + b rise[j], d rise[j]).  A point X / D
+    (D > 0) on fine edge j, x[j] D <= X <= x[j + 1] D, steps forward by g to
+    (rise[j] X - offset[j] D) / (length[j] D).
     """
 
     scale: int
@@ -211,6 +211,15 @@ class IntegerChart:
 
     def coarse_length(self, i: int) -> int:
         return self.coarse_x[i + 1] - self.coarse_x[i]
+
+    def pull_back(self, branches: Sequence[int]) -> tuple[int, int, int]:
+        """The chain (n, b, d) of local inverses along branches, first
+        outermost."""
+        length, rise, offset = self.length, self.rise, self.offset
+        n, b, d = 1, 0, 1
+        for j in branches:
+            n, b, d = n * length[j], n * offset[j] + b * rise[j], d * rise[j]
+        return n, b, d
 
 
 def _integer_chart(k: IntervalComplex, kstar: IntervalComplex,
@@ -304,20 +313,13 @@ def _system(k: IntervalComplex, kstar: IntervalComplex,
     return SimplicialSystem1D(k, kstar, tuple(images))
 
 
-def pl_eval_vmap(k: IntervalComplex, kstar: IntervalComplex,
-                 images: Sequence[int], x) -> Fraction:
-    """Evaluate the piecewise-linear extension of a vertex map (may collapse)."""
-    x = Fraction(x)
-    j = kstar.locate_edge(x)
-    w0, w1 = kstar.edge(j)
-    p0 = k.vertices[images[j]]
-    p1 = k.vertices[images[j + 1]]
-    return p0 + (x - w0) * (p1 - p0) / (w1 - w0)
-
-
 def pl_eval(system: SimplicialSystem1D, x) -> Fraction:
     """Exact value of g at a rational point."""
-    return pl_eval_vmap(system.k, system.kstar, system.vertex_images, x)
+    x = Fraction(x)
+    j = system.kstar.locate_edge(x)
+    w0, w1 = system.kstar.edge(j)
+    p0, p1 = system.image_value(j), system.image_value(j + 1)
+    return p0 + (x - w0) * (p1 - p0) / (w1 - w0)
 
 
 def theta(system: SimplicialSystem1D) -> Fraction:
@@ -402,7 +404,10 @@ def column_stochastic_norm_bound(matrix, theta_value,
 
 
 def _check_star_word(system: SimplicialSystem1D, word) -> tuple[int, ...]:
-    word = tuple(int(j) for j in word)
+    try:
+        word = tuple(map(operator.index, word))
+    except TypeError:
+        raise WordError("fine edge indices must be integers") from None
     if not word:
         raise WordError("empty fine-edge word")
     for j in word:
@@ -427,29 +432,28 @@ def code_H_1d(system: SimplicialSystem1D, word) -> tuple[Fraction, Fraction]:
     """
     word = _check_star_word(system, word)
     chart = system.chart
-    n, b, d = 1, 0, 1
-    for j in word[:-1]:
-        n, b, d = (n * chart.length[j], n * chart.offset[j] + b * chart.rise[j],
-                   d * chart.rise[j])
-    lo, hi = sorted(Fraction(n * chart.x[v] + b, d * chart.scale)
-                    for v in (word[-1], word[-1] + 1))
-    first_lo, first_hi = system.kstar.edge(word[0])
-    if not first_lo <= lo <= hi <= first_hi:
+    x, rise, offset, length = chart.x, chart.rise, chart.offset, chart.length
+    # The interval is [lo / d, hi / d] in chart coordinates, d > 0.
+    n, b, d = chart.pull_back(word[:-1])
+    lo, hi = n * x[word[-1]] + b, n * x[word[-1] + 1] + b
+    if d < 0:
+        lo, hi, d = -hi, -lo, -d
+    if not x[word[0]] * d <= lo <= hi <= x[word[0] + 1] * d:
         raise NumericalError("coded interval leaves the word's first edge")
-    base = chart.j_edge[word[0]]
-    d_length = 2 * (hi - lo) / system.k.edge_length(base)
+    d_length = Fraction(2 * (hi - lo),
+                        d * chart.coarse_length(chart.j_edge[word[0]]))
     if d_length > 2 * (1 - chart.theta) ** len(word):
         raise NumericalError("coded interval exceeds the contraction bound")
-    # The itinerary really is the word: iterate g exactly (rationals, so no
-    # orbit collapse) on endpoints and midpoint.
-    for x in (lo, (lo + hi) / 2, hi):
+    # The itinerary really is the word: step g forward exactly (integers, so
+    # no orbit collapse) on endpoints and midpoint.
+    for point, den in ((lo, d), (lo + hi, 2 * d), (hi, d)):
         for j in word:
-            a, b = system.kstar.edge(j)
-            if not a <= x <= b:
+            if not x[j] * den <= point <= x[j + 1] * den:
                 raise CorrespondenceError(
-                    f"itinerary of {x} leaves the coded word")
-            x = pl_eval(system, x)
-    return lo, hi
+                    f"itinerary of {Fraction(point, den * chart.scale)} "
+                    "leaves the coded word")
+            point, den = rise[j] * point - offset[j] * den, length[j] * den
+    return Fraction(lo, d * chart.scale), Fraction(hi, d * chart.scale)
 
 
 @dataclass(frozen=True)
@@ -594,6 +598,7 @@ def _repair(k: IntervalComplex, kstar: IntervalComplex,
     new_verts: list[Fraction] = []
     new_images: list[int] = []
     reassigned = inserted = 0
+    sup_change = Fraction(0)
     for v, run in itertools.groupby(zip(kstar.vertices, images),
                                     key=lambda pair: pair[1]):
         run_verts = [w for w, _ in run]
@@ -605,15 +610,12 @@ def _repair(k: IntervalComplex, kstar: IntervalComplex,
         new_verts.extend(run_verts)
         new_images.extend(u if offset % 2 else v
                           for offset in range(len(run_verts)))
+        # Each run vertex moves from v to v or u, and both maps are affine
+        # between repaired vertices: the largest vertex move is the sup.
+        if len(run_verts) > 1:
+            sup_change = max(sup_change, abs(k.vertices[v] - k.vertices[u]))
 
-    repaired_star = IntervalComplex(tuple(new_verts))
-    system = _system(k, repaired_star, new_images)
-
-    sup_change = Fraction(0)
-    for w in repaired_star.vertices:
-        before = pl_eval_vmap(k, kstar, images, w)
-        after = pl_eval(system, w)
-        sup_change = max(sup_change, abs(before - after))
+    system = _system(k, IntervalComplex(tuple(new_verts)), new_images)
     bound = 4 * k.mesh()
     if sup_change > bound:
         raise NumericalError(
@@ -1107,15 +1109,11 @@ def decode_orbit_histogram(report: PLReport, star_class,
         pending = np.flatnonzero(~settled).tolist()
 
     # A window the screen leaves open is decoded exactly: the chain of local
-    # inverses along path[i:i + depth], an integer triple (n, b, d) as in
-    # IntegerChart, applied to the midpoint of fine edge path[i + depth].
-    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
+    # inverses along path[i:i + depth] at the midpoint of path[i + depth].
     for i in pending:
-        n, b, d = 1, 0, 1
-        for j in path[i:i + depth]:
-            n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
+        n, b, d = chart.pull_back(path[i:i + depth])
         j = path[i + depth]
-        mid, den = n * (x[j] + x[j + 1]) + 2 * b, 2 * d
+        mid, den = n * (chart.x[j] + chart.x[j + 1]) + 2 * b, 2 * d
         if den < 0:
             mid, den = -mid, -den
         q = bin_of(mid, den)

@@ -22,7 +22,10 @@ Gauss-Jordan elimination over ``Fraction``, which the library replaced with
 certified solves modulo primes.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
 per word, where the library counts codes with ``np.bincount`` and keeps
-integers over one common denominator.  ``FrozensetRelation`` is the
+integers over one common denominator.  ``code_H_1d`` checks a coded
+itinerary by iterating g in ``Fraction`` through ``pl_eval_vmap``, a
+bisection over the fine vertices, where the library steps g forward in
+chart integers.  ``FrozensetRelation`` is the
 relation stored as a frozenset of edge tuples and re-sorted into successor
 tables, with its Tarjan pass and decomposition, its restriction,
 composition and inverse, and the G and G* that the two-alphabet model built
@@ -33,7 +36,9 @@ of a vertex map with a while-loop, and ``roundoff`` finds each cell's
 simplex by scanning every vertex star and then every edge star
 (``neighbourhood_bounds``); both turn coarse-vertex indices back into
 vertex values for ``build_system``, where the library bisects the float
-midpoints and builds from the indices.
+midpoints and builds from the indices.  The repair measures its sup change
+by evaluating both vertex maps with ``pl_eval_vmap`` at every repaired
+vertex, where the library compares the vertex images of each run.
 """
 
 from dataclasses import dataclass
@@ -465,6 +470,45 @@ def local_inverse(system, star_edge):
     return AffineMap(scale, w0 - scale * p0)
 
 
+def pl_eval_vmap(k, kstar, images, x):
+    """The piecewise-linear extension of a vertex map given as coarse-vertex
+    indices (it may collapse edges), by bisection over the fine vertices."""
+    x = Fraction(x)
+    j = kstar.locate_edge(x)
+    w0, w1 = kstar.edge(j)
+    p0 = k.vertices[images[j]]
+    p1 = k.vertices[images[j + 1]]
+    return p0 + (x - w0) * (p1 - p0) / (w1 - w0)
+
+
+def code_H_1d(system, word):
+    """code_H_1d with its itinerary check iterating g in Fractions through
+    ``pl_eval_vmap``."""
+    word = td.simplicial1d._check_star_word(system, word)
+    chart = system.chart
+    n, b, d = 1, 0, 1
+    for j in word[:-1]:
+        n, b, d = (n * chart.length[j], n * chart.offset[j] + b * chart.rise[j],
+                   d * chart.rise[j])
+    lo, hi = sorted(Fraction(n * chart.x[v] + b, d * chart.scale)
+                    for v in (word[-1], word[-1] + 1))
+    first_lo, first_hi = system.kstar.edge(word[0])
+    if not first_lo <= lo <= hi <= first_hi:
+        raise td.NumericalError("coded interval leaves the word's first edge")
+    base = chart.j_edge[word[0]]
+    d_length = 2 * (hi - lo) / system.k.edge_length(base)
+    if d_length > 2 * (1 - chart.theta) ** len(word):
+        raise td.NumericalError("coded interval exceeds the contraction bound")
+    for x in (lo, (lo + hi) / 2, hi):
+        for j in word:
+            a, b = system.kstar.edge(j)
+            if not a <= x <= b:
+                raise td.CorrespondenceError(
+                    f"itinerary of {x} leaves the coded word")
+            x = pl_eval_vmap(system.k, system.kstar, system.vertex_images, x)
+    return lo, hi
+
+
 def code_interval(system, word):
     """Interval of a fine-edge word: the last edge pulled back in Fractions."""
     lo, hi = system.kstar.edge(word[-1])
@@ -802,8 +846,9 @@ def nondegenerate_repair(k, kstar, vmap):
                              [k.vertices[i] for i in new_images])
     sup_change = Fraction(0)
     for w in repaired_star.vertices:
-        before = td.simplicial1d.pl_eval_vmap(k, kstar, images, w)
-        sup_change = max(sup_change, abs(before - td.pl_eval(system, w)))
+        before = pl_eval_vmap(k, kstar, images, w)
+        after = pl_eval_vmap(k, repaired_star, new_images, w)
+        sup_change = max(sup_change, abs(before - after))
     bound = 4 * k.mesh()
     if sup_change > bound:
         raise td.NumericalError(

@@ -1,6 +1,8 @@
 import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,32 @@ def test_blockmap_cap_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "blockmap-approx", "--input", path, "--n", "40")
     assert code == 3
     assert err
+
+
+def test_blockmap_huge_sizes_exit_cleanly(tmp_path, capsys):
+    # Sizes past 4300 digits are named as N^L, so these exit 3 and 2
+    # rather than crash while printing the expanded integer.
+    path = str(Path(__file__).parent / "golden" / "inputs" / "code.json")
+    code, out, err = run(capsys, "blockmap-approx", "--input", path,
+                         "--n", "20000")
+    assert (code, out) == (3, "")
+    assert "table of 2^20001 entries" in err
+    wide = write(tmp_path / "wide.json", {"N": 2, "m": 20000, "phi": [0]})
+    code, out, err = run(capsys, "blockmap-approx", "--input", wide,
+                         "--n", "1")
+    assert (code, out) == (2, "")
+    assert "expected 2^20000" in err
+
+
+def test_blockmap_cap_exits_at_once_for_a_huge_n(tmp_path, capsys):
+    path = write(tmp_path / "three.json",
+                 {"N": 3, "m": 2, "phi": [0, 1, 2] * 3})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "blockmap-approx", "--input", path,
+                         "--n", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "table of 3^10000001 entries" in err
 
 
 def test_blockmap_env_cap(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,8 @@ denominators 3, 5 and 7, and systems shaped like the ``plmap`` benchmark
 schedule (random vertex maps, repaired lazy maps, rounded sampled maps).
 """
 
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -188,6 +190,128 @@ def test_code_H_1d_matches_reference(all_systems):
         for word in _words(system, rng, 12):
             assert td.code_H_1d(system, word) == \
                 oracles.code_interval(system, word)
+
+
+def _outcome(function, *args):
+    """A function's result, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except td.TractableDynError as exc:
+        return type(exc), str(exc)
+
+
+def _checks_a_shared_vertex(system, word):
+    """Whether code_H_1d's itinerary check meets a fine vertex shared by
+    two fine edges: an end, or the midpoint, of the word's interval, or an
+    iterate of one, checked against the next edge of the word."""
+    lo, hi = oracles.code_H_1d(system, word)
+    shared = set(system.kstar.vertices[1:-1])
+    for x in (lo, (lo + hi) / 2, hi):
+        for _ in word:
+            if x in shared:
+                return True
+            x = td.pl_eval(system, x)
+    return False
+
+
+def test_code_H_1d_matches_the_fraction_itinerary_oracle(all_systems):
+    rng = random.Random(1701)
+    pool = all_systems + [schedule_shape(rng, kind, n_edges)
+                          for kind in ("vmap", "repair", "sampled")
+                          for n_edges in (3, 6, 10)]
+    words = on_shared_vertex = 0
+    for system in pool:
+        for word in _words(system, rng, 40):
+            assert td.code_H_1d(system, word) == \
+                oracles.code_H_1d(system, word)
+            words += 1
+            on_shared_vertex += _checks_a_shared_vertex(system, word)
+    assert words >= 1000
+    assert on_shared_vertex >= 100
+
+
+def test_code_H_1d_failures_match_the_fraction_itinerary_oracle(all_systems):
+    # A chart whose image edges are redrawn at random admits non-words, so
+    # both versions fail, and must fail alike, at the first-edge check or
+    # the itinerary check.
+    rng = random.Random(1702)
+    outcomes = set()
+    for system in all_systems:
+        chart = system.chart
+        n_coarse = len(chart.coarse_x) - 1
+        broken = td.SimplicialSystem1D(system.k, system.kstar,
+                                       system.vertex_images)
+        vars(broken)["chart"] = dataclasses.replace(
+            chart, image_edge=tuple(rng.randrange(n_coarse)
+                                    for _ in chart.image_edge))
+        for word in _words(broken, rng, 30):
+            got = _outcome(td.code_H_1d, broken, word)
+            assert got == _outcome(oracles.code_H_1d, broken, word)
+            outcomes.add(got if isinstance(got[0], type) else "coded")
+    assert {o if o == "coded" else o[0] for o in outcomes} == \
+        {"coded", td.NumericalError, td.CorrespondenceError}
+
+
+def test_internal_paths_never_bisect_in_fractions(all_systems, monkeypatch):
+    # IntervalComplex.locate_edge is the Fraction bisection behind pl_eval.
+    def refuse(self, x):
+        raise AssertionError("locate_edge called")
+    monkeypatch.setattr(td.IntervalComplex, "locate_edge", refuse)
+    with pytest.raises(AssertionError):
+        td.pl_eval(all_systems[0], 0)
+    rng = random.Random(1703)
+    for seed, system in enumerate(all_systems):
+        for word in _words(system, rng, 5):
+            td.code_H_1d(system, word)
+        report = td.tractability_report_pl(system)
+        pair = report.analysis.terminal_pairs[0]
+        td.decode_orbit_histogram(report, pair.star_members, segments=100,
+                                  depth=20, bins=5, seed=seed)
+    # Every window decoded by its exact chain, not by the float screen.
+    monkeypatch.setattr(simplicial1d, "_SCREEN_SLACK", 2.0 ** 60)
+    td.decode_orbit_histogram(report, pair.star_members, segments=100,
+                              depth=20, bins=5, seed=0)
+    k = td.IntervalComplex(tuple(F(i) for i in range(4)))
+    kstar = td.IntervalComplex(tuple(F(i, 4) for i in range(13)))
+    _, repair = td.nondegenerate_repair(
+        k, kstar, [0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 2, 1, 1])
+    assert repair.changed and repair.sup_change == 1
+    _, roundoff = td.roundoff(lambda t: 1.5 + 1.4 * math.sin(2 * t), k, 3)
+    assert roundoff.repaired and roundoff.repair.changed
+
+
+def _rescaled(system, a, b):
+    """The system carried by t -> a t + b, with the same vertex images."""
+    k = td.IntervalComplex(tuple(a * v + b for v in system.k.vertices))
+    kstar = td.IntervalComplex(tuple(a * v + b for v in system.kstar.vertices))
+    return td.build_system(k, kstar,
+                           [k.vertices[i] for i in system.vertex_images])
+
+
+def test_rescaling_moves_intervals_and_keeps_everything_else(all_systems,
+                                                             monkeypatch):
+    # a = 7/3 and b = -5/11 change the lcm scale of every chart.
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "20000")
+    a, b = F(7, 3), F(-5, 11)
+    rng = random.Random(1704)
+    for system in all_systems:
+        moved = _rescaled(system, a, b)
+        assert moved.chart.scale != system.chart.scale
+        assert td.theta(moved) == td.theta(system)
+        for depth in range(5):
+            mesh = td.refine(system, depth)[1]
+            assert td.refine(moved, depth)[1].mesh_d == mesh.mesh_d
+            if mesh.cells > 2000:
+                break
+        report, moved_report = (td.tractability_report_pl(s)
+                                for s in (system, moved))
+        assert moved_report.analysis.stationary == report.analysis.stationary
+        assert [m["background_mass"] for m in
+                moved_report.to_json_dict()["measures"]] == \
+            [m["background_mass"] for m in report.to_json_dict()["measures"]]
+        for word in _words(system, rng, 10):
+            lo, hi = td.code_H_1d(system, word)
+            assert td.code_H_1d(moved, word) == (a * lo + b, a * hi + b)
 
 
 def test_refine_matches_reference(all_systems, monkeypatch):

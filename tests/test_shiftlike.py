@@ -396,6 +396,61 @@ def test_code_json_rejects_wrong_table_size():
         td.shiftlike.code_from_json({"N": 2, "m": 2, "phi": [0, 1]})
 
 
+# Sizes past 4300 decimal digits cannot be printed as integers, so every
+# size message names N^L.
+
+
+def test_size_messages_name_powers():
+    cases = [
+        (td.CapExceededError, "2^20000 words exceed the cell cap",
+         lambda: td.all_words(2, 20000)),
+        (td.CapExceededError, "table of 2^20001 entries exceeds the cell cap",
+         lambda: td.derive_gamma(td.SlidingBlockCode(2, 2, (0, 0, 1, 1)),
+                                 20000)),
+        (td.CapExceededError, "table of 3^20000 entries exceeds the cap",
+         lambda: td.shiftlike.system_from_json(
+             {"N": 3, "n": 10000, "k": 10000, "gamma": [0]})),
+        (td.ValidationError, "phi table has 1 entries, expected 2^20000",
+         lambda: td.shiftlike.code_from_json(
+             {"N": 2, "m": 20000, "phi": [0]})),
+        (td.ValidationError, "gamma table has 4 entries, expected 2^20000",
+         lambda: td.ShiftLikeSystem(2, 10000, 10000, (0, 0, 1, 1))),
+        (td.ValidationError, "packed value out of range [0, 2^20000)",
+         lambda: Word(2, 20000, 2 ** 20000)),
+        (td.ValidationError, "phi table has 3 entries, expected 2^2",
+         lambda: td.SlidingBlockCode(2, 2, (0, 1, 1))),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value).startswith(message)
+
+
+def test_cap_checks_do_not_build_huge_powers(monkeypatch):
+    # A length past the cap's bit length exceeds the cap for any N >= 2,
+    # so 3^(10^7 + 1), a 4.8-million-digit integer, is never built.
+    calls = []
+    power_upto = td.shiftlike._power_upto
+
+    def spy(n_symbols, length, limit):
+        calls.append(length > limit.bit_length())
+        return power_upto(n_symbols, length, limit)
+    monkeypatch.setattr(td.shiftlike, "_power_upto", spy)
+    code = td.SlidingBlockCode(3, 2, tuple(range(3)) * 3)
+    with pytest.raises(td.CapExceededError, match=r"3\^10000001 entries"):
+        td.derive_gamma(code, 10 ** 7)
+    assert calls == [False, True]
+    assert td.shiftlike._power_upto(2, 24, 2 ** 24) == 2 ** 24
+    assert td.shiftlike._power_upto(2, 25, 2 ** 24) is None
+    assert td.shiftlike._power_upto(3, 16, 2 ** 24) is None
+    assert td.shiftlike._power_upto(3, 15, 2 ** 24) == 3 ** 15
+
+
+def test_all_words_checks_the_alphabet_before_the_cap():
+    with pytest.raises(td.ValidationError, match="alphabet size"):
+        td.all_words(1, 30)
+
+
 @pytest.mark.parametrize("n_symbols", [2, 3, 4])
 def test_two_alphabet_model_matches_the_word_oracle(n_symbols, monkeypatch):
     rng = random.Random(47 + n_symbols)

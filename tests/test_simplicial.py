@@ -213,6 +213,19 @@ def test_code_word_rejects_non_words(example_a):
         td.code_H_1d(example_a, (0, 2))
 
 
+@pytest.mark.parametrize("word", [[0.9, 1.7], ["a"], [0, F(1)], [None]])
+def test_code_word_rejects_non_integer_symbols(example_a, word):
+    # int() would truncate [0.9, 1.7] to the word [0, 1].
+    with pytest.raises(td.WordError, match="must be integers"):
+        td.code_H_1d(example_a, word)
+
+
+def test_code_word_takes_integer_like_symbols(example_a):
+    assert td.code_H_1d(example_a, np.array([0, 0])) == (F(1, 4), F(1, 2))
+    assert td.code_H_1d(example_a, [np.int64(0), 1]) == \
+        td.code_H_1d(example_a, (0, 1))
+
+
 def test_code_word_lengths_shrink_geometrically(random_pl_system):
     rng = random.Random(47)
     for _ in range(8):
