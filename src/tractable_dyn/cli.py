@@ -297,15 +297,11 @@ def cmd_plmap_approx(args) -> int:
     repair_report = None
     roundoff_report = None
     if set(data) == {"K", "Kstar", "vmap"}:
-        k = simplicial1d.complex_from_json(data["K"])
-        kstar = simplicial1d.complex_from_json(data["Kstar"])
-        if not isinstance(data["vmap"], dict):
-            raise ValidationError("'vmap' must be an object")
+        parts = simplicial1d.system_parts_from_json(data)
         if args.repair:
-            system, repair_report = simplicial1d.nondegenerate_repair(
-                k, kstar, data["vmap"])
+            system, repair_report = simplicial1d.nondegenerate_repair(*parts)
         else:
-            system = simplicial1d.build_system(k, kstar, data["vmap"])
+            system = simplicial1d.build_system(*parts)
     elif set(data) == {"K", "samples", "lip"}:
         k = simplicial1d.complex_from_json(data["K"])
         if not isinstance(data["samples"], dict):

@@ -24,10 +24,11 @@ from .errors import NumericalError, ValidationError
 
 
 def parse_rational(value) -> Fraction:
-    """Accept Fraction, int, or a "p/q" / "p" string."""
+    """Accept Fraction, int, or a "p/q" / "p" string; a bool is not a
+    number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

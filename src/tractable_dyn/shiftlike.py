@@ -425,10 +425,11 @@ def system_from_json(data) -> ShiftLikeSystem:
     if unknown:
         raise ValidationError(f"unknown gamma-table fields: {sorted(unknown)}")
     n_symbols, n, k = data["N"], data["n"], data["k"]
-    if not all(isinstance(x, int) for x in (n_symbols, n, k)):
+    # type, not isinstance: JSON true and false are bools, and bool is an int.
+    if not all(type(x) is int for x in (n_symbols, n, k)):
         raise ValidationError("N, n, k must be integers")
     gamma = data["gamma"]
-    if not (isinstance(gamma, list) and all(isinstance(x, int) for x in gamma)):
+    if not (isinstance(gamma, list) and all(type(x) is int for x in gamma)):
         raise ValidationError("'gamma' must be a list of integers")
     limit = resolve_cell_cap()
     if n_symbols >= 2 and n >= 1 and k >= 1 and \
@@ -454,8 +455,9 @@ def code_from_json(data) -> SlidingBlockCode:
     if unknown:
         raise ValidationError(f"unknown code fields: {sorted(unknown)}")
     n_symbols, window, phi = data["N"], data["m"], data["phi"]
-    if not (isinstance(n_symbols, int) and isinstance(window, int)):
+    # type, not isinstance: JSON true and false are bools, and bool is an int.
+    if not (type(n_symbols) is int and type(window) is int):
         raise ValidationError("N and m must be integers")
-    if not (isinstance(phi, list) and all(isinstance(x, int) for x in phi)):
+    if not (isinstance(phi, list) and all(type(x) is int for x in phi)):
         raise ValidationError("'phi' must be a list of integers")
     return SlidingBlockCode(n_symbols, window, tuple(phi))

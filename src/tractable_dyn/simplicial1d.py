@@ -1,7 +1,8 @@
 """Piecewise-linear interval dynamics via simplicial maps, in exact rationals.
 
-A 1-D interval complex K is a strictly increasing list of rational vertices;
-its simplices are the vertices and the closed edges between neighbours.  A
+A 1-D interval complex K is a strictly increasing list of rational vertices,
+each found through one vertex-to-index map built on first use; its simplices
+are the vertices and the closed edges between neighbours.  A
 simplicial system is a proper subdivision K* of K (every K edge split at
 least once) together with a non-degenerate vertex map into V(K); the induced
 map g is affine on each K* edge and sends it onto a full K edge.  Because
@@ -37,6 +38,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,18 +57,23 @@ from .relation import tractability_json
 
 @dataclass(frozen=True)
 class IntervalComplex:
-    """Strictly increasing rational vertices; edges join neighbours."""
+    """Strictly increasing rational vertices; edges join neighbours.
+    ``position``, built on first use, maps each vertex to its index."""
 
     vertices: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           tuple(Fraction(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(
+            v if isinstance(v, Fraction) else Fraction(v)
+            for v in self.vertices))
         if len(self.vertices) < 2:
             raise ValidationError("an interval complex needs at least 2 vertices")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if not a < b:
-                raise ValidationError("vertices must be strictly increasing")
+        if not all(map(operator.lt, self.vertices, self.vertices[1:])):
+            raise ValidationError("vertices must be strictly increasing")
+
+    @cached_property
+    def position(self) -> dict[Fraction, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def n_edges(self) -> int:
@@ -97,11 +104,7 @@ class IntervalComplex:
         return self.lo <= x <= self.hi
 
     def vertex_index(self, x) -> int | None:
-        x = Fraction(x)
-        i = bisect.bisect_left(self.vertices, x)
-        if i < len(self.vertices) and self.vertices[i] == x:
-            return i
-        return None
+        return self.position.get(Fraction(x))
 
     def locate_edge(self, x) -> int:
         """Index of an edge containing x (left edge at interior vertices)."""
@@ -137,48 +140,44 @@ def metric_d(complex_: IntervalComplex, x, y) -> Fraction:
                 for i in keys), start=Fraction(0))
 
 
-def _normalize_vmap(kstar: IntervalComplex, k: IntervalComplex,
-                    vmap) -> tuple[int, ...]:
+def _vertex_images(k: IntervalComplex, kstar: IntervalComplex,
+                   vmap) -> tuple[int, ...]:
+    """The coarse-vertex index of each fine vertex: checks that K* properly
+    subdivides K, then reads the vertex map."""
+    if (kstar.lo, kstar.hi) != (k.lo, k.hi):
+        raise SubdivisionError("fine and coarse complexes span different intervals")
+    fine = kstar.position
+    missing = [str(v) for v in k.vertices if v not in fine]
+    if missing:
+        raise SubdivisionError(
+            f"coarse vertices missing from the subdivision: {missing}")
+    for a, b in zip(k.vertices, k.vertices[1:]):
+        if fine[b] - fine[a] < 2:
+            raise SubdivisionError(
+                f"edge [{a}, {b}] is not split: subdivision is not proper")
     if isinstance(vmap, Mapping):
-        parsed = {Fraction(parse_rational(key)): parse_rational(value)
+        parsed = {parse_rational(key): parse_rational(value)
                   for key, value in vmap.items()}
-        missing = [v for v in kstar.vertices if v not in parsed]
+        missing = [str(v) for v in kstar.vertices if v not in parsed]
         if missing:
-            raise ValidationError(
-                f"vertex map missing images for {[str(v) for v in missing]}")
-        extra = [key for key in parsed if kstar.vertex_index(key) is None]
-        if extra:
-            raise ValidationError(
-                f"vertex map has unknown vertices {[str(v) for v in extra]}")
+            raise ValidationError(f"vertex map missing images for {missing}")
+        if len(parsed) > len(fine):
+            extra = [str(v) for v in parsed if v not in fine]
+            raise ValidationError(f"vertex map has unknown vertices {extra}")
+        if len(parsed) < len(vmap):
+            named = Counter(map(parse_rational, vmap))
+            twice = [str(v) for v, n in named.items() if n > 1]
+            raise ValidationError(f"vertex map repeats fine vertices {twice}")
         values = [parsed[v] for v in kstar.vertices]
     else:
         values = [parse_rational(v) for v in vmap]
         if len(values) != len(kstar.vertices):
             raise ValidationError("vertex map must cover every fine vertex")
-    images = []
-    for value in values:
-        idx = k.vertex_index(value)
-        if idx is None:
-            raise ValidationError(f"image {value} is not a coarse vertex")
-        images.append(idx)
+    images = [k.position.get(value) for value in values]
+    if None in images:
+        raise ValidationError(
+            f"image {values[images.index(None)]} is not a coarse vertex")
     return tuple(images)
-
-
-def _check_subdivision(k: IntervalComplex, kstar: IntervalComplex):
-    if (kstar.lo, kstar.hi) != (k.lo, k.hi):
-        raise SubdivisionError("fine and coarse complexes span different intervals")
-    coarse = set(k.vertices)
-    fine = set(kstar.vertices)
-    if not coarse <= fine:
-        missing = sorted(coarse - fine)
-        raise SubdivisionError(
-            f"coarse vertices missing from the subdivision: "
-            f"{[str(v) for v in missing]}")
-    for a, b in zip(k.vertices, k.vertices[1:]):
-        # Both complexes end at b or beyond, so a fine vertex follows a.
-        if not kstar.vertices[bisect.bisect_right(kstar.vertices, a)] < b:
-            raise SubdivisionError(
-                f"edge [{a}, {b}] is not split: subdivision is not proper")
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,7 @@ def build_system(k: IntervalComplex, kstar: IntervalComplex,
     list.  Adjacent fine vertices must have distinct, adjacent coarse images;
     use nondegenerate_repair for maps that collapse edges.
     """
-    _check_subdivision(k, kstar)
-    return _system(k, kstar, _normalize_vmap(kstar, k, vmap))
+    return _system(k, kstar, _vertex_images(k, kstar, vmap))
 
 
 def _system(k: IntervalComplex, kstar: IntervalComplex,
@@ -580,8 +578,7 @@ def nondegenerate_repair(k: IntervalComplex, kstar: IntervalComplex,
     changes by at most 4 mesh(K) in the sup metric (at most mesh(K) for this
     construction).
     """
-    _check_subdivision(k, kstar)
-    return _repair(k, kstar, _normalize_vmap(kstar, k, vmap))
+    return _repair(k, kstar, _vertex_images(k, kstar, vmap))
 
 
 def _repair(k: IntervalComplex, kstar: IntervalComplex,
@@ -1143,7 +1140,8 @@ def complex_to_json(complex_: IntervalComplex) -> dict:
     return {"vertices": [format_rational(v) for v in complex_.vertices]}
 
 
-def system_from_json(data) -> SimplicialSystem1D:
+def system_parts_from_json(data) -> tuple[IntervalComplex, IntervalComplex, dict]:
+    """(K, K*, vmap) of a system file; building the system checks the rest."""
     if not isinstance(data, dict):
         raise ValidationError("system file must be a JSON object")
     required = {"K", "Kstar", "vmap"}
@@ -1157,7 +1155,11 @@ def system_from_json(data) -> SimplicialSystem1D:
     kstar = complex_from_json(data["Kstar"])
     if not isinstance(data["vmap"], dict):
         raise ValidationError("'vmap' must be an object")
-    return build_system(k, kstar, data["vmap"])
+    return k, kstar, data["vmap"]
+
+
+def system_from_json(data) -> SimplicialSystem1D:
+    return build_system(*system_parts_from_json(data))
 
 
 def system_to_json(system: SimplicialSystem1D) -> dict:

@@ -39,8 +39,13 @@ vertex values for ``build_system``, where the library bisects the float
 midpoints and builds from the indices.  The repair measures its sup change
 by evaluating both vertex maps with ``pl_eval_vmap`` at every repaired
 vertex, where the library compares the vertex images of each run.
+``check_subdivision`` and ``vertex_images`` read a system as the library
+did before each complex kept a map from vertex to index: ``vertex_index``
+finds each vertex by bisection over the ``Fraction`` vertices.
 """
 
+import bisect
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,6 +54,7 @@ import numpy as np
 
 import tractable_dyn as td
 from tractable_dyn import markov
+from tractable_dyn.rationals import parse_rational
 
 
 def reachability(n, edges):
@@ -800,13 +806,74 @@ def shiftlike_two_alphabet(system):
     )
 
 
+def vertex_index(complex_, x):
+    """The index of vertex x of a complex by bisection, or None."""
+    x = Fraction(x)
+    i = bisect.bisect_left(complex_.vertices, x)
+    if i < len(complex_.vertices) and complex_.vertices[i] == x:
+        return i
+    return None
+
+
+def check_subdivision(k, kstar):
+    """Properness of K* over K with sets and a bisection per coarse edge."""
+    if (kstar.lo, kstar.hi) != (k.lo, k.hi):
+        raise td.SubdivisionError(
+            "fine and coarse complexes span different intervals")
+    coarse = set(k.vertices)
+    fine = set(kstar.vertices)
+    if not coarse <= fine:
+        missing = sorted(coarse - fine)
+        raise td.SubdivisionError(
+            f"coarse vertices missing from the subdivision: "
+            f"{[str(v) for v in missing]}")
+    for a, b in zip(k.vertices, k.vertices[1:]):
+        # Both complexes end at b or beyond, so a fine vertex follows a.
+        if not kstar.vertices[bisect.bisect_right(kstar.vertices, a)] < b:
+            raise td.SubdivisionError(
+                f"edge [{a}, {b}] is not split: subdivision is not proper")
+
+
+def vertex_images(k, kstar, vmap):
+    """The coarse-vertex index of each fine vertex, after
+    ``check_subdivision``, with every vertex found by ``vertex_index``.  A
+    repeated fine vertex is found by comparing each parsed key with those
+    after it."""
+    check_subdivision(k, kstar)
+    if isinstance(vmap, Mapping):
+        parsed = {Fraction(parse_rational(key)): parse_rational(value)
+                  for key, value in vmap.items()}
+        keys = [Fraction(parse_rational(key)) for key in vmap]
+        missing = [v for v in kstar.vertices if v not in parsed]
+        if missing:
+            raise td.ValidationError(
+                f"vertex map missing images for {[str(v) for v in missing]}")
+        extra = [key for key in parsed if vertex_index(kstar, key) is None]
+        if extra:
+            raise td.ValidationError(
+                f"vertex map has unknown vertices {[str(v) for v in extra]}")
+        twice = [str(v) for i, v in enumerate(keys)
+                 if v in keys[i + 1:] and v not in keys[:i]]
+        if twice:
+            raise td.ValidationError(f"vertex map repeats fine vertices {twice}")
+        values = [parsed[v] for v in kstar.vertices]
+    else:
+        values = [parse_rational(v) for v in vmap]
+        if len(values) != len(kstar.vertices):
+            raise td.ValidationError("vertex map must cover every fine vertex")
+    images = []
+    for value in values:
+        idx = vertex_index(k, value)
+        if idx is None:
+            raise td.ValidationError(f"image {value} is not a coarse vertex")
+        images.append(idx)
+    return tuple(images)
+
+
 def nondegenerate_repair(k, kstar, vmap):
     """Repair by a while-loop over runs, built through ``build_system`` from
     the repaired images turned back into coarse vertex values."""
-    from tractable_dyn.simplicial1d import _check_subdivision, _normalize_vmap
-
-    _check_subdivision(k, kstar)
-    images = list(_normalize_vmap(kstar, k, vmap))
+    images = list(vertex_images(k, kstar, vmap))
     verts = list(kstar.vertices)
     for j in range(len(verts) - 1):
         if abs(images[j] - images[j + 1]) > 1:

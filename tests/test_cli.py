@@ -563,6 +563,32 @@ def test_plmap_invalid_inputs_exit_2(tmp_path, capsys, payload, flags,
     assert message in err
 
 
+def test_plmap_vmap_naming_a_vertex_twice_exits_2(tmp_path, capsys):
+    # "1/2" and "2/4" are one vertex; the file would otherwise map it to 2.
+    twice = dict(SYSTEM_A, vmap=dict(SYSTEM_A["vmap"], **{"2/4": "2"}))
+    path = write(tmp_path / "twice.json", twice)
+    code, out, err = run(capsys, "plmap-approx", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex map repeats fine vertices ['1/2']\n"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("blockmap-approx", {"N": 2, "m": True, "phi": [0, 1]}),
+    ("blockmap-approx", {"N": 2, "m": 1, "phi": [False, True]}),
+    ("plmap-approx", dict(SYSTEM_A, K={"vertices": [False, True, "2"]})),
+    ("plmap-approx", dict(SYSTEM_A, vmap=dict(SYSTEM_A["vmap"], **{"0": True}))),
+    ("plmap-approx", {"K": {"vertices": ["0", "1", "2"]},
+                      "samples": {"0": "0", "1": "1", "2": "2"}, "lip": True}),
+])
+def test_json_true_and_false_are_not_numbers(tmp_path, capsys, command,
+                                             payload):
+    path = write(tmp_path / "in.json", payload)
+    flags = ["--n", "1"] if command == "blockmap-approx" else []
+    code, out, err = run(capsys, command, "--input", path, *flags)
+    assert (code, out) == (2, "")
+    assert "integers" in err or "not a rational literal" in err
+
+
 def test_cover_file_with_unknown_keys_exits_2(tmp_path, capsys):
     path = write(tmp_path / "cover.json",
                  {"relation": RELATION_B, "matrix": [[1.0]], "extra": 1})

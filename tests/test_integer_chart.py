@@ -5,12 +5,20 @@ are compared with the step-by-step versions in ``oracles`` on the worked
 examples, the random systems of ``conftest``, systems with vertex
 denominators 3, 5 and 7, and systems shaped like the ``plmap`` benchmark
 schedule (random vertex maps, repaired lazy maps, rounded sampled maps).
+The system reader, which finds vertices through each complex's map from
+vertex to index, is compared with the bisecting reader in ``oracles`` on the
+same systems, each also corrupted in seven ways.
 """
 
+import bisect
 import dataclasses
+import json
 import math
 import random
+import types
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tractable_dyn as td
-from tractable_dyn import markov, simplicial1d
+from tractable_dyn import cli, markov, simplicial1d
 
 import oracles
 
@@ -252,11 +260,28 @@ def test_code_H_1d_failures_match_the_fraction_itinerary_oracle(all_systems):
         {"coded", td.NumericalError, td.CorrespondenceError}
 
 
-def test_internal_paths_never_bisect_in_fractions(all_systems, monkeypatch):
+def _fraction_free_bisect():
+    """A stand-in for simplicial1d's ``bisect`` that refuses to search a
+    sequence holding Fractions."""
+    def guard(search):
+        def guarded(seq, *args, **kwargs):
+            if any(isinstance(v, F) for v in seq):
+                raise AssertionError(f"{search.__name__} over Fractions")
+            return search(seq, *args, **kwargs)
+        return guarded
+    return types.SimpleNamespace(bisect_left=guard(bisect.bisect_left),
+                                 bisect_right=guard(bisect.bisect_right))
+
+
+def test_internal_paths_never_bisect_in_fractions(all_systems, monkeypatch,
+                                                  tmp_path):
     # IntervalComplex.locate_edge is the Fraction bisection behind pl_eval.
     def refuse(self, x):
         raise AssertionError("locate_edge called")
     monkeypatch.setattr(td.IntervalComplex, "locate_edge", refuse)
+    monkeypatch.setattr(simplicial1d, "bisect", _fraction_free_bisect())
+    with pytest.raises(AssertionError):
+        simplicial1d.bisect.bisect_left([F(0), F(1)], F(1, 2))
     with pytest.raises(AssertionError):
         td.pl_eval(all_systems[0], 0)
     rng = random.Random(1703)
@@ -278,6 +303,84 @@ def test_internal_paths_never_bisect_in_fractions(all_systems, monkeypatch):
     assert repair.changed and repair.sup_change == 1
     _, roundoff = td.roundoff(lambda t: 1.5 + 1.4 * math.sin(2 * t), k, 3)
     assert roundoff.repaired and roundoff.repair.changed
+    # Reading systems: from JSON, from a mapping vertex map, and by the CLI.
+    for system in all_systems:
+        data = json.loads(json.dumps(simplicial1d.system_to_json(system)))
+        again = simplicial1d.system_from_json(data)
+        assert again.vertex_images == system.vertex_images
+        vmap = {w: system.image_value(j)
+                for j, w in enumerate(again.kstar.vertices)}
+        assert td.build_system(again.k, again.kstar, vmap) == system
+    path = Path(__file__).parent / "golden" / "inputs" / "system.json"
+    assert cli.main(["plmap-approx", "--input", str(path), "--simulate", "500",
+                     "--out", str(tmp_path / "report.json")]) == 0
+
+
+def _reader_cases(all_systems):
+    """(K, K*, vmap) of each test system and of seeded schedule shapes:
+    each system as it is (vertex map as a mapping and as a sequence) and
+    corrupted once in each of seven ways."""
+    rng = random.Random(1805)
+    pool = list(all_systems) + [schedule_shape(rng, kind, rng.randint(1, 12))
+                                for kind in ("vmap", "repair", "sampled")
+                                for _ in range(14)]
+    for system in pool:
+        k, kstar = system.k, system.kstar
+        # Keys and images as JSON strings or as Fractions.
+        key, value = (rng.choice((str, F)) for _ in range(2))
+        images = [value(system.image_value(j))
+                  for j in range(len(kstar.vertices))]
+        vmap = dict(zip(map(key, kstar.vertices), images))
+        yield k, kstar, vmap
+        yield k, kstar, images
+        # A fine key dropped.
+        gone = rng.choice(list(vmap))
+        yield k, kstar, {w: v for w, v in vmap.items() if w != gone}
+        # An unknown key: the midpoint of a fine edge.
+        a, b = kstar.edge(rng.randrange(kstar.n_edges))
+        yield k, kstar, {**vmap, key((a + b) / 2): value(k.lo)}
+        # An image that is not a coarse vertex.
+        a, b = k.edge(rng.randrange(k.n_edges))
+        yield k, kstar, {**vmap, rng.choice(list(vmap)): value((a + b) / 2)}
+        # A coarse vertex dropped from K*.
+        gone = rng.choice(k.vertices[1:-1] or k.vertices)
+        yield (k, td.IntervalComplex(tuple(w for w in kstar.vertices
+                                           if w != gone)), vmap)
+        # A coarse edge left unsplit.
+        a, b = k.edge(rng.randrange(k.n_edges))
+        yield (k, td.IntervalComplex(tuple(w for w in kstar.vertices
+                                           if not a < w < b)), vmap)
+        # K and K* spanning different intervals.
+        if rng.random() < 0.5:
+            yield td.IntervalComplex(k.vertices + (k.hi + 1,)), kstar, vmap
+        else:
+            yield k, td.IntervalComplex((kstar.lo - 1,) + kstar.vertices), vmap
+        # A sequence vertex map one image short or one too long.
+        yield k, kstar, (images[:-1] if rng.random() < 0.5
+                         else images + [value(k.lo)])
+
+
+# What each corruption trips: the K* checks, then the vertex map checks.
+_READER_ERRORS = ("span different intervals", "missing from the subdivision",
+                  "is not split", "vertex map missing images",
+                  "has unknown vertices", "is not a coarse vertex",
+                  "must cover every fine vertex")
+
+
+def test_reader_matches_the_bisecting_oracle(all_systems):
+    outcomes = Counter()
+    for k, kstar, vmap in _reader_cases(all_systems):
+        got = _outcome(simplicial1d._vertex_images, k, kstar, vmap)
+        assert got == _outcome(oracles.vertex_images, k, kstar, vmap)
+        outcomes[next(m for m in _READER_ERRORS if m in got[1])
+                 if isinstance(got[0], type) else "images"] += 1
+        for complex_ in (k, kstar):
+            ends = complex_.vertices
+            for x in ends + tuple((a + b) / 2 for a, b in zip(ends, ends[1:])):
+                assert complex_.vertex_index(x) == \
+                    oracles.vertex_index(complex_, x)
+    assert sum(outcomes.values()) >= 500
+    assert set(outcomes) == {"images", *_READER_ERRORS}
 
 
 def _rescaled(system, a, b):

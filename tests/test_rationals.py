@@ -229,3 +229,9 @@ def test_class_stationary_peak_memory_stays_off_dense_blocks():
         tracemalloc.stop()
     assert sum(v_b.values()) == 1
     assert peak < 26 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_rejects_bools(value):
+    with pytest.raises(td.ValidationError, match="not a rational literal"):
+        rationals.parse_rational(value)

@@ -391,6 +391,25 @@ def test_system_json_checks_cap_before_the_table():
         td.shiftlike.system_from_json(data)
 
 
+@pytest.mark.parametrize("data", [
+    {"N": 2, "n": 1, "k": True, "gamma": [0, 1, 0, 1]},
+    {"N": 2, "n": 1, "k": 1, "gamma": [0, True, False, 1]},
+])
+def test_system_json_rejects_bools(data):
+    with pytest.raises(td.ValidationError, match="integers"):
+        td.shiftlike.system_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"N": 2, "m": True, "phi": [0, 1]},
+    {"N": True, "m": 1, "phi": [0]},
+    {"N": 2, "m": 1, "phi": [False, True]},
+])
+def test_code_json_rejects_bools(data):
+    with pytest.raises(td.ValidationError, match="integers"):
+        td.shiftlike.code_from_json(data)
+
+
 def test_code_json_rejects_wrong_table_size():
     with pytest.raises(td.ValidationError):
         td.shiftlike.code_from_json({"N": 2, "m": 2, "phi": [0, 1]})

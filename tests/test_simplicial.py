@@ -141,6 +141,25 @@ def test_vmap_accepts_rational_strings():
     assert td.pl_eval(system, F(1, 2)) == 0
 
 
+def test_vmap_names_each_fine_vertex_once():
+    # F(1, 2) and "2/4" are one vertex: neither image may silently win.
+    vmap = {"0": "1", F(1, 2): "0", "2/4": "2", "1": "1", "3/2": "2", "2": "1"}
+    with pytest.raises(td.ValidationError,
+                       match=r"^vertex map repeats fine vertices \['1/2'\]$"):
+        td.build_system(cx(0, 1, 2), cx(0, F(1, 2), 1, F(3, 2), 2), vmap)
+
+
+def test_complex_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    k = td.IntervalComplex((0, half, 2.0))
+    assert k.vertices == (F(0), half, F(2))
+    assert k.vertices[1] is half
+    assert all(type(v) is F for v in k.vertices)
+    assert k.position == {F(0): 0, half: 1, F(2): 2}
+    assert [k.vertex_index(x) for x in (0, "1/2", 0.5, 1, F(3, 2))] == \
+        [0, 1, 1, None, None]
+
+
 # --- evaluation, theta, contraction ---
 
 
