@@ -140,7 +140,11 @@ def _load_cover(path: str) -> markov.StochasticCover:
         relation = relation_from_json(_load_json(resolved))
     else:
         relation = relation_from_json(relation_part)
-    return markov.validate_cover(relation, data["matrix"])
+    # The file holds the dense matrix; a flat list would read as edge weights.
+    matrix = data["matrix"]
+    if isinstance(matrix, list) and not (matrix and isinstance(matrix[0], list)):
+        raise ValidationError("matrix is not an array of numbers: no rows")
+    return markov.validate_cover(relation, matrix)
 
 
 def cmd_subshift_report(args) -> int:

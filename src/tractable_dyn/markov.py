@@ -1,14 +1,20 @@
 """Stochastic covers of finite relations and their ergodic Markov measures.
 
-A stochastic cover of a relation G on K is a column-stochastic matrix whose
-support pattern is exactly G: ``matrix[j][i] > 0`` iff (i, j) is an edge.
-Such a matrix drives a Markov chain whose sample paths are the words of G,
-and its structure certifies tractability of the induced subshift:
+A stochastic cover of a relation G on K puts a positive weight on each edge
+of G, so that the weights leaving each element sum to 1.  A cover holds one
+float64 weight per edge, in the sorted (i, j) order of the relation's edge
+list: the weights of the edges leaving i are one contiguous slice, in the
+order of ``relation.successors(i)``.  Every pass below reads that vector,
+so a cover costs O(E) memory for E edges.  The dense column-stochastic
+matrix, ``matrix[j][i]`` = weight of i -> j, is the cover file format that
+``validate_cover`` reads, and ``StochasticCover.matrix`` builds it on
+demand.  A cover drives a Markov chain whose sample paths are the words of
+G, and its structure certifies tractability of the induced subshift:
 
 * every terminal basic set B carries a unique stationary vector v_B, strictly
   positive on B (Frobenius theory on the irreducible block);
 * the associated shift-ergodic Markov measure has the cylinder weights
-  ``mu⟨s_0 .. s_n⟩ = initial(s_0) * prod matrix[s_{t+1}][s_t]``;
+  ``mu⟨s_0 .. s_n⟩ = initial(s_0) * prod weight(s_t -> s_{t+1})``;
 * mass on transient elements decays geometrically, witnessed by an explicit
   (n, rho) certificate;
 * a path chosen by any positive-initial Markov measure is almost surely
@@ -32,8 +38,8 @@ from .errors import (CoverError, DomainError, ElementMismatchError,
                      NotStationaryError, NotTerminalError, NumericalError,
                      ValidationError)
 from .relation import (BasicSetDecomposition, FiniteRelation,
-                       _terminal_class_at, basic_sets, check_word,
-                       tractability_json)
+                       _strong_components, _terminal_class_at, basic_sets,
+                       check_word, tractability_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,24 +58,34 @@ def _unit_float(bits: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StochasticCover:
-    """Column-stochastic matrix whose support equals a relation's edge set."""
+    """Weights on a relation's edges, one per edge in sorted (i, j) order.
+
+    ``weights[e]`` is the weight of the e-th edge of ``relation.edges``.  The
+    cover holds its own read-only float64 copy of them.  The constructor
+    checks nothing: ``validate_cover`` does, and every cover the library
+    builds goes through it.
+    """
 
     relation: FiniteRelation
-    matrix: np.ndarray  # matrix[j, i] = transition weight i -> j
+    weights: np.ndarray
 
     def __post_init__(self):
-        # A float64 array that owns its data and is read-only (what
-        # validate_cover passes) is kept as it is; anything else is copied.
-        matrix = self.matrix
-        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-                and matrix.flags.owndata and not matrix.flags.writeable):
-            matrix = np.array(matrix, dtype=float, copy=True)
-            matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
+        weights = np.array(self.weights, dtype=float, copy=True)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
         return len(self.relation.elements)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``matrix[j, i]`` = weight of i -> j, built on each read
+        as a new read-only array."""
+        dense = np.zeros((self.size, self.size))
+        dense.T.flat[self.relation._edge_codes] = self.weights  # codes i n + j
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,39 +143,50 @@ class DecayCertificate:
     rho: float
 
 
-def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
-    """Check support pattern and column sums, returning the cover.
+def validate_cover(relation: FiniteRelation, weights) -> StochasticCover:
+    """Check a cover's support and column sums, returning the cover.
 
-    The cover holds one read-only float64 copy of ``matrix``, so later
-    changes to the caller's array do not reach it.  A matrix that is not a
+    ``weights`` is either a vector of one weight per edge, in the sorted
+    (i, j) order of ``relation.edges``, or the dense ``matrix[j][i]`` =
+    weight of i -> j of a cover file.  Every weight must lie in [0, 1], be
+    positive exactly on the edges, and the weights leaving each element
+    must sum to 1 within 1e-12.  A dense matrix that breaks the support
+    rule is reported at its first bad cell in (i, j) scan order; it is then
+    reduced to its edge weights by one gather.  Input that is not a
     rectangular array of numbers is a CoverError.
     """
     try:
-        arr = np.array(matrix, dtype=float, copy=True)
+        arr = np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:
         raise CoverError(f"matrix is not an array of numbers: {exc}") from None
-    arr.setflags(write=False)
     size = len(relation.elements)
-    if arr.shape != (size, size):
+    codes = relation._edge_codes
+    sources, targets = np.divmod(codes, size)
+    if arr.ndim == 1 and arr.shape != codes.shape:
+        raise CoverError(f"weights shape {arr.shape} does not match {len(codes)} edges")
+    if arr.ndim != 1 and arr.shape != (size, size):
         raise CoverError(f"matrix shape {arr.shape} does not match {size} elements")
     if not ((arr >= 0).all() and (arr <= 1 + COLUMN_SUM_TOL).all()):
         raise CoverError("matrix entries must lie in [0, 1]")
-    # support[i, j]: (i, j) is an edge, i.e. arr[j, i] must be positive.
-    support = np.zeros(size * size, dtype=bool)
-    support[relation._edge_codes] = True  # code i size + j
-    support = support.reshape(size, size)
-    weights = arr.T
-    bad = np.where(support, weights <= 0, weights != 0)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), size)  # first bad (i, j) in scan order
-        if support[i, j]:
+    if arr.ndim == 2:
+        rows, cols = np.nonzero(arr)
+        dense, arr, positive = arr, arr[targets, sources], cols * size + rows
+    else:
+        positive = codes[arr > 0]
+    # Zero edges and positive non-edges (of a dense input only), as sorted
+    # codes i size + j.
+    bad = np.setxor1d(positive, codes, assume_unique=True)
+    if len(bad):
+        i, j = divmod(int(bad[0]), size)
+        if relation.has_edge(i, j):
             raise CoverError(
                 f"edge ({relation.elements[i]}, {relation.elements[j]}) "
                 "has zero weight")
         raise CoverError(
             f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
-            f"has weight {arr[j, i]:.17g}")
-    sums = arr.sum(axis=0)
+            f"has weight {dense[j, i]:.17g}")
+    # Each column's weights are added in row order, as a dense column sum.
+    sums = np.bincount(sources, weights=arr, minlength=size)
     bad = [i for i in range(size) if abs(sums[i] - 1.0) > COLUMN_SUM_TOL]
     if bad:
         raise CoverError(
@@ -169,18 +196,11 @@ def validate_cover(relation: FiniteRelation, matrix) -> StochasticCover:
 
 
 def cover_from_columns(relation: FiniteRelation, columns) -> StochasticCover:
-    """The cover with weight ``columns[i][p]`` on the edge i -> successors(i)[p].
-
-    The weights go into the dense ``matrix[j, i]`` layout in one assignment
-    through the sorted edge codes i n + j, the flat indices of ``matrix.T``,
-    and the matrix is checked by ``validate_cover``.
-    """
-    size = len(relation.elements)
-    matrix = np.zeros((size, size))
-    matrix.T.flat[relation._edge_codes] = np.fromiter(
+    """The cover with weight ``columns[i][p]`` on the edge i -> successors(i)[p],
+    checked by ``validate_cover``."""
+    return validate_cover(relation, np.fromiter(
         itertools.chain.from_iterable(columns), dtype=float,
-        count=len(relation.edges))
-    return validate_cover(relation, matrix)
+        count=len(relation.edges)))
 
 
 def uniform_cover(relation: FiniteRelation) -> StochasticCover:
@@ -204,7 +224,7 @@ def transient_decay(cover: StochasticCover,
 
     The transient mass is a row vector pushed along the edge list, starting
     from the indicator of the transient elements: one step is
-    ``mass[i] = sum of matrix[j, i] * mass[j]`` over the edges i -> j, one
+    ``mass[i] = sum of weight(i -> j) * mass[j]`` over the edges i -> j, one
     ``np.bincount`` in the sorted edge order (for each i, the j ascend), so
     the same cover gives the same bits on any machine.  rho is the largest
     entry after n steps, and the bound rho^k is checked for k = 2..5 with
@@ -238,13 +258,12 @@ def transient_decay(cover: StochasticCover,
     n = max(1, max(dist))
 
     sources, targets = np.divmod(cover.relation._edge_codes, size)
-    weights = cover.matrix[targets, sources]
 
     def push(mass: np.ndarray) -> np.ndarray:
         # n steps of mass <- mass P: after the k-th call, mass[s] is the
         # transient mass of P^(n k) started at s.
         for _ in range(n):
-            mass = np.bincount(sources, weights=mass[targets] * weights,
+            mass = np.bincount(sources, weights=mass[targets] * cover.weights,
                                minlength=size)
         return mass
 
@@ -272,26 +291,16 @@ def _check_terminal_class(cover: StochasticCover, class_members) -> tuple[int, .
         if not (0 <= i < size):
             raise NotTerminalError(f"element index {i} out of range")
     relation = cover.relation
-    inside = set(members)
-    for i in inside:
+    local = {i: p for p, i in enumerate(members)}
+    for i in members:
         for j in relation.successors(i):
-            if j not in inside:
+            if j not in local:
                 raise NotTerminalError(
                     f"edge leaves the class: ({relation.elements[i]}, "
                     f"{relation.elements[j]})")
-    # Irreducibility of the block: the first member reaches every member,
-    # and every member reaches the first, inside the class.
-    for neighbours in (relation.successors, relation.predecessors):
-        seen = {members[0]}
-        frontier = [members[0]]
-        while frontier:
-            node = frontier.pop()
-            for nxt in neighbours(node):
-                if nxt in inside and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if seen != inside:
-            raise NotTerminalError("class is not strongly connected")
+    succ = [[local[j] for j in relation.successors(i)] for i in members]
+    if len(_strong_components(succ)) != 1:
+        raise NotTerminalError("class is not strongly connected")
     return members
 
 
@@ -309,8 +318,13 @@ def stationary_distribution(cover: StochasticCover,
     """
     members = _check_terminal_class(cover, terminal_class)
     idx = np.array(members)
-    block = cover.matrix[np.ix_(idx, idx)]
     c = len(members)
+    # The class is closed, so its edges are those with a source inside.
+    sources, targets = np.divmod(cover.relation._edge_codes, cover.size)
+    inside = np.isin(sources, idx)
+    block = np.zeros((c, c))
+    block[idx.searchsorted(targets[inside]),
+          idx.searchsorted(sources[inside])] = cover.weights[inside]
 
     v_block = None
     try:
@@ -361,7 +375,9 @@ def decompose_stationary(cover: StochasticCover,
         else np.asarray(stationary, dtype=float)
     if len(v) != cover.size:
         raise ElementMismatchError("vector length does not match the cover")
-    residual = float(np.abs(cover.matrix @ v - v).max())
+    sources, targets = np.divmod(cover.relation._edge_codes, cover.size)
+    moved = np.bincount(targets, cover.weights * v[sources], cover.size)
+    residual = float(np.abs(moved - v).max())
     if residual > DECOMPOSE_TOL:
         raise NotStationaryError(
             f"stationarity residual {residual:.3e} exceeds 1e-9")
@@ -399,12 +415,12 @@ def cylinder_measure(spec: MarkovMeasureSpec, word) -> float:
     for s in word:
         if not (0 <= s < size):
             raise ValidationError(f"symbol {s} out of range")
+    codes = spec.cover.relation._edge_codes
+    value = float(spec.initial.weights[word[0]])
     for a, b in zip(word, word[1:]):
         if not spec.cover.relation.has_edge(a, b):
             return 0.0
-    value = float(spec.initial.weights[word[0]])
-    for a, b in zip(word, word[1:]):
-        value *= float(spec.cover.matrix[b, a])
+        value *= float(spec.cover.weights[codes.searchsorted(a * size + b)])
     return value
 
 
@@ -447,41 +463,42 @@ def sample_path(spec: MarkovMeasureSpec, length: int, seed: int) -> list[int]:
     Identical (spec, length, seed) always yields the identical path.  The
     uniforms come from ``_uniforms``, one numpy pass per ``_DRAW_BLOCK``
     draws, so memory beyond the path stays bounded.  Each step takes the
-    first positive entry of its column, in element order, whose running sum
-    exceeds the draw: a bisection over the column's prefix sums, summed left
-    to right once per visited column.  When rounding leaves the draw above
-    every sum, the last positive entry is taken.  So the result is
-    bit-reproducible across platforms, and a step costs a bisection, not its
-    column's support.
+    first successor of its element, in element order, whose running sum of
+    edge weights exceeds the draw: a bisection over the prefix sums of the
+    element's weight slice, summed left to right (``itertools.accumulate``)
+    once per visited element.
+    When rounding leaves the draw above every sum, the last successor is
+    taken.  So the result is bit-reproducible across platforms, and a step
+    costs a bisection, not its element's out-degree.
     """
     if length < 1:
         raise ValidationError("path length must be >= 1")
-    matrix = spec.cover.matrix
-    columns: list[tuple[list[int], list[float]] | None] = [None] * len(matrix)
+    relation, weights = spec.cover.relation, spec.cover.weights
+    size = spec.cover.size
+    columns: list[tuple[list[int], list[float]] | None] = [None] * size
 
-    def cdf(weights) -> tuple[list[int], list[float]]:
+    def cdf(index, column) -> tuple[list[int], list[float]]:
         # The index list repeats its last entry for draws past every sum.
-        index = np.flatnonzero(weights > 0).tolist()
         if not index:
             raise NumericalError("cannot sample from an all-zero column")
-        sums, acc = [], 0.0
-        for w in weights[index].tolist():
-            acc += w
-            sums.append(acc)
-        return index + index[-1:], sums
+        return index + index[-1:], list(itertools.accumulate(column))
 
     bisect_right = bisect.bisect_right
     draws = itertools.chain.from_iterable(
         _uniforms(seed, start, min(_DRAW_BLOCK, length - start)).tolist()
         for start in range(0, length, _DRAW_BLOCK))
-    index, sums = cdf(spec.initial.weights)
+    positive = np.flatnonzero(spec.initial.weights > 0).tolist()
+    index, sums = cdf(positive, spec.initial.weights[positive].tolist())
     current = index[bisect_right(sums, next(draws))]
     path = [current]
     append = path.append
     for u in draws:
         column = columns[current]
         if column is None:
-            column = columns[current] = cdf(matrix[:, current])
+            targets = relation.successors(current)
+            start = relation._edge_codes.searchsorted(current * size)
+            column = columns[current] = cdf(
+                list(targets), weights[start:start + len(targets)].tolist())
         index, sums = column
         current = index[bisect_right(sums, u)]
         append(current)

@@ -27,7 +27,8 @@ tuple.  Everything else is a ``cached_property`` built on first use:
 ``edges``, a read-only set view over the successor tuples whose ``len`` is
 exact and O(1), which iterates in sorted order and answers membership by
 bisection; the predecessor tuples; and the sorted int64 edge codes
-i n + j, which path checks search and ``markov`` fills covers through.
+i n + j, which path checks search and whose order is the order of a
+``markov`` cover's weights.
 The order between classes is read off the condensation DAG (one node per
 strong component) that Tarjan's pass emits in reverse topological order:
 each component's set of reachable classes is the union of its successors'

@@ -13,11 +13,14 @@ powers, where the library pushes one mass vector along the edge list, and
 block-code image uses a fresh power per symbol, and ``splitmix64`` steps
 the generator's state one draw at a time.  The uniform cover and the
 decoder's float G* cover are filled cell by cell in loops over the
-successors, where the library writes every weight in one assignment
-through the sorted edge codes.  The cover-support scan,
+successors, where the library keeps one weight per edge in sorted edge
+order and builds the dense matrix from them in one assignment.  The cover-support scan,
 the G and G* definitions, the fiber sums, the dense balance check and the
 stationarity identity are the cell-by-cell loops that the library replaced
-with a boolean mask and with passes over the J-fibers.  The exact solver is dense
+with passes over the edge list and the J-fibers.  ``dense_cover_check`` is
+the whole dense cover check (shape, range, that scan and ``sum(axis=0)``
+column sums), where the library compares sorted edge codes and adds each
+column's edge weights with one ``np.bincount``.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
 certified solves modulo primes.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
@@ -143,6 +146,29 @@ def check_cover_support(relation, matrix):
                 raise td.CoverError(
                     f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
                     f"has weight {matrix[j][i]:.17g}")
+
+
+def dense_cover_check(relation, matrix):
+    """Check a dense cover ``matrix[j][i]`` cell by cell and return it as a
+    float array, or raise the library's CoverError with its message."""
+    try:
+        arr = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise td.CoverError(f"matrix is not an array of numbers: {exc}") from None
+    size = len(relation.elements)
+    if arr.shape != (size, size):
+        raise td.CoverError(
+            f"matrix shape {arr.shape} does not match {size} elements")
+    if not ((arr >= 0).all() and (arr <= 1 + markov.COLUMN_SUM_TOL).all()):
+        raise td.CoverError("matrix entries must lie in [0, 1]")
+    check_cover_support(relation, arr)
+    sums = arr.sum(axis=0)
+    bad = [i for i in range(size) if abs(sums[i] - 1.0) > markov.COLUMN_SUM_TOL]
+    if bad:
+        raise td.CoverError(
+            "columns do not sum to 1: "
+            + ", ".join(f"{relation.elements[i]} -> {sums[i]:.17g}" for i in bad))
+    return arr
 
 
 def uniform_cover_matrix(relation):

@@ -179,6 +179,20 @@ def test_subshift_report_rejects_a_malformed_matrix(tmp_path, capsys, matrix):
             ("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")]), matrix)
 
 
+@pytest.mark.parametrize("elements, edges, matrix", [
+    (["a", "b"], [["a", "a"], ["a", "b"], ["b", "b"]], [0.5, 0.5, 1.0]),
+    ([], [], []),
+])
+def test_subshift_report_reads_only_a_dense_matrix(tmp_path, capsys,
+                                                   elements, edges, matrix):
+    # A flat list would pass as one weight per edge in the library.
+    path = write(tmp_path / "cover.json", {
+        "relation": {"elements": elements, "edges": edges}, "matrix": matrix})
+    code, out, err = run(capsys, "subshift-report", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix is not an array of numbers")
+
+
 def test_subshift_report_csv(tmp_path, capsys):
     path = cover_files(tmp_path)
     code, out, _ = run(capsys, "subshift-report", "--input", path,

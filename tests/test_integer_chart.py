@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction as F
@@ -592,6 +593,22 @@ def test_decoder_gstar_cover_matches_the_fiber_loop(all_systems, monkeypatch):
             oracles.decoder_gstar_matrix(report.analysis.model).tobytes()
 
 
+def test_decode_stays_off_a_dense_gstar_matrix():
+    # |K*| = 2560: one dense float |K*|^2 matrix alone would take 50 MiB.
+    system = schedule_shape(random.Random(1024), "vmap", 1024)
+    report = td.tractability_report_pl(system)
+    assert system.kstar.n_edges == 2560
+    pair = report.analysis.terminal_pairs[0]
+    tracemalloc.start()
+    try:
+        td.decode_orbit_histogram(report, pair.star_members, segments=10 ** 4,
+                                  depth=40, bins=10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def _sparse_cover(rng, size, out_degree):
     edges = set()
     for i in range(size):
@@ -641,9 +658,7 @@ def test_sample_path_rounding_fallback_matches_dense_scan(monkeypatch):
     relation = td.FiniteRelation(tuple(map(str, range(12))),
                                  frozenset((i, j) for i in range(12)
                                            for j in range(1, 11)))
-    matrix = np.zeros((12, 12))
-    matrix[1:11, :] = 0.1
-    cover = td.StochasticCover(relation, matrix)
+    cover = td.StochasticCover(relation, np.full(120, 0.1))
     spec = td.MarkovMeasureSpec(cover, td.Distribution.uniform(12))
     path = td.sample_path(spec, 20, 5)
     assert path == oracles.sample_path(spec, 20, 5)

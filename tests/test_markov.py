@@ -72,6 +72,63 @@ def test_support_mismatch_reports_the_first_bad_cell_of_the_scan():
         assert str(got.value) == str(expected.value)
 
 
+def _message(check):
+    with pytest.raises(td.CoverError) as raised:
+        check()
+    return str(raised.value)
+
+
+def test_dense_and_edge_inputs_are_checked_alike():
+    # Every dense input gets the message of the cell-by-cell oracle; an
+    # edge vector carrying the same corruption gets the same message.
+    rng = random.Random(37)
+    orders = set()
+    for _ in range(80):
+        cover = random_full_domain_cover(rng, rng.randint(2, 9))
+        relation, n = cover.relation, cover.size
+        sources = relation._edge_codes // n
+        dense = cover.matrix.tolist()
+        assert td.validate_cover(relation, dense).weights.tobytes() == \
+            td.validate_cover(relation, cover.weights.tolist()).weights.tobytes()
+
+        def as_dense(weights):
+            return td.StochasticCover(relation, weights).matrix.tolist()
+
+        edge = rng.randrange(len(cover.weights))
+        zero = np.array(cover.weights)
+        zero[edge] = 0.0
+        loose = np.array(cover.weights)
+        loose[sources == sources[edge]] *= 0.5
+        cases = [(as_dense(zero), zero), (as_dense(loose), loose)]
+        non_edges = [(i, j) for i in range(n) for j in range(n)
+                     if (i, j) not in relation.edges]
+        if non_edges:
+            i, j = rng.choice(non_edges)
+            positive = as_dense(cover.weights)
+            positive[j][i] = rng.uniform(0.01, 0.3)
+            both = as_dense(zero)
+            both[j][i] = positive[j][i]
+            cases += [(positive, None), (both, None)]
+            orders.add(i * n + j < relation._edge_codes[edge])
+        for matrix, weights in cases:
+            message = _message(
+                lambda: oracles.dense_cover_check(relation, matrix))
+            assert _message(lambda: td.validate_cover(relation, matrix)) \
+                == message
+            if weights is not None:
+                assert _message(
+                    lambda: td.validate_cover(relation, weights)) == message
+        for matrix in (dense[:-1], dense[:-1] + [dense[-1][:-1]]):
+            assert _message(lambda: td.validate_cover(relation, matrix)) == \
+                _message(lambda: oracles.dense_cover_check(relation, matrix))
+        weights = cover.weights.tolist()
+        with pytest.raises(td.CoverError, match="does not match"):
+            td.validate_cover(relation, weights[:-1])
+        with pytest.raises(td.CoverError, match="not an array of numbers"):
+            td.validate_cover(relation, weights[:-1] + [weights[-1:]])
+    assert orders == {True, False}  # the non-edge came first, and last
+
+
 def test_column_sums_checked(relation_b):
     matrix = [[1.0, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.5, 1.0]]
     with pytest.raises(td.CoverError):
@@ -86,10 +143,10 @@ def test_cover_holds_its_own_read_only_copy():
     assert not cover.matrix.flags.writeable
     with pytest.raises(ValueError):
         cover.matrix[0, 0] = 1.0
-    # The validated copy is the cover's matrix: it is not copied again.
-    assert td.StochasticCover(cover.relation, cover.matrix).matrix is cover.matrix
-    writeable = td.StochasticCover(cover.relation, matrix)
-    assert writeable.matrix is not matrix and not writeable.matrix.flags.writeable
+    # Every cover copies its edge weights into one read-only array.
+    weights = np.array(cover.weights)
+    again = td.StochasticCover(cover.relation, weights)
+    assert again.weights is not weights and not again.weights.flags.writeable
 
 
 def test_length_induced_cover_of_the_absorbing_example(relation_b):
@@ -271,6 +328,45 @@ def test_decay_on_a_large_cover_stays_sparse():
     assert cert.n >= 10 and 0 < cert.rho < 1
     assert peak < 2 << 20
     assert elapsed < 1.0
+
+
+def test_relabelled_covers_give_permuted_answers():
+    rng = random.Random(43)
+    for n in (5, 12, 40, 120):
+        for uniform in (True, False):
+            cover = planted_cover(rng, n, uniform)
+            relation = cover.relation
+            perm = list(range(n))  # element i becomes element perm[i]
+            rng.shuffle(perm)
+            labels = [""] * n
+            for i, p in enumerate(perm):
+                labels[p] = relation.elements[i]
+            weight = {(perm[i], perm[j]): w
+                      for (i, j), w in zip(relation.edges, cover.weights)}
+            moved_relation = td.FiniteRelation(labels, weight)
+            moved = td.markov.cover_from_columns(moved_relation, (
+                [weight[p, q] for q in moved_relation.successors(p)]
+                for p in range(n)))
+            first, second = (td.basic_sets(c.relation) for c in (cover, moved))
+
+            def labelled(decomposition, indices):
+                return {frozenset(decomposition.class_labels(c))
+                        for c in indices}
+
+            assert labelled(first, range(len(first.classes))) == \
+                labelled(second, range(len(second.classes)))
+            assert labelled(first, first.terminal_classes()) == \
+                labelled(second, second.terminal_classes())
+            for c in first.terminal_classes():
+                members = first.classes[c]
+                here = td.stationary_distribution(cover, members).weights
+                there = td.stationary_distribution(
+                    moved, [perm[i] for i in members]).weights
+                assert np.abs(here - there[perm]).max() <= 1e-12
+            decay = td.transient_decay(cover, first)
+            moved_decay = td.transient_decay(moved, second)
+            assert decay.n == moved_decay.n
+            assert abs(decay.rho - moved_decay.rho) <= 1e-12 * decay.rho
 
 
 # --- stationary distributions ---

@@ -241,6 +241,20 @@ def test_analyze_peak_memory_stays_off_the_dense_fine_matrix():
     assert peak < 40 * 2 ** 20
 
 
+def test_induced_covers_stay_off_the_dense_coarse_matrix():
+    # |K| = 4096: one dense float |K|^2 matrix alone would take 128 MiB.
+    model = td.shiftlike.to_two_alphabet(td.derive_gamma(
+        td.SlidingBlockCode(2, 3, (0, 0, 1, 1, 0, 0, 1, 1)), 12))
+    assert len(model.k) == 4096
+    tracemalloc.start()
+    try:
+        td.induced_covers(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_relations_of_codes_match_the_frozenset_oracle():
     # Random codes, and codes that mostly copy their first symbol, which
     # split into several classes.
