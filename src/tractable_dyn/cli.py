@@ -25,11 +25,15 @@ from __future__ import annotations
 import argparse
 import bisect
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+
+import numpy as np
 
 from . import markov, plot, shiftlike, simplicial1d, two_alphabet
 from .config import resolve_cell_cap
@@ -128,22 +132,158 @@ def cmd_relation_analyze(args) -> int:
     return 0
 
 
+# A cover file's matrix is read from its bytes as its nonzero cells when it
+# is a plain n x n array of JSON numbers; anything else takes the json.load
+# path, whose messages are the reference.
+_WS = json.decoder.WHITESPACE.match
+_DECODER = json.JSONDecoder()
+_NUMBER = re.compile(
+    rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?(?![-+.0-9eE])")
+_MATRIX_END = re.compile(rb"\][ \t\n\r]*\]")
+# Byte classes: 0 whitespace, 1 "[", 2 "]", 3 ",", 8 "0", 9 ".", 10 the
+# other number characters, 255 anything else.
+_CLASS_OF = {char: cls for cls, chars in (
+    (0, b" \t\n\r"), (1, b"["), (2, b"]"), (3, b","), (8, b"0"), (9, b"."),
+    (10, b"123456789+-eE")) for char in chars}
+_BYTE_CLASS = bytes(_CLASS_OF.get(char, 255) for char in range(256))
+_CHUNK = 1 << 18
+
+
+def _scan_matrix(data: bytes, start: int):
+    """The cells of the matrix at ``data[start]`` and the index just past
+    it, or None if it is not a plain rows x columns array of numbers.
+
+    Whole rows are read in chunks of about ``_CHUNK`` bytes.  Each chunk's
+    skeleton (its brackets and commas, one symbol per number, no
+    whitespace) must repeat the unit ``,[x,...,x]``.  A number spelt ``0``
+    or ``0.0`` is a zero cell; only the others are matched as JSON numbers
+    and converted by ``float``, as ``json`` converts them.
+    """
+    found = data[start:start + 1] == b"[" and _MATRIX_END.search(data, start)
+    if not found:
+        return None
+    stop = found.end() - 1
+    unit = None
+    rows, flat, positions = 0, [], []
+    a = start + 1
+    while a < stop:
+        b = data.find(b"]", a + _CHUNK, stop) + 1 or stop
+        classes = data[a:b].translate(_BYTE_CLASS)
+        if b"\xff" in classes:
+            return None
+        # Three bytes of whitespace after the chunk keep the look-ahead in it.
+        cls = np.frombuffer(classes + bytes(3), np.uint8)
+        number = cls >= 8
+        first = number[:-3] & ~np.concatenate(([False], number[:-4]))
+        # A zero cell is a "0" followed by a non-number or by ".0" and a
+        # non-number.
+        dot = cls[1:-2] == 9
+        zero = (cls[:-3] == 8) & (~number[1:-2] | dot)
+        zero &= ~dot | (cls[2:-1] == 8) & ~number[3:]
+        # Symbols: brackets and commas as their class, 4 for a zero number,
+        # 12 for any other number, 0 for everything else.
+        symbols = cls[:-3] * (cls[:-3] < 4) + first * (
+            np.uint8(12) - zero * np.uint8(8))
+        skeleton = symbols[symbols != 0]
+        if unit is None:
+            closes = np.flatnonzero(skeleton == 2)
+            if not len(closes) or closes[0] < 2:
+                return None
+            unit = np.array([3, 1] + [4, 3] * (closes[0] // 2 - 1) + [4, 2],
+                            np.uint8)
+            skeleton = np.concatenate((unit[:1], skeleton))
+        if len(skeleton) % len(unit) or not (
+                skeleton.reshape(-1, len(unit)) & 7 == unit).all():
+            return None
+        cells = np.flatnonzero(skeleton == 12)
+        row, offset = np.divmod(cells, len(unit))
+        flat.append((rows + row) * (len(unit) // 2 - 1) + offset // 2 - 1)
+        positions.extend((np.flatnonzero(first & ~zero) + a).tolist())
+        rows += len(skeleton) // len(unit)
+        a = b
+    matches = [_NUMBER.match(data, p) for p in positions]
+    if not all(matches):
+        return None
+    values = np.array([float(m[0]) for m in matches])
+    if not np.isfinite(values).all():
+        return None  # json reads a huge integer as an int, which overflows
+    nonzero = values != 0
+    return markov.CoverCells((rows, len(unit) // 2 - 1),
+                             np.concatenate(flat)[nonzero],
+                             values[nonzero]), stop + 1
+
+
+def _scan_cover(path: str):
+    """The relation value and the matrix cells of a cover file, or None if
+    the file is not one ASCII object holding just those two keys (the last
+    value of a repeated key counts, as in ``json``), with a plain matrix."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    if not data.isascii():
+        return None
+    text = data.decode("ascii")
+    parts = {}
+    try:
+        pos = _WS(text).end()
+        if text[pos:pos + 1] != "{":
+            return None
+        pos = _WS(text, pos + 1).end()
+        while True:
+            if text[pos:pos + 1] != '"':
+                return None
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _WS(text, pos).end()
+            if text[pos:pos + 1] != ":":
+                return None
+            pos = _WS(text, pos + 1).end()
+            if key == "matrix":
+                scanned = _scan_matrix(data, pos)
+                if scanned is None:
+                    return None
+                parts[key], pos = scanned
+            else:
+                parts[key], pos = _DECODER.raw_decode(text, pos)
+            pos = _WS(text, pos).end()
+            if text[pos:pos + 1] != ",":
+                break
+            pos = _WS(text, pos + 1).end()
+    except ValueError:
+        return None
+    if (text[pos:pos + 1] != "}" or _WS(text, pos + 1).end() != len(text)
+            or set(parts) != {"relation", "matrix"}):
+        return None
+    return parts["relation"], parts["matrix"]
+
+
 def _load_cover(path: str) -> markov.StochasticCover:
-    data = _load_json(path)
-    if not isinstance(data, dict) or set(data) != {"relation", "matrix"}:
-        raise ValidationError(
-            'cover file must be {"relation": <file or object>, "matrix": [[...]]}')
-    relation_part = data["relation"]
+    scanned = _scan_cover(path)
+    if scanned is None:
+        data = _load_json(path)
+        if not isinstance(data, dict) or set(data) != {"relation", "matrix"}:
+            raise ValidationError(
+                'cover file must be {"relation": <file or object>, "matrix": [[...]]}')
+        scanned = data["relation"], data["matrix"]
+    relation_part, matrix = scanned
     if isinstance(relation_part, str):
         resolved = os.path.join(os.path.dirname(os.path.abspath(path)),
                                 relation_part)
         relation = relation_from_json(_load_json(resolved))
     else:
         relation = relation_from_json(relation_part)
-    # The file holds the dense matrix; a flat list would read as edge weights.
-    matrix = data["matrix"]
-    if isinstance(matrix, list) and not (matrix and isinstance(matrix[0], list)):
-        raise ValidationError("matrix is not an array of numbers: no rows")
+    if isinstance(matrix, list):
+        # The file holds the dense matrix; a flat list would read as edge
+        # weights, and numpy would read booleans and numeric strings.
+        if not (matrix and isinstance(matrix[0], list)):
+            raise ValidationError("matrix is not an array of numbers: no rows")
+        for j, row in enumerate(matrix):
+            for i, cell in enumerate(row if isinstance(row, list) else ()):
+                if isinstance(cell, (bool, str)):
+                    raise ValidationError(
+                        "matrix is not an array of numbers: "
+                        f"matrix[{j}][{i}] is {json.dumps(cell)}")
     return markov.validate_cover(relation, matrix)
 
 
@@ -454,9 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

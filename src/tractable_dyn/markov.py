@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,56 +144,87 @@ class DecayCertificate:
     rho: float
 
 
+class CoverCells(NamedTuple):
+    """The nonzero cells of a dense cover matrix ``matrix[j][i]`` = weight
+    of i -> j: the matrix shape, each cell's row-major position
+    j * columns + i, and its value."""
+
+    shape: tuple[int, ...]
+    flat: np.ndarray
+    values: np.ndarray
+
+
 def validate_cover(relation: FiniteRelation, weights) -> StochasticCover:
     """Check a cover's support and column sums, returning the cover.
 
-    ``weights`` is either a vector of one weight per edge, in the sorted
-    (i, j) order of ``relation.edges``, or the dense ``matrix[j][i]`` =
-    weight of i -> j of a cover file.  Every weight must lie in [0, 1], be
-    positive exactly on the edges, and the weights leaving each element
-    must sum to 1 within 1e-12.  A dense matrix that breaks the support
-    rule is reported at its first bad cell in (i, j) scan order; it is then
-    reduced to its edge weights by one gather.  Input that is not a
+    ``weights`` is a vector of one weight per edge, in the sorted (i, j)
+    order of ``relation.edges``; or the dense ``matrix[j][i]`` = weight of
+    i -> j of a cover file; or that matrix's ``CoverCells``.  A dense matrix
+    is reduced to its nonzero cells by ``np.flatnonzero``.  Every weight
+    must lie in [0, 1], be positive exactly on the edges, and the weights
+    leaving each element must sum to 1 within 1e-12.  A support error names
+    the first bad cell in (i, j) scan order.  Input that is not a
     rectangular array of numbers is a CoverError.
     """
-    try:
-        arr = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CoverError(f"matrix is not an array of numbers: {exc}") from None
     size = len(relation.elements)
     codes = relation._edge_codes
-    sources, targets = np.divmod(codes, size)
-    if arr.ndim == 1 and arr.shape != codes.shape:
-        raise CoverError(f"weights shape {arr.shape} does not match {len(codes)} edges")
-    if arr.ndim != 1 and arr.shape != (size, size):
-        raise CoverError(f"matrix shape {arr.shape} does not match {size} elements")
-    if not ((arr >= 0).all() and (arr <= 1 + COLUMN_SUM_TOL).all()):
+    if not isinstance(weights, CoverCells):
+        try:
+            arr = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CoverError(f"matrix is not an array of numbers: {exc}") from None
+        if arr.ndim == 1:
+            if arr.shape != codes.shape:
+                raise CoverError(
+                    f"weights shape {arr.shape} does not match {len(codes)} edges")
+            return _cover_from_cells(relation, arr)
+        flat = np.flatnonzero(arr)
+        weights = CoverCells(arr.shape, flat, arr.ravel()[flat])
+    if weights.shape != (size, size):
+        raise CoverError(
+            f"matrix shape {weights.shape} does not match {size} elements")
+    targets, sources = np.divmod(weights.flat, size)
+    return _cover_from_cells(relation, weights.values, sources * size + targets)
+
+
+def _cover_from_cells(relation: FiniteRelation, values: np.ndarray,
+                      cells: np.ndarray | None = None) -> StochasticCover:
+    """The cell check behind ``validate_cover``: ``values[k]`` is the weight
+    of the k-th edge or, given ``cells``, of the cell with code ``cells[k]``
+    = i size + j, where only nonzero cells are listed."""
+    if not ((values >= 0).all() and (values <= 1 + COLUMN_SUM_TOL).all()):
         raise CoverError("matrix entries must lie in [0, 1]")
-    if arr.ndim == 2:
-        rows, cols = np.nonzero(arr)
-        dense, arr, positive = arr, arr[targets, sources], cols * size + rows
-    else:
-        positive = codes[arr > 0]
-    # Zero edges and positive non-edges (of a dense input only), as sorted
-    # codes i size + j.
-    bad = np.setxor1d(positive, codes, assume_unique=True)
-    if len(bad):
-        i, j = divmod(int(bad[0]), size)
-        if relation.has_edge(i, j):
-            raise CoverError(
-                f"edge ({relation.elements[i]}, {relation.elements[j]}) "
-                "has zero weight")
+    size = len(relation.elements)
+    codes = relation._edge_codes
+    weights, first_off = values, None
+    if cells is not None:
+        where = np.searchsorted(codes, cells)
+        on_edge = where < len(codes)
+        on_edge[on_edge] = codes[where[on_edge]] == cells[on_edge]
+        weights = np.zeros(len(codes))
+        weights[where[on_edge]] = values[on_edge]
+        off_edge = np.flatnonzero(~on_edge)
+        if len(off_edge):
+            first_off = off_edge[cells[off_edge].argmin()]
+    zero = codes[weights == 0]
+    if first_off is not None and (not len(zero) or cells[first_off] < zero[0]):
+        i, j = divmod(int(cells[first_off]), size)
         raise CoverError(
             f"non-edge ({relation.elements[i]}, {relation.elements[j]}) "
-            f"has weight {dense[j, i]:.17g}")
+            f"has weight {values[first_off]:.17g}")
+    if len(zero):
+        i, j = divmod(int(zero[0]), size)
+        raise CoverError(
+            f"edge ({relation.elements[i]}, {relation.elements[j]}) "
+            "has zero weight")
     # Each column's weights are added in row order, as a dense column sum.
-    sums = np.bincount(sources, weights=arr, minlength=size)
+    sums = np.bincount(codes // size, weights=weights, minlength=size)
     bad = [i for i in range(size) if abs(sums[i] - 1.0) > COLUMN_SUM_TOL]
     if bad:
         raise CoverError(
             "columns do not sum to 1: "
             + ", ".join(f"{relation.elements[i]} -> {sums[i]:.17g}" for i in bad))
-    return StochasticCover(relation, arr)
+    return StochasticCover(relation, weights)
 
 
 def cover_from_columns(relation: FiniteRelation, columns) -> StochasticCover:

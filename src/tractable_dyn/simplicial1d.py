@@ -354,6 +354,8 @@ def column_stochastic_norm_bound(matrix, theta_value,
     rows, cols = arr.shape
     if cols < 2:
         raise ValidationError("need at least two columns (d >= 1)")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
     if np.any(arr < -1e-12):
         raise ValidationError("matrix entries must be non-negative")
     sums = arr.sum(axis=0)

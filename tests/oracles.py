@@ -20,7 +20,10 @@ stationarity identity are the cell-by-cell loops that the library replaced
 with passes over the edge list and the J-fibers.  ``dense_cover_check`` is
 the whole dense cover check (shape, range, that scan and ``sum(axis=0)``
 column sums), where the library compares sorted edge codes and adds each
-column's edge weights with one ``np.bincount``.  The exact solver is dense
+column's edge weights with one ``np.bincount``.  ``load_cover`` reads a
+cover file with ``json.load`` and checks its matrix with
+``dense_cover_check``, where the library scans the matrix bytes for the
+nonzero cells.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
 certified solves modulo primes.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
@@ -48,6 +51,7 @@ finds each vertex by bisection over the ``Fraction`` vertices.
 """
 
 import bisect
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +60,9 @@ from functools import cached_property
 import numpy as np
 
 import tractable_dyn as td
-from tractable_dyn import markov
+from tractable_dyn import cli, markov
 from tractable_dyn.rationals import parse_rational
+from tractable_dyn.relation import relation_from_json
 
 
 def reachability(n, edges):
@@ -169,6 +174,28 @@ def dense_cover_check(relation, matrix):
             "columns do not sum to 1: "
             + ", ".join(f"{relation.elements[i]} -> {sums[i]:.17g}" for i in bad))
     return arr
+
+
+def load_cover(path):
+    """Read a cover file the way ``subshift-report`` did before it scanned
+    the matrix bytes: the whole file through ``json.load``, then the dense
+    matrix through ``dense_cover_check``.  Returns the edge weights in the
+    relation's edge order, or raises the library's error."""
+    data = cli._load_json(path)
+    if not isinstance(data, dict) or set(data) != {"relation", "matrix"}:
+        raise td.ValidationError(
+            'cover file must be {"relation": <file or object>, "matrix": [[...]]}')
+    relation_part = data["relation"]
+    if isinstance(relation_part, str):
+        relation_part = cli._load_json(os.path.join(
+            os.path.dirname(os.path.abspath(path)), relation_part))
+    relation = relation_from_json(relation_part)
+    matrix = data["matrix"]
+    if isinstance(matrix, list) and not (matrix and isinstance(matrix[0], list)):
+        raise td.ValidationError("matrix is not an array of numbers: no rows")
+    arr = dense_cover_check(relation, matrix)
+    sources, targets = np.divmod(relation._edge_codes, len(relation.elements))
+    return arr[targets, sources]
 
 
 def uniform_cover_matrix(relation):

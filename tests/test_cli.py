@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 
 import tractable_dyn as td
 from oracles import cylinder_csv
+from tractable_dyn import cli
 from tractable_dyn.cli import build_parser, main
 
 RELATION_B = {
@@ -191,6 +195,24 @@ def test_subshift_report_reads_only_a_dense_matrix(tmp_path, capsys,
     code, out, err = run(capsys, "subshift-report", "--input", path)
     assert (code, out) == (2, "")
     assert err.startswith("error: matrix is not an array of numbers")
+
+
+@pytest.mark.parametrize("cell", [True, False, "0.5", "0"])
+def test_subshift_report_rejects_cells_that_are_not_json_numbers(
+        tmp_path, capsys, cell):
+    # numpy would read these as 1.0, 0.0, 0.5 and 0.0.
+    matrix = [[0.5, 0.0], [0.5, 1.0]]
+    matrix[1][1 if isinstance(cell, bool) else 0] = cell
+    path = write(tmp_path / "cover.json", {
+        "relation": {"elements": ["a", "b"],
+                     "edges": [["a", "a"], ["a", "b"], ["b", "b"]]},
+        "matrix": matrix,
+    })
+    code, out, err = run(capsys, "subshift-report", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: matrix is not an array of numbers: matrix[1][%d] "
+                   "is %s\n" % (1 if isinstance(cell, bool) else 0,
+                                 json.dumps(cell)))
 
 
 def test_subshift_report_csv(tmp_path, capsys):
@@ -626,6 +648,34 @@ def test_seed_is_rejected_where_nothing_is_sampled(capsys, argv):
         main(argv + ["--input", "x.json", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsysbinary):
+    relation = write(tmp_path / "b.json", RELATION_B)
+    cover = cover_files(tmp_path)
+    calls = [["subshift-report", "--input", cover, "--simulate", "0"],
+             ["relation-analyze", "--input", relation],
+             ["subshift-report", "--input", cover, "--simulate", "200",
+              "--words", "1", "--seed", "3"],
+             ["relation-analyze", "--bogus"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 2]
+    assert cli._parser.cache_info().misses == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(td.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    for argv, got in zip(calls, in_process):
+        done = subprocess.run([sys.executable, "-m", "tractable_dyn.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert got == (done.returncode, done.stdout, done.stderr)
 
 
 @pytest.mark.parametrize("command", ["subshift-report", "plmap-approx"])

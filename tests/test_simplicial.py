@@ -219,6 +219,13 @@ def test_norm_bound_rejects_columns_without_shared_mass():
         td.column_stochastic_norm_bound([[1.0, 0.0], [0.0, 1.0]], 0.25)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_norm_bound_rejects_non_finite_entries(bad):
+    matrix = [[bad, 0.0, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.0]]
+    with pytest.raises(td.ValidationError, match="must be finite"):
+        td.column_stochastic_norm_bound(matrix, 0.5, samples=20)
+
+
 # --- symbolic coding ---
 
 
