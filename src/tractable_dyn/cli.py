@@ -60,6 +60,9 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer past Python's 4300 digits.
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str):
@@ -409,13 +412,23 @@ def cmd_blockmap_approx(args) -> int:
     return 0
 
 
+def _sample(value) -> tuple:
+    """A sample coordinate as given: exact, and the float f works with."""
+    exact = parse_rational(value)
+    try:
+        return exact, float(exact)
+    except OverflowError:
+        raise ValidationError(
+            f"sample value {value!r} is too large for a float") from None
+
+
 def _interpolant(samples: dict):
-    points = sorted((parse_rational(x), parse_rational(y))
-                    for x, y in samples.items())
-    if len(points) < 2:
+    pairs = sorted((_sample(x), _sample(y)) for x, y in samples.items())
+    if len(pairs) < 2:
         raise ValidationError("need at least two sample points")
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
+    points = [(x, y) for (x, _), (y, _) in pairs]
+    xs = [x for (_, x), _ in pairs]
+    ys = [y for _, (_, y) in pairs]
     if len(set(xs)) != len(xs):
         raise ValidationError("sample points must have distinct x values")
 

@@ -173,6 +173,8 @@ def validate_cover(relation: FiniteRelation, weights) -> StochasticCover:
             arr = np.asarray(weights, dtype=float)
         except (TypeError, ValueError) as exc:
             raise CoverError(f"matrix is not an array of numbers: {exc}") from None
+        except OverflowError:  # an integer past the float range
+            raise CoverError("matrix entries must lie in [0, 1]") from None
         if arr.ndim == 1:
             if arr.shape != codes.shape:
                 raise CoverError(

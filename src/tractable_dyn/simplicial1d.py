@@ -58,7 +58,12 @@ from .relation import tractability_json
 @dataclass(frozen=True)
 class IntervalComplex:
     """Strictly increasing rational vertices; edges join neighbours.
-    ``position``, built on first use, maps each vertex to its index."""
+    ``position``, built on first use, maps each vertex to its index.
+
+    The complex that ``refine`` returns keeps its cells, which it has
+    proved in integers to tile the space in strictly increasing order, and
+    builds its ``Fraction`` vertices on first read; equality, hashing and
+    every method see the vertices the constructor would hold."""
 
     vertices: tuple[Fraction, ...]
 
@@ -70,6 +75,19 @@ class IntervalComplex:
             raise ValidationError("an interval complex needs at least 2 vertices")
         if not all(map(operator.lt, self.vertices, self.vertices[1:])):
             raise ValidationError("vertices must be strictly increasing")
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: a refinement's vertices
+        # before their first read.
+        state = vars(self)
+        if name != "vertices" or "_cells" not in state:
+            raise AttributeError(
+                f"'IntervalComplex' object has no attribute '{name}'")
+        cells, scale, hi = state["_cells"]
+        vertices = tuple(Fraction(lo, d * scale) for lo, _, d, _ in cells)
+        object.__setattr__(self, "vertices", vertices + (hi,))
+        del state["_cells"]
+        return self.vertices
 
     @cached_property
     def position(self) -> dict[Fraction, int]:
@@ -508,6 +526,8 @@ def refine(system: SimplicialSystem1D,
     for lo, hi, d, root in cells:
         if lo * cursor_den != cursor * d:
             raise NumericalError("decoded cells do not tile the space")
+        if hi <= lo:
+            raise NumericalError("a decoded cell is empty")
         cursor, cursor_den = hi, d
         num = 2 * (hi - lo)
         den = d * chart.coarse_length(chart.j_edge[root])
@@ -520,13 +540,19 @@ def refine(system: SimplicialSystem1D,
     bound = 2 * (1 - chart.theta) ** depth
     if mesh_d > bound:
         raise NumericalError(f"refined mesh {mesh_d} exceeds its bound {bound}")
-    # The cells tile the space, so their left ends and the right end of the
-    # space are the vertices.
-    vertices = [Fraction(lo, d * chart.scale) for lo, _, d, _ in cells]
-    vertices.append(system.k.hi)
     report = MeshReport(depth=depth, cells=len(cells), mesh_d=mesh_d,
                         bound=bound)
-    return IntervalComplex(tuple(vertices)), report
+    return _refined(cells, chart.scale, system.k.hi), report
+
+
+def _refined(cells: list[tuple[int, int, int, int]], scale: int,
+             hi: Fraction) -> IntervalComplex:
+    """The complex of cells (lo, hi, d, root), each [lo / d, hi / d] in chart
+    coordinates with d > 0, that tile the space up to hi in increasing
+    order: their left ends and hi are its vertices, built on first read."""
+    complex_ = object.__new__(IntervalComplex)
+    vars(complex_)["_cells"] = (cells, scale, hi)
+    return complex_
 
 
 def lebesgue_distribution_data(system: SimplicialSystem1D) -> list[Fraction]:
@@ -967,30 +993,45 @@ def _screen_windows(system: SimplicialSystem1D, path: Sequence[int],
     its bin is that gap's label.  ``labels`` holds one label per gap (a bin,
     or -1 off the support, also before the first and past the last
     breakpoint).  Returns (label, settled) per window.
+
+    Step k reads branch path[i + k] for every window i, a slice of the
+    path, so each table is gathered once along the whole path and each step
+    reads slices of it, updating y and e in place with the same roundings
+    in the same order.  The bound runs first and each table is dropped once
+    read, so the screen holds no more than the per-step temporaries of
+    gathering at every step.
     """
     chart = system.chart
     steps = np.asarray(path, dtype=np.intp)
-    x = np.array(chart.x, dtype=float)
-    image = np.array([chart.coarse_x[v] for v in system.vertex_images],
-                     dtype=float)
     slope = np.array(chart.length, dtype=float) / np.array(chart.rise,
                                                            dtype=float)
-    growth = np.abs(slope) * (1.0 + 2.0 ** -48)
     slack = _SCREEN_SLACK * 2.0 ** -53 * max(abs(chart.coarse_x[0]),
                                              abs(chart.coarse_x[-1]))
 
-    j = steps[depth:depth + segments]
-    y = (x[j] + x[j + 1]) * 0.5
+    growth = (np.abs(slope) * (1.0 + 2.0 ** -48))[steps]
     e = np.zeros(segments)
     for k in range(depth - 1, -1, -1):
-        j = steps[k:k + segments]
-        y = x[j] + slope[j] * (y - image[j])
-        e = growth[j] * e + slack
+        e *= growth[k:k + segments]
+        e += slack
     e += slack
+    del growth
+
+    x = np.array(chart.x, dtype=float)
+    y = (x[:-1] + x[1:])[steps[depth:depth + segments]] * 0.5
+    x, slope = x[steps], slope[steps]
+    image = np.array([chart.coarse_x[v] for v in system.vertex_images],
+                     dtype=float)[steps]
+    for k in range(depth - 1, -1, -1):
+        w = slice(k, k + segments)
+        y -= image[w]
+        y *= slope[w]
+        y += x[w]
+    del steps, x, slope, image
+    # gap counts the breakpoints below y - e, so [y - e, y + e] holds none
+    # exactly when the next breakpoint, if any, lies above y + e.
     gap = np.searchsorted(breakpoints, y - e, side="left")
     label = labels[gap]
-    settled = (gap == np.searchsorted(breakpoints, y + e, side="right")) \
-        & (label >= 0)
+    settled = (y + e < np.append(breakpoints, np.inf)[gap]) & (label >= 0)
     return label, settled
 
 

@@ -48,6 +48,11 @@ vertex, where the library compares the vertex images of each run.
 ``check_subdivision`` and ``vertex_images`` read a system as the library
 did before each complex kept a map from vertex to index: ``vertex_index``
 finds each vertex by bisection over the ``Fraction`` vertices.
+``refine_vertices`` builds a refinement's ``Fraction`` vertices eagerly
+from the integer-chart cells, where the library keeps the cells and builds
+them on first read, and ``screen_windows`` is the decoder's float screen
+gathering each table at every step (``screen_points``), where the library
+gathers each one once along the whole path.
 """
 
 import bisect
@@ -60,7 +65,7 @@ from functools import cached_property
 import numpy as np
 
 import tractable_dyn as td
-from tractable_dyn import cli, markov
+from tractable_dyn import cli, markov, simplicial1d
 from tractable_dyn.rationals import parse_rational
 from tractable_dyn.relation import relation_from_json
 
@@ -609,6 +614,70 @@ def refine(system, depth):
     report = td.MeshReport(depth=depth, cells=len(intervals), mesh_d=mesh_d,
                            bound=2 * (1 - td.theta(system)) ** depth)
     return td.IntervalComplex(tuple(vertices)), report
+
+
+def refine_vertices(system, depth):
+    """The vertices of the depth-th refinement as the library built them
+    before it kept the cells: the integer-chart DFS, then one ``Fraction``
+    per cell's left end and the right end of the space."""
+    chart = system.chart
+    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
+    fibers = [[] for _ in range(system.k.n_edges)]
+    for j, base in enumerate(chart.j_edge):
+        fibers[base].append(j)
+    successors = [fibers[i] for i in chart.image_edge]
+    vertices = []
+    stack = [(j, 1, 1, 0, 1) for j in reversed(range(len(lengths)))]
+    while stack:
+        j, at, n, b, d = stack.pop()
+        if at == max(depth, 1):
+            lo, hi = n * x[j] + b, n * x[j + 1] + b
+            if d < 0:
+                lo, hi, d = -hi, -lo, -d
+            vertices.append(Fraction(lo, d * chart.scale))
+            continue
+        n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
+        stack.extend((j2, at + 1, n, b, d) for j2 in
+                     (reversed(successors[j]) if d > 0 else successors[j]))
+    vertices.append(system.k.hi)
+    return vertices
+
+
+def screen_points(system, path, depth, segments):
+    """The float midpoint y and error bound e of every window as the
+    decoder's screen found them before it gathered its tables along the
+    path: four fancy-index gathers per step over every window, and fresh
+    arrays for y and e."""
+    chart = system.chart
+    steps = np.asarray(path, dtype=np.intp)
+    x = np.array(chart.x, dtype=float)
+    image = np.array([chart.coarse_x[v] for v in system.vertex_images],
+                     dtype=float)
+    slope = np.array(chart.length, dtype=float) / np.array(chart.rise,
+                                                           dtype=float)
+    growth = np.abs(slope) * (1.0 + 2.0 ** -48)
+    slack = simplicial1d._SCREEN_SLACK * 2.0 ** -53 * max(
+        abs(chart.coarse_x[0]), abs(chart.coarse_x[-1]))
+
+    j = steps[depth:depth + segments]
+    y = (x[j] + x[j + 1]) * 0.5
+    e = np.zeros(segments)
+    for k in range(depth - 1, -1, -1):
+        j = steps[k:k + segments]
+        y = x[j] + slope[j] * (y - image[j])
+        e = growth[j] * e + slack
+    return y, e + slack
+
+
+def screen_windows(system, path, depth, segments, breakpoints, labels):
+    """The decoder's float screen as it was before it gathered its tables
+    along the path, with two searches of the breakpoints."""
+    y, e = screen_points(system, path, depth, segments)
+    gap = np.searchsorted(breakpoints, y - e, side="left")
+    label = labels[gap]
+    settled = (gap == np.searchsorted(breakpoints, y + e, side="right")) \
+        & (label >= 0)
+    return label, settled
 
 
 def decode_orbit_histogram(report, star_class, segments, depth, bins, seed):

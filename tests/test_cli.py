@@ -608,6 +608,71 @@ def test_plmap_vmap_naming_a_vertex_twice_exits_2(tmp_path, capsys):
     assert err == "error: vertex map repeats fine vertices ['1/2']\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("1", str(10**400)), ("1", 10**400), ("1", "-1e400"), ("1e400", "1")],
+    ids=["string", "number", "negative", "point"])
+def test_plmap_sample_past_the_float_range_exits_2(tmp_path, capsys, key,
+                                                   value):
+    samples = dict(SAMPLED["samples"], **{key: value})
+    path = write(tmp_path / "in.json", dict(SAMPLED, samples=samples))
+    code, out, err = run(capsys, "plmap-approx", "--input", path)
+    assert (code, out) == (2, "")
+    named = value if key == "1" else key
+    assert err == f"error: sample value {named!r} is too large for a float\n"
+
+
+_LONG_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("relation-analyze",
+     '{"elements": ["a"], "edges": [["a", "a"]], "note": %s}' % _LONG_INT),
+    ("subshift-report",
+     '{"relation": {"elements": ["a"], "edges": [["a", "a"]]}, '
+     '"matrix": [[%s]]}' % _LONG_INT),
+    ("subshift-report",
+     '{"relation": {"elements": [%s], "edges": []}, "matrix": [[1]]}'
+     % _LONG_INT),
+    ("blockmap-approx", '{"N": 2, "m": %s, "phi": [0, 1]}' % _LONG_INT),
+    ("plmap-approx", '{"K": {"vertices": [0, %s]}}' % _LONG_INT),
+], ids=["relation", "cover_cell", "cover_label", "blockmap", "plmap"])
+def test_an_integer_past_4300_digits_exits_2(tmp_path, capsys, command, text):
+    # json refuses to convert it (Python's int_max_str_digits).
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    flags = ["--n", "1"] if command == "blockmap-approx" else []
+    code, out, err = run(capsys, command, "--input", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "5001 digits" in err
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"elements": ["\xff"], "edges": []}')
+    code, out, err = run(capsys, "relation-analyze", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_a_cover_cell_past_the_float_range_exits_2(tmp_path, capsys):
+    # A float cell 1e400 reads as inf and fails the range check; an integer
+    # cell that large fails it too, where numpy could not convert it.
+    relation = {"elements": ["a"], "edges": [["a", "a"]]}
+    for cell in ("1" + "0" * 400, "-1" + "0" * 400, "1e400"):
+        path = tmp_path / "cover.json"
+        path.write_text('{"relation": %s, "matrix": [[%s]]}'
+                        % (json.dumps(relation), cell))
+        code, out, err = run(capsys, "subshift-report", "--input", str(path))
+        assert (code, out, err) == \
+            (2, "", "error: matrix entries must lie in [0, 1]\n")
+    one = td.FiniteRelation.from_labels(("a",), [("a", "a")])
+    for weights in ([[10**400]], [10**400]):
+        with pytest.raises(td.CoverError,
+                           match=r"^matrix entries must lie in \[0, 1\]$"):
+            td.validate_cover(one, weights)
+
+
 @pytest.mark.parametrize("command, payload", [
     ("blockmap-approx", {"N": 2, "m": True, "phi": [0, 1]}),
     ("blockmap-approx", {"N": 2, "m": 1, "phi": [False, True]}),

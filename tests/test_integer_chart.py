@@ -5,6 +5,9 @@ are compared with the step-by-step versions in ``oracles`` on the worked
 examples, the random systems of ``conftest``, systems with vertex
 denominators 3, 5 and 7, and systems shaped like the ``plmap`` benchmark
 schedule (random vertex maps, repaired lazy maps, rounded sampled maps).
+The decoder's float screen must equal, bit for bit, the screen that gathered
+its tables at every step, and ``refine``'s complex, whose vertices are built
+on first read, must equal one built from the eagerly made vertices.
 The system reader, which finds vertices through each complex's map from
 vertex to index, is compared with the bisecting reader in ``oracles`` on the
 same systems, each also corrupted in seven ways.
@@ -519,12 +522,7 @@ def test_screen_defers_every_window_on_a_breakpoint(all_systems):
     depth, segments = 30, 60
     for system in all_systems:
         chart = system.chart
-        fibers = {}
-        for j, base in enumerate(chart.j_edge):
-            fibers.setdefault(base, []).append(j)
-        path = [rng.randrange(system.kstar.n_edges)]
-        while len(path) < segments + depth:
-            path.append(rng.choice(fibers[chart.image_edge[path[-1]]]))
+        path = _legal_path(rng, system, segments + depth)
         mids = sorted({sum(oracles.code_interval(system, path[i:i + depth + 1]))
                        * chart.scale / 2 for i in range(segments)})
         labels = np.array([-1] + [0] * (len(mids) - 1) + [-1])
@@ -536,6 +534,138 @@ def test_screen_defers_every_window_on_a_breakpoint(all_systems):
         label, settled = simplicial1d._screen_windows(
             system, path, depth, segments, ends, np.array([-1, 0, -1]))
         assert settled.all() and not label.any()
+
+
+def _legal_path(rng, system, length):
+    chart = system.chart
+    fibers = {}
+    for j, base in enumerate(chart.j_edge):
+        fibers.setdefault(base, []).append(j)
+    path = [rng.randrange(system.kstar.n_edges)]
+    while len(path) < length:
+        path.append(rng.choice(fibers[chart.image_edge[path[-1]]]))
+    return path
+
+
+def _assert_screens_agree(*args):
+    got = simplicial1d._screen_windows(*args)
+    want = oracles.screen_windows(*args)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got
+
+
+def _screen_cases(system, rng, monkeypatch):
+    """The screen's arguments in a decode of each terminal class, then on
+    random legal paths against breakpoints drawn in the space, some of
+    them exact window midpoints, and against the ends y - e or y + e of the
+    oracle's windows, which any change in the bits of y or e would move."""
+    calls = []
+    screen = simplicial1d._screen_windows
+
+    def spy(*args):
+        calls.append(args)
+        return screen(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(simplicial1d, "_screen_windows", spy)
+        report = td.tractability_report_pl(system)
+        for pair in report.analysis.terminal_pairs:
+            td.decode_orbit_histogram(report, pair.star_members,
+                                      segments=500, depth=40, bins=7,
+                                      seed=rng.randrange(2**32))
+    yield from calls
+    chart = system.chart
+    lo, hi = chart.coarse_x[0], chart.coarse_x[-1]
+    for _ in range(3):
+        depth, segments = rng.randint(1, 40), rng.randint(1, 300)
+        path = _legal_path(rng, system, segments + depth)
+        points = {F(rng.randint(lo * 64, hi * 64), 64) for _ in range(6)}
+        points |= {sum(oracles.code_interval(system, path[i:i + depth + 1]))
+                   * chart.scale / 2 for i in rng.sample(range(segments),
+                                                         min(segments, 4))}
+        breakpoints = np.array(sorted(float(p) for p in points))
+        labels = np.array([rng.randrange(-1, 5)
+                           for _ in range(len(breakpoints) + 1)])
+        yield system, path, depth, segments, breakpoints, labels
+        y, e = oracles.screen_points(system, path, depth, segments)
+        ends = np.sort(np.where(np.arange(segments) % 2, y - e, y + e))
+        yield system, path, depth, segments, ends, np.zeros(segments + 1, int)
+
+
+def test_screen_matches_the_per_step_gathering_oracle(all_systems,
+                                                     monkeypatch):
+    rng = random.Random(1721)
+    outcomes = set()
+    for system in all_systems:
+        for args in _screen_cases(system, rng, monkeypatch):
+            _, settled = _assert_screens_agree(*args)
+            outcomes.update(settled.tolist())
+    assert outcomes == {False, True}
+
+
+def test_screen_matches_the_oracle_just_under_its_chart_limit(monkeypatch):
+    # Scale (2^24 - 3)(2^25 - 39) puts the space's right end, 2 scale,
+    # just under _SCREEN_MAX_X, so the screen still runs on every window.
+    system = two_blocks(2**24 - 3, 2**25 - 39)
+    end = system.chart.coarse_x[-1]
+    assert simplicial1d._SCREEN_MAX_X // 2 < end <= simplicial1d._SCREEN_MAX_X
+    rng = random.Random(1722)
+    calls = 0
+    for args in _screen_cases(system, rng, monkeypatch):
+        _assert_screens_agree(*args)
+        calls += 1
+    assert calls == 2 + 2 * 3
+
+
+def _error(call, *args):
+    with pytest.raises(td.ValidationError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_refined_complex_matches_the_eager_oracle(all_systems, monkeypatch):
+    # Each probe reads a fresh refinement, so each one builds its vertices.
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "20000")
+    for system in all_systems:
+        for depth in range(5):
+            want = td.IntervalComplex(tuple(
+                oracles.refine_vertices(system, depth)))
+            if want.n_edges > 2000:
+                break
+
+            def fresh():
+                return td.refine(system, depth)[0]
+            assert fresh() == want and want == fresh()
+            assert hash(fresh()) == hash(want)
+            vertices = fresh().vertices
+            assert vertices == want.vertices
+            assert all(type(v) is F for v in vertices)
+            assert fresh().position == want.position
+            assert repr(fresh()) == repr(want)
+            for call, arg in ((td.IntervalComplex.edge, want.n_edges),
+                              (td.IntervalComplex.edge, -1),
+                              (td.IntervalComplex.locate_edge, want.hi + 1),
+                              (td.IntervalComplex.locate_edge, want.lo - 1)):
+                assert _error(call, fresh(), arg) == _error(call, want, arg)
+            refined = fresh()
+            assert (refined.n_edges, refined.lo, refined.hi, refined.mesh()) \
+                == (want.n_edges, want.lo, want.hi, want.mesh())
+            assert refined.vertex_index(want.vertices[-2]) == want.n_edges - 1
+            with pytest.raises(AttributeError):
+                refined.cells
+
+
+def test_refine_rejects_an_empty_cell(example_a):
+    # Move fine vertex 2 onto vertex 1: cells still tile, but cell 1 is a
+    # point, so its vertices would not increase strictly.
+    chart = example_a.chart
+    broken = td.SimplicialSystem1D(example_a.k, example_a.kstar,
+                                   example_a.vertex_images)
+    x = list(chart.x)
+    x[2] = x[1]
+    vars(broken)["chart"] = dataclasses.replace(chart, x=tuple(x))
+    with pytest.raises(td.NumericalError, match="a decoded cell is empty"):
+        td.refine(broken, 1)
 
 
 @given(st.integers(0, 2**32), st.sampled_from(["conftest", "mixed", "vmap"]))
