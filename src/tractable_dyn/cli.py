@@ -37,9 +37,9 @@ import numpy as np
 
 from . import markov, plot, shiftlike, simplicial1d, two_alphabet
 from .config import resolve_cell_cap
-from .errors import (CapExceededError, CorrespondenceError, DomainError,
-                     NumericalError, ValidationError)
-from .rationals import format_rational, parse_rational
+from .errors import (CapExceededError, DomainError, TractableDynError,
+                     ValidationError)
+from .rationals import format_rational, parse_rational, scale_to_integers
 from .relation import (basic_sets, decomposition_json, relation_from_json,
                        restrict_to_infinite_domain)
 
@@ -340,7 +340,8 @@ def _star_cylinder_csv(analysis: two_alphabet.Analysis,
     count = 0
     for pair, v_b in zip(analysis.terminal_pairs, analysis.stationary):
         head = f"{pair.base_class_index},"
-        common_v, b = two_alphabet.scaled_weights(v_b)
+        common_v, ints = scale_to_integers(v_b.values())
+        b = dict(zip(v_b, ints))
         # denominators[L] = E D^L, grown as the walk gets deeper.
         denominators = [common_v, common_v * common_nu]
         measures: dict[tuple[int, int], str] = {}
@@ -616,15 +617,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except TractableDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, CorrespondenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return (2 if isinstance(exc, ValidationError)
+                else 3 if isinstance(exc, CapExceededError) else 4)
 
 
 if __name__ == "__main__":

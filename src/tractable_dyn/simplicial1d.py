@@ -883,21 +883,24 @@ def _exact_absorption(analysis: two_alphabet.Analysis,
                      background: Sequence[Fraction]) -> dict[int, Fraction]:
     """Exact share of the background absorbed by each terminal class.
 
-    With Q the exact coarse cover from nu restricted to the transient
-    elements, x = (I - Q)^-1 w_T is the mass that ever passes through each
-    of them (Kemeny-Snell); class c absorbs its own background plus the
-    mass that steps from a transient element into it.
+    With Q the exact coarse cover from nu = a / D restricted to the
+    transient elements, x = (I - Q)^-1 w_T is the mass that ever passes
+    through each of them (Kemeny-Snell), solved from the integer rows
+    D (I - Q); class c absorbs its own background plus the mass that steps
+    from a transient element into it.
     """
     model = analysis.model
+    common, a = model.scaled_nu
     decomp = analysis.correspondence.base_decomposition
     transient = decomp.transient
     position = {i: p for p, i in enumerate(transient)}
-    matrix = [{p: 1} for p in range(len(transient))]
-    for i, j, w in zip(model.j_map, model.gamma, model.nu):
+    matrix = [{p: common} for p in range(len(transient))]
+    for i, j, w in zip(model.j_map, model.gamma, a):
         if i in position and j in position:
             row, q = matrix[position[j]], position[i]
             row[q] = row.get(q, 0) - w
-    visits = solve_linear_exact(matrix, [background[i] for i in transient])
+    visits = solve_linear_exact(
+        matrix, [background[i] * common for i in transient])
     owner = {i: c for c in decomp.terminal_classes() for i in decomp.classes[c]}
     shares = {c: sum((background[i] for i in decomp.classes[c]),
                      start=Fraction(0))
@@ -1093,11 +1096,8 @@ def decode_orbit_histogram(report: PLReport, star_class,
     base_members = sorted(pair.base_members)
     piece_lo = [chart.coarse_x[i] for i in base_members]
     piece_hi = [chart.coarse_x[i + 1] for i in base_members]
-    piece_start = []
-    total = 0
-    for i in base_members:
-        piece_start.append(total)
-        total += chart.coarse_length(i)
+    *piece_start, total = itertools.accumulate(
+        (chart.coarse_length(i) for i in base_members), initial=0)
 
     # Bin q covers [total q / bins, total (q + 1) / bins]; scaled by bins,
     # every bound is an integer.

@@ -313,13 +313,6 @@ def lift_stationary(model: TwoAlphabetModel, stationary) -> list[Fraction]:
     return lifted
 
 
-def scaled_weights(weights: dict) -> tuple[int, dict[int, int]]:
-    """(E, {i: w_i E}) for rational weights, E the lcm of their
-    denominators."""
-    common, ints = scale_to_integers([Fraction(x) for x in weights.values()])
-    return common, dict(zip(weights, ints))
-
-
 def stationary_identity_max_error(model: TwoAlphabetModel,
                                   pair: CorrespondencePair,
                                   v_b: dict[int, Fraction]) -> Fraction:
@@ -332,7 +325,8 @@ def stationary_identity_max_error(model: TwoAlphabetModel,
     b_(J t) a_t onto gamma(t), and that mass is compared with b_s D.
     """
     common_nu, a = model.scaled_nu
-    common_v, b = scaled_weights(v_b)
+    common_v, ints = scale_to_integers(v_b.values())
+    b = dict(zip(v_b, ints))
     mass = [0] * len(model.k)
     for t in pair.star_members:
         mass[model.gamma[t]] += b.get(model.j_map[t], 0) * a[t]

@@ -373,6 +373,29 @@ def stationary_exact(block):
     return solve_linear_exact(rows, [Fraction(0)] * (c - 1) + [Fraction(1)])
 
 
+def exact_absorption(model, decomposition, background):
+    """Kemeny-Snell absorption shares by dense Fraction elimination.
+
+    With G the exact coarse matrix (``g_matrix``) and Q its transient block,
+    the visits x solve (I - Q) x = w_T; terminal class c absorbs its own
+    background plus G[i][t] x[t] over its members i and transient t.
+    """
+    g = g_matrix(model)
+    transient = list(decomposition.transient)
+    matrix = [[(1 if a == b else 0) - g[a][b] for b in transient]
+              for a in transient]
+    visits = solve_linear_exact(matrix, [background[i] for i in transient])
+    shares = {}
+    for c in decomposition.terminal_classes():
+        share = Fraction(0)
+        for i in decomposition.classes[c]:
+            share += background[i]
+            for t, x in zip(transient, visits):
+                share += g[i][t] * x
+        shares[c] = share
+    return shares
+
+
 def stationary_identity_max_error(model, pair, v_b):
     """The projected stationarity identity, by a |K| x |class| scan."""
     star_members = set(pair.star_members)

@@ -647,6 +647,19 @@ def test_an_integer_past_4300_digits_exits_2(tmp_path, capsys, command, text):
     assert "5001 digits" in err
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "1e100000000"])
+def test_a_vertex_past_4300_digits_exits_2_at_once(tmp_path, capsys, literal):
+    # The value is never built: 10^(10^8) alone would take many seconds.
+    path = write(tmp_path / "in.json", {
+        "K": {"vertices": ["0", literal]}, "Kstar": {"vertices": ["0", literal]},
+        "vmap": {"0": "0", literal: literal}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "plmap-approx", "--input", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", f"error: rational literal '{literal}' has more than 4300 digits\n")
+
+
 def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b'{"elements": ["\xff"], "edges": []}')

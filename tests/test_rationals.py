@@ -235,3 +235,100 @@ def test_class_stationary_peak_memory_stays_off_dense_blocks():
 def test_parse_rational_rejects_bools(value):
     with pytest.raises(td.ValidationError, match="not a rational literal"):
         rationals.parse_rational(value)
+
+
+@pytest.mark.parametrize("matrix, rhs, message", [
+    ([{0: 1}], [1, 2], "2 right-hand sides for 1 rows"),
+    ([{0: 1}, {1: 1}], [1], "1 right-hand sides for 2 rows"),
+    ([{0: 1, 2: 1}, {1: 1}], [1, 2], r"column index lies outside 0\.\.1"),
+    ([{-1: 1}, {1: 1}], [1, 2], r"column index lies outside 0\.\.1"),
+])
+def test_mis_shaped_systems_raise_validation_errors(matrix, rhs, message):
+    with pytest.raises(td.ValidationError, match=message):
+        rationals.solve_linear_exact(matrix, rhs)
+
+
+@pytest.mark.parametrize("block", [
+    [{0: Fraction(1, 2), 1: Fraction(1, 2)}],
+    [{0: Fraction(1, 2), -1: Fraction(1, 2)}, {1: Fraction(1)}],
+])
+def test_block_columns_outside_the_block_raise(block):
+    with pytest.raises(td.ValidationError, match="column index lies outside"):
+        rationals.stationary_exact(block)
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__lt__", "__le__",
+               "__gt__", "__ge__")
+
+
+def test_exact_solves_use_no_fraction_arithmetic(monkeypatch, example_b):
+    rng = random.Random(7606)
+    blocks = ([random_block(rng, size, 10**6) for size in (1, 2, 9, 40)]
+              + [random_block(rng, 12, 10**6, period=3)])
+    systems = []
+    while len(systems) < 10:
+        n = rng.randint(1, 10)
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+                   for _ in range(n)] for _ in range(n)]
+        rhs = [Fraction(rng.randint(-99, 99), rng.randint(1, 50))
+               for _ in range(n)]
+        try:
+            systems.append((matrix, rhs, oracles.solve_linear_exact(matrix, rhs)))
+        except td.NumericalError:
+            continue
+    shift = td.shiftlike.to_two_alphabet(td.derive_gamma(
+        td.SlidingBlockCode(2, 3, perm_phi(rng, 2, 3)), 3))
+    classes = [(model, pair.base_members) for model in
+               (shift, td.simplicial1d.to_two_alphabet(example_b))
+               for pair in td.basic_set_correspondence(model).pairs
+               if pair.terminal]
+    rows = [sparse(block) for block in blocks]
+    sparse_systems = [(sparse(matrix), rhs) for matrix, rhs, _ in systems]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in an exact solve")
+
+    with monkeypatch.context() as patch:
+        for name in _ARITHMETIC:
+            patch.setattr(Fraction, name, forbidden)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) + 1
+        stationary = [rationals.stationary_exact(block) for block in rows]
+        solved = [rationals.solve_linear_exact(matrix, rhs)
+                  for matrix, rhs in sparse_systems]
+        class_vectors = [td.two_alphabet.base_class_stationary(model, members)
+                         for model, members in classes]
+    assert Fraction(1, 2) + 1 == Fraction(3, 2)
+    assert stationary == [oracles.stationary_exact(b) for b in blocks]
+    assert solved == [expected for _, _, expected in systems]
+    assert len(classes) == 3
+    for (model, members), v_b in zip(classes, class_vectors):
+        members = sorted(members)
+        expected = oracles.stationary_exact(class_block(model, members))
+        assert v_b == dict(zip(members, expected))
+
+
+@pytest.mark.parametrize("text", [
+    "1e5000", "-1e5000", "1e-5000", "1.5E+4300", "0." + "0" * 4299 + "1",
+    "1e100000000", "1" + "0" * 4300])
+def test_literals_past_the_digit_limit_are_rejected(text):
+    start = time.perf_counter()
+    with pytest.raises(td.ValidationError, match="more than 4300 digits"):
+        rationals.parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4299", Fraction(10**4299)), ("1e-4299", Fraction(1, 10**4299)),
+    (" 2.5e3 ", Fraction(2500)), ("-0.125", Fraction(-1, 8)),
+    ("3/4", Fraction(3, 4)), ("0e4000", Fraction(0))])
+def test_literals_within_the_digit_limit_parse_and_print(text, value):
+    parsed = rationals.parse_rational(text)
+    assert parsed == value
+    assert rationals.parse_rational(rationals.format_rational(parsed)) == value
+
+
+def test_an_exponent_past_the_digit_limit_is_not_a_literal():
+    with pytest.raises(td.ValidationError, match="not a rational literal"):
+        rationals.parse_rational("1e" + "9" * 5000)

@@ -684,6 +684,30 @@ def test_exact_absorption_agrees_with_the_converged_loop(example_a, example_b):
             assert report.absorption[c] == pytest.approx(float(share), abs=1e-12)
 
 
+def test_exact_absorption_matches_the_dense_oracle(example_a, example_b,
+                                                   random_pl_system):
+    from tractable_dyn.simplicial1d import _exact_absorption
+
+    rng = random.Random(8808)
+    systems = [example_a, example_b, _leaky_system()] + [
+        random_pl_system(rng, max_coarse_edges=5) for _ in range(20)]
+    with_transient = 0
+    for system in systems:
+        analysis = td.two_alphabet.analyze(
+            td.simplicial1d.to_two_alphabet(system))
+        decomp = analysis.correspondence.base_decomposition
+        with_transient += bool(decomp.transient)
+        n = system.k.n_edges
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        for background in ([F(1, n)] * n,
+                           [F(w, sum(weights)) for w in weights]):
+            exact = _exact_absorption(analysis, background)
+            assert exact == oracles.exact_absorption(
+                analysis.model, decomp, background)
+            assert sum(exact.values()) == 1
+    assert with_transient >= 8
+
+
 def test_birkhoff_histogram_smoke(example_a):
     result = td.decode_orbit_histogram(
         td.tractability_report_pl(example_a), (0, 1), segments=2000,
