@@ -660,6 +660,18 @@ def test_a_vertex_past_4300_digits_exits_2_at_once(tmp_path, capsys, literal):
         2, "", f"error: rational literal '{literal}' has more than 4300 digits\n")
 
 
+def test_a_long_vertex_is_not_echoed_whole(tmp_path, capsys):
+    literal = "1" + "0" * 4300
+    path = write(tmp_path / "in.json", {
+        "K": {"vertices": ["0", literal]}, "Kstar": {"vertices": ["0", literal]},
+        "vmap": {"0": "0", literal: literal}})
+    code, out, err = run(capsys, "plmap-approx", "--input", path)
+    assert (code, out) == (2, "")
+    assert len(err) < 200
+    assert err == (f"error: rational literal {literal[:40]!r}... "
+                   "(4301 characters) has more than 4300 digits\n")
+
+
 def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b'{"elements": ["\xff"], "edges": []}')

@@ -1,8 +1,10 @@
 """Certified exact solves against dense Gauss-Jordan over Fraction.
 
-``rationals.solve_linear_exact`` solves modulo primes and certifies the
-candidate exactly, so its answers must equal the ``oracles`` elimination
-``Fraction`` for ``Fraction``, and its error paths must match the old ones.
+``rationals.solve_linear_exact`` solves modulo primes, and
+``stationary_exact`` by float-guided lifting wherever it can prove its block
+nonsingular; both certify the candidate exactly, so their answers must equal
+the ``oracles`` elimination ``Fraction`` for ``Fraction``, and their error
+paths must match the old ones.
 The library takes sparse rows; every case here is written densely, as the
 oracle takes it, and handed to the library through ``sparse``.
 """
@@ -203,6 +205,133 @@ def test_transient_state_raises_not_positive():
     block = [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]
     with pytest.raises(td.NumericalError, match="not positive"):
         rationals.stationary_exact(sparse(block))
+
+
+def test_irreducible_blocks_take_the_lifted_path(monkeypatch):
+    # The blocks of the three oracle tests above, plus right-permutive
+    # classes of the sizes the blockmap workload solves.
+    blocks = []
+    rng = random.Random(1606)
+    sizes = list(range(1, 13)) + [rng.randint(13, 60) for _ in range(10)] + [60]
+    for size in sizes:
+        max_den = rng.choice([2, 10, 1000, 10**6])
+        blocks.append(random_block(rng, size, max_den))
+    rng = random.Random(2606)
+    for period, size in [(2, 2), (2, 8), (3, 9), (3, 30), (4, 40), (5, 60)]:
+        blocks.append(random_block(rng, size, 10**6, period=period))
+    for seed, shapes in [(3606, [(2, 2, 3), (2, 3, 4), (2, 4, 5), (3, 2, 3),
+                                 (3, 3, 3)]),
+                         (8606, [(2, 2, 5), (2, 3, 6), (3, 3, 3), (3, 3, 4)])]:
+        rng = random.Random(seed)
+        for n_symbols, window, n in shapes:
+            code = td.SlidingBlockCode(n_symbols, window,
+                                       perm_phi(rng, n_symbols, window))
+            model = td.shiftlike.to_two_alphabet(td.derive_gamma(code, n))
+            pair, = [p for p in td.basic_set_correspondence(model).pairs
+                     if p.terminal]
+            blocks.append(class_block(model, pair.base_members))
+    assert {27, 32, 64, 81} <= {len(b) for b in blocks}
+
+    def refuse(rows, rhs):
+        raise AssertionError("the modular solver was reached")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rationals, "_solve", refuse)
+        vectors = [rationals.stationary_exact(sparse(b)) for b in blocks]
+    for block, v in zip(blocks, vectors):
+        assert v == oracles.stationary_exact(block), len(block)
+
+
+def test_blocks_outside_the_lifting_proof_reach_the_modular_solver(monkeypatch):
+    calls = []
+    solve = rationals._solve
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(rationals, "_solve", counting)
+    tiny, far = Fraction(1, 10**30), Fraction(1, 2**1101)
+    half = Fraction(1, 2)
+    solvable = {
+        # Column sums are 1, but a weight is negative.
+        "negative weight": [[-half, Fraction(1, 3)],
+                            [Fraction(3, 2), Fraction(2, 3)]],
+        # Row 0 scales to the integers -1 and 2^1101.
+        "entry past the float range": [[1 - far, Fraction(1)],
+                                       [far, Fraction(0)]],
+        # Two pairs of states joined by weights 10^-30: P - I has an
+        # eigenvalue near -10^-30, past what float64 can resolve.
+        "ill-conditioned": [[half, half - tiny, tiny, 0],
+                            [half - tiny, half, 0, tiny],
+                            [tiny, 0, half, half - tiny],
+                            [0, tiny, half - tiny, half]],
+    }
+    for name, block in solvable.items():
+        calls.clear()
+        assert rationals.stationary_exact(sparse(block)) == \
+            oracles.stationary_exact(block), name
+        assert calls, name
+    rng = random.Random(5606)
+    first, second = random_block(rng, 20, 10**6), random_block(rng, 25, 10**6)
+    failing = [
+        ([[Fraction(1), Fraction(0), Fraction(1, 3)],
+          [Fraction(0), Fraction(1), Fraction(2, 3)],
+          [Fraction(0), Fraction(0), Fraction(0)]], "singular rational system"),
+        ([row + [Fraction(0)] * 25 for row in first]
+         + [[Fraction(0)] * 20 + row for row in second],
+         "singular rational system"),
+        ([[Fraction(1), half], [Fraction(0), half]], "not positive"),
+    ]
+    for block, message in failing:
+        calls.clear()
+        with pytest.raises(td.NumericalError, match=message):
+            rationals.stationary_exact(sparse(block))
+        assert calls == [len(block)]
+
+
+def test_lifted_solver_matches_the_modular_solver_on_signed_systems():
+    # Strictly diagonally dominant rows are nonsingular and well conditioned,
+    # so the float guide must carry each system, negative entries and
+    # answers included, to the answer of the modular solver.
+    rng = random.Random(9606)
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        rows = [{j: rng.randint(-50, 50)
+                 for j in rng.sample(range(n), min(n, 3))} for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = rng.choice([-1, 1]) * (
+                sum(abs(a) for j, a in row.items() if j != i) + rng.randint(1, 9))
+        rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        lifted = rationals._solve_lifted(rows, rhs)
+        assert lifted is not None, n
+        common, x = rationals._solve(rows, rhs)
+        assert [Fraction(v, lifted[0]) for v in lifted[1]] == \
+            [Fraction(v, common) for v in x]
+
+
+def seeded_block(rng, size):
+    """Column i has the edge i -> i + 1 (mod size) and two random edges,
+    with weights 1 to 5 over their sum."""
+    block = [{} for _ in range(size)]
+    for i in range(size):
+        targets = sorted({(i + 1) % size, rng.randrange(size),
+                          rng.randrange(size)})
+        weights = [rng.randint(1, 5) for _ in targets]
+        for j, w in zip(targets, weights):
+            block[j][i] = Fraction(w, sum(weights))
+    return block
+
+
+def test_random_512_block_within_budget():
+    block = seeded_block(random.Random(5), 512)
+    start = time.perf_counter()
+    v = rationals.stationary_exact(block)
+    elapsed = time.perf_counter() - start
+    assert sum(v) == 1
+    matrix = [[row.get(i, 0) for i in range(len(block))] for row in block]
+    assert oracles.dense_balance_failures(matrix, v) == []
+    assert elapsed < 10.0, f"over budget: {elapsed:.2f}s"
 
 
 def test_shiftlike_report_on_256_element_class_within_budget():
