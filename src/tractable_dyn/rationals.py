@@ -5,27 +5,28 @@ and an absent column is zero.  There are two integer cores, and both return
 integer numerators over one common denominator only once they satisfy the
 system exactly in integers (``_satisfies``):
 
-- ``_solve`` solves rows of integers modulo 31-bit primes by Gauss-Jordan
-  elimination, joins the residues by the Chinese remainder theorem and
-  rebuilds each entry by rational reconstruction (Wang 1981).  It proves a
-  system singular when the skipped primes pass the Hadamard bound.
+- ``_solve`` is fraction-free Gauss-Jordan elimination (Bareiss 1968):
+  every division is exact, so the integers never leave the Hadamard bound,
+  and a column with no pivot proves the system singular.
 - ``_solve_lifted`` is for systems already known to be nonsingular.  Floats
   propose and integers certify: each step is one float64 LAPACK solve of
   A y = r, and z = round(2^k y) lifts the answer by k bits against an exact
   integer residual r <- 2^k r - A z (Dixon 1982, in the numeric form of Wan
   2006).  The entries are rebuilt by continued fractions.  When the float
-  guide fails, it returns None and the caller uses ``_solve``.
+  guide fails, it returns None.
 
-``solve_linear_exact`` and ``stationary_exact`` are the ``Fraction``
-adapters: each scales every row to integers once.  ``solve_linear_exact``
-always uses ``_solve``, because only it proves singularity.
-``stationary_exact`` uses ``_solve_lifted`` when it can prove, in integers
-and in O(E), that its system is nonsingular: every weight is positive and
-the support is strongly connected, so Perron-Frobenius applies (see its
-docstring).  A nonsingular system has one solution, so either core gives
-the vector that elimination over ``Fraction`` gives, whatever the float
-rounding or BLAS threading, and identities that hold exactly in theory can
-be asserted with zero tolerance.
+``_solve_nonsingular`` is the rule for a system proven nonsingular: lift,
+and eliminate only where the float guide fails.  ``stationary_exact`` proves
+it, in integers and in O(E), when every weight is positive and the support
+is strongly connected, so Perron-Frobenius applies (see its docstring);
+``simplicial1d`` proves it for the absorption system D (I - Q) of transient
+mass that decays.  ``solve_linear_exact`` and ``stationary_exact`` are the
+``Fraction`` adapters: each scales every row to integers once, and rejects
+an entry that is not a finite rational.  ``solve_linear_exact`` always uses
+``_solve``, because only it proves singularity.  A nonsingular system has
+one solution, so either core gives the vector that elimination over
+``Fraction`` gives, whatever the float rounding or BLAS threading, and
+identities that hold exactly in theory can be asserted with zero tolerance.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .config import resolve_cell_cap
+from .errors import CapExceededError, NumericalError, ValidationError
+from .relation import _strong_components
 
 # max(len(whole), 1) + len(fraction) + |exponent| bounds the digits of a
 # decimal's value: only an exponent or a long literal can pass the limit.
@@ -82,104 +85,24 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _rational(x) -> int | Fraction:
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+def _rational(x, name: str, *index) -> int | Fraction:
+    """x as an int or a Fraction; a string is read by ``parse_rational``.
+    A bool, a NaN, an infinity or anything else that is not a finite
+    rational is a ValidationError naming the entry ``name[index]...``."""
+    try:
+        if isinstance(x, (str, bool)):
+            return parse_rational(x)
+        return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    except (ValidationError, TypeError, ValueError, OverflowError):
+        entry = name + "".join(f"[{i!r}]" for i in index)
+        raise ValidationError(
+            f"{entry} = {_quoted(str(x))} is not a finite rational") from None
 
 
 def scale_to_integers(values) -> tuple[int, list[int]]:
     """(L, [x L for x in values]) with L the lcm of their denominators."""
     common = math.lcm(*(x.denominator for x in values))
     return common, [x.numerator * (common // x.denominator) for x in values]
-
-
-# Primes below 2^31, largest first, found on demand and kept (the sequence
-# is fixed, so every caller shares it): residues stay below 2^31, so every
-# product of two fits in int64.
-_PRIMES: list[int] = []
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 7; bases 2, 3, 5, 7 are exact below 3.2e9."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(index: int) -> int:
-    """The index-th prime below 2^31, counting down from 2^31 - 1."""
-    candidate = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-    while len(_PRIMES) <= index:
-        if _is_prime(candidate):
-            _PRIMES.append(candidate)
-        candidate -= 2
-    return _PRIMES[index]
-
-
-def _solve_mod(aug: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve the augmented system [A | b] modulo p by Gauss-Jordan.
-
-    ``aug`` holds the integer system reduced mod p as int64 (it is
-    overwritten).  Returns x with A x = b (mod p), or None when A is singular
-    mod p, that is when p divides det A.
-    """
-    n = aug.shape[0]
-    for col in range(n):
-        candidates = np.flatnonzero(aug[col:, col])
-        if candidates.size == 0:
-            return None
-        pivot = col + int(candidates[0])
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        row = aug[col, col:] * pow(int(aug[col, col]), -1, p) % p
-        aug[col, col:] = row
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        rows = np.flatnonzero(factors)
-        if rows.size:
-            aug[rows, col:] = (aug[rows, col:]
-                               - factors[rows, None] * row) % p
-    return aug[:, n]
-
-
-def _candidate(residues: list[int], modulus: int
-               ) -> tuple[int, list[int]] | None:
-    """(L, [x L]) for the entries x rebuilt from their residues, or None if
-    one fails.
-
-    Entries share most of their denominator, so each entry is first tried
-    as (L u mod modulus) / L with L the lcm of the denominators so far; only
-    when that numerator is too large is the entry reconstructed on its own,
-    by Wang's extended Euclid (unique when 2 bound^2 < modulus).
-    """
-    bound, half = math.isqrt((modulus - 1) // 2), modulus // 2
-    common, entries = 1, []
-    for u in residues:
-        num, den = u * common % modulus, common
-        if num > half:
-            num -= modulus
-        if abs(num) > bound:
-            r0, r1, s0, s1 = modulus, u, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-            if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
-                return None
-            num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-            common = math.lcm(common, den)
-        entries.append((num, den))
-    return common, [num * (common // den) for num, den in entries]
 
 
 def _dot(row: Mapping[int, int], x: list[int]) -> int:
@@ -194,54 +117,42 @@ def _satisfies(rows, rhs: list[int], common: int, x: list[int]) -> bool:
 
 def _solve(rows: list[dict[int, int]], rhs: list[int]
            ) -> tuple[int, list[int]]:
-    """(L, x) with A (x / L) = b, for a square system of integer rows.
+    """(L, x) with A (x / L) = b, for a square system of integer rows, by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-    A prime that divides det A is skipped.  Cramer's rule and the Hadamard
-    bound H of the rows bound the loop: once the modulus exceeds 2 H^2
-    reconstruction cannot fail, and once the skipped primes multiply past H
-    the determinant is zero (NumericalError).
+    Once the pivot of column k has cleared that column, every entry of
+    [A | b] right of it is a minor of order k + 1 (Sylvester's identity), so
+    each update divides exactly by the pivot before it and no entry outgrows
+    the Hadamard bound.  At the end column n holds p x, with p the last
+    pivot (det A up to sign).  A column with no pivot proves A singular
+    (NumericalError).  The n (n + 1) dense cells are counted against the
+    cell cap before any is allocated, and the answer is returned only once
+    ``_satisfies`` holds.
     """
     n = len(rows)
-    # |det A| and every |det A_j| (Cramer) are at most hadamard.
-    hadamard = math.isqrt(math.prod(sum(a * a for a in row.values()) + b * b
-                                    for row, b in zip(rows, rhs)))
-
-    # The system stays sparse: each prime reduces the entries (then b) and
-    # scatters them into the one dense array that _solve_mod overwrites.
-    row_index = np.repeat(np.arange(n), [len(row) for row in rows])
-    cols = np.array([j for row in rows for j in row], dtype=np.intp)
-    entries = [a for row in rows for a in row.values()] + rhs
-    stored = len(entries) - n
-    small = all(abs(v) < 2**63 for v in entries)
-    entries = np.array(entries, dtype=np.int64 if small else object)
-    aug = np.empty((n, n + 1), dtype=np.int64)
-
-    modulus, residues = 1, [0] * n
-    skipped, index = 1, 0
-    while skipped <= hadamard:
-        p = _prime(index)
-        index += 1
-        reduced = entries % p
-        aug.fill(0)
-        aug[row_index, cols] = reduced[:stored]
-        aug[:, n] = reduced[stored:]
-        x = _solve_mod(aug, p)
-        if x is None:
-            skipped *= p
-            continue
-        # CRT: the new residues agree with the old ones mod modulus.
-        inverse = pow(modulus % p, -1, p)
-        old = np.array([u % p for u in residues], dtype=np.int64)
-        step = (x - old) % p * inverse % p
-        residues = [u + modulus * int(t) for u, t in zip(residues, step)]
-        modulus *= p
-        candidate = _candidate(residues, modulus)
-        if candidate is not None and _satisfies(rows, rhs, *candidate):
-            return candidate
-        if modulus > 2 * hadamard**2:
-            raise NumericalError(
-                "rational reconstruction failed past the Hadamard bound")
-    raise NumericalError("singular rational system")
+    limit = resolve_cell_cap()
+    if n * (n + 1) > limit:
+        raise CapExceededError(
+            f"{n} x {n + 1} solver cells exceed the cell cap {limit}")
+    aug = [[row.get(j, 0) for j in range(n)] + [b]
+           for row, b in zip(rows, rhs)]
+    previous = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k]), None)
+        if pivot is None:
+            raise NumericalError("singular rational system")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head, top = aug[k][k], aug[k][k:]
+        for row in aug[:k] + aug[k + 1:]:
+            factor = row[k]
+            row[k:] = [(head * a - factor * b) // previous
+                       for a, b in zip(row[k:], top)]
+        previous = head
+    sign = 1 if previous > 0 else -1
+    common, x = sign * previous, [sign * row[n] for row in aug]
+    if not _satisfies(rows, rhs, common, x):
+        raise NumericalError("exact solve fails its own system")
+    return common, x
 
 
 def _convergent(num: int, den: int, bound: int) -> tuple[int, int]:
@@ -262,12 +173,12 @@ def _rebuild(numer: list[int], bits: int, eta: int
     """(L, [x L]) for the entries x within eta / 2^bits of u / 2^bits, u in
     ``numer``, or None if one is not found.
 
-    As in ``_candidate``, each entry is first tried over the lcm L of the
-    denominators so far (the nearest num / L); only when that misses is it
-    rebuilt on its own as the last convergent of u / 2^bits whose
-    denominator is at most sqrt(2^bits / (2 eta)).  Two fractions with such
-    denominators differ by at least 2 eta / 2^bits, so that convergent is
-    the entry whenever eta bounds the error.
+    Entries share most of their denominator, so each entry is first tried
+    over the lcm L of the denominators so far (the nearest num / L); only
+    when that misses is it rebuilt on its own as the last convergent of
+    u / 2^bits whose denominator is at most sqrt(2^bits / (2 eta)).  Two
+    fractions with such denominators differ by at least 2 eta / 2^bits, so
+    that convergent is the entry whenever eta bounds the error.
     """
     bound = math.isqrt((1 << bits) // (2 * eta))
     common, entries = 1, []
@@ -333,9 +244,8 @@ def _solve_lifted(rows: list[dict[int, int]], rhs: list[int]
                                                 minlength=n)).max()
                          + 2.0**-50 * (norm * gain + size))
                 step = math.frexp(size / error)[1] - 2
-            # A step of _solve_mod gains 31 bits and takes about ten times
-            # as long as a LAPACK solve of the same size: a guide worth
-            # fewer than 8 bits a step is left to _solve.
+            # A guide worth fewer than 8 bits a step is near singular, and
+            # _solve proves or refutes that exactly.
             if step < 8:
                 return None
             # Rounding z adds up to |A| / 2 to the residual.
@@ -361,10 +271,23 @@ def _solve_lifted(rows: list[dict[int, int]], rhs: list[int]
     return 1 << bits, numer
 
 
-def _check_shape(rows: Sequence[Mapping[int, object]]) -> None:
-    """Every column index of a square system lies in 0 .. n - 1."""
-    if any(row and not 0 <= min(row) <= max(row) < len(rows) for row in rows):
-        raise ValidationError(f"a column index lies outside 0..{len(rows) - 1}")
+def _solve_nonsingular(rows: list[dict[int, int]], rhs: list[int]
+                       ) -> tuple[int, list[int]]:
+    """``_solve_lifted`` for a square system of integer rows proven
+    nonsingular, or ``_solve`` where its float guide fails."""
+    return _solve_lifted(rows, rhs) or _solve(rows, rhs)
+
+
+def _check_shape(rows: Sequence[Mapping[int, object]], name: str) -> None:
+    """Every column index of a square system is an integer (not a bool) in
+    0 .. n - 1."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j in row:
+            if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
+                    or not 0 <= j < n):
+                raise ValidationError(f"a column index lies outside "
+                                      f"0..{n - 1}: {name}[{i}] has {j!r}")
 
 
 def solve_linear_exact(matrix: Sequence[Mapping[int, Fraction]],
@@ -378,31 +301,14 @@ def solve_linear_exact(matrix: Sequence[Mapping[int, Fraction]],
     """
     if len(rhs) != len(matrix):
         raise ValidationError(f"{len(rhs)} right-hand sides for {len(matrix)} rows")
-    _check_shape(matrix)
-    scaled = [scale_to_integers([*map(_rational, row.values()), _rational(r)])
-              for row, r in zip(matrix, rhs)]
+    _check_shape(matrix, "matrix")
+    scaled = [scale_to_integers([*(_rational(x, "matrix", i, j)
+                                   for j, x in row.items()),
+                                 _rational(r, "rhs", i)])
+              for i, (row, r) in enumerate(zip(matrix, rhs))]
     common, x = _solve([dict(zip(row, ints)) for row, (_, ints)
                         in zip(matrix, scaled)], [ints[-1] for _, ints in scaled])
     return [Fraction(v, common) for v in x]
-
-
-def _strongly_connected(sources: list[dict[int, int]]) -> bool:
-    """Whether the digraph with an edge i -> j for each i in sources[j] is
-    strongly connected: vertex 0 reaches every vertex and every vertex
-    reaches 0, by two breadth-first searches in O(E)."""
-    n = len(sources)
-    targets: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(sources):
-        for i in row:
-            targets[i].append(j)
-    for adjacency in (sources, targets):
-        seen, frontier = {0}, {0}
-        while frontier:
-            frontier = set().union(*map(adjacency.__getitem__, frontier)) - seen
-            seen |= frontier
-        if len(seen) < n:
-            return False
-    return n > 0
 
 
 def stationary_exact(block: Sequence[Mapping[int, Fraction]]) -> list[Fraction]:
@@ -419,17 +325,20 @@ def stationary_exact(block: Sequence[Mapping[int, Fraction]]) -> list[Fraction]:
     of P, so P - I has rank c-1 and, its rows summing to zero, any c-1 of
     them are independent; their kernel is spanned by a positive vector,
     which the all-ones row does not annihilate.  The system then goes to
-    ``_solve_lifted``; every other block, and any block whose float guide
-    fails, goes to ``_solve``, which proves singularity where it holds.
+    ``_solve_nonsingular``; every other block goes to ``_solve``, which
+    proves singularity where it holds.
     Positivity and P v = v over every balance row are then checked in
     integers.
     """
-    _check_shape(block)
+    _check_shape(block, "block")
     c = len(block)
+    if not c:
+        raise ValidationError("block has no states")
     balance, scales = [], []
     positive = True
     for j, row in enumerate(block):
-        ratios = [_rational(x).as_integer_ratio() for x in row.values()]
+        ratios = [_rational(x, "block", j, i).as_integer_ratio()
+                  for i, x in row.items()]
         scale = math.lcm(*[den for _, den in ratios])
         entries = {i: num * (scale // den)
                    for i, (num, den) in zip(row, ratios) if num}
@@ -448,9 +357,11 @@ def stationary_exact(block: Sequence[Mapping[int, Fraction]]) -> list[Fraction]:
             total = Fraction(col_sum + common, common)
             raise ValidationError(f"column {i} sums to {total}, expected 1")
     rows, rhs = balance[:-1] + [dict.fromkeys(range(c), 1)], [0] * (c - 1) + [1]
-    solved = (_solve_lifted(rows, rhs)
-              if positive and _strongly_connected(balance) else None)
-    den, v = solved if solved is not None else _solve(rows, rhs)
+    # balance[j] holds the predecessors of j: one strong component is a
+    # strongly connected support.
+    den, v = (_solve_nonsingular
+              if positive and len(_strong_components(balance)) == 1
+              else _solve)(rows, rhs)
     if any(x <= 0 for x in v):
         raise NumericalError("stationary vector not positive; block reducible?")
     # The solver certified every other balance row.

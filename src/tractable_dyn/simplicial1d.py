@@ -51,7 +51,8 @@ from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, DegenerateMapError,
                      MapRangeError, NotTerminalError, NumericalError,
                      SubdivisionError, ValidationError, WordError)
-from .rationals import format_rational, parse_rational, solve_linear_exact
+from .rationals import (_solve_nonsingular, format_rational, parse_rational,
+                        scale_to_integers)
 from .relation import tractability_json
 
 
@@ -885,9 +886,11 @@ def _exact_absorption(analysis: two_alphabet.Analysis,
 
     With Q the exact coarse cover from nu = a / D restricted to the
     transient elements, x = (I - Q)^-1 w_T is the mass that ever passes
-    through each of them (Kemeny-Snell), solved from the integer rows
-    D (I - Q); class c absorbs its own background plus the mass that steps
-    from a transient element into it.
+    through each of them (Kemeny-Snell); class c absorbs its own background
+    plus the mass that steps from a transient element into it.  With
+    w_T = u / L, the integer rows D (I - Q) and right-hand sides D u give
+    L x.  Transient mass decays, so I - Q is nonsingular and the system goes
+    straight to the lifted solver.
     """
     model = analysis.model
     common, a = model.scaled_nu
@@ -899,8 +902,9 @@ def _exact_absorption(analysis: two_alphabet.Analysis,
         if i in position and j in position:
             row, q = matrix[position[j]], position[i]
             row[q] = row.get(q, 0) - w
-    visits = solve_linear_exact(
-        matrix, [background[i] * common for i in transient])
+    scale, u = scale_to_integers([background[i] for i in transient])
+    den, x = _solve_nonsingular(matrix, [common * v for v in u])
+    visits = [Fraction(v, den * scale) for v in x]
     owner = {i: c for c in decomp.terminal_classes() for i in decomp.classes[c]}
     shares = {c: sum((background[i] for i in decomp.classes[c]),
                      start=Fraction(0))

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
@@ -101,6 +102,10 @@ def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
                     f"{what}[{kstar[pos]!r}] = {target!r} is not a K element")
             out.append(k_index[target])
         else:
+            if isinstance(target, bool) or not isinstance(target, Integral):
+                raise ValidationError(
+                    f"{what}[{kstar[pos]!r}] = {target!r} is neither a K "
+                    "label nor an integer index into K")
             target = int(target)
             if not (0 <= target < len(k)):
                 raise ValidationError(f"{what} index {target} out of range")
@@ -112,7 +117,8 @@ def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
     """Validate and build a model.
 
     ``j_map``, ``gamma`` and ``nu`` are sequences in K* order (a dict is a
-    ValidationError); J and gamma entries are K labels or indices into K.
+    ValidationError); J and gamma entries are K labels or integer indices
+    into K (a bool or a float is a ValidationError).
     nu entries are rational: Fractions, ints or "p/q" strings (anything else
     is a ValidationError).  Each must be positive, and each J-fiber must sum
     to 1 exactly.

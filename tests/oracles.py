@@ -25,7 +25,10 @@ cover file with ``json.load`` and checks its matrix with
 ``dense_cover_check``, where the library scans the matrix bytes for the
 nonzero cells.  The exact solver is dense
 Gauss-Jordan elimination over ``Fraction``, which the library replaced with
-certified solves modulo primes.  The genericity check counts windows as
+certified integer solves; ``modular_solve`` is the multi-modular solver
+(Gauss-Jordan modulo 31-bit primes, the Chinese remainder theorem and
+rational reconstruction) that the library's fraction-free elimination
+replaced as its fallback.  The genericity check counts windows as
 tuple slices in a dict, and the cylinder table multiplies one ``Fraction``
 per word, where the library counts codes with ``np.bincount`` and keeps
 integers over one common denominator.  ``code_H_1d`` checks a coded
@@ -56,6 +59,7 @@ gathers each one once along the whole path.
 """
 
 import bisect
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -371,6 +375,149 @@ def stationary_exact(block):
             for r in range(c - 1)]
     rows.append([Fraction(1)] * c)
     return solve_linear_exact(rows, [Fraction(0)] * (c - 1) + [Fraction(1)])
+
+
+# Primes below 2^31, largest first, found on demand and kept (the sequence
+# is fixed, so every caller shares it): residues stay below 2^31, so every
+# product of two fits in int64.
+_PRIMES = []
+
+
+def is_prime(n):
+    """Miller-Rabin for odd n > 7; bases 2, 3, 5, 7 are exact below 3.2e9."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime(index):
+    """The index-th prime below 2^31, counting down from 2^31 - 1."""
+    candidate = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+    while len(_PRIMES) <= index:
+        if is_prime(candidate):
+            _PRIMES.append(candidate)
+        candidate -= 2
+    return _PRIMES[index]
+
+
+def solve_mod(aug, p):
+    """Solve the augmented system [A | b] modulo p by Gauss-Jordan.
+
+    ``aug`` holds the integer system reduced mod p as int64 (it is
+    overwritten).  Returns x with A x = b (mod p), or None when A is singular
+    mod p, that is when p divides det A.
+    """
+    n = aug.shape[0]
+    for col in range(n):
+        candidates = np.flatnonzero(aug[col:, col])
+        if candidates.size == 0:
+            return None
+        pivot = col + int(candidates[0])
+        if pivot != col:
+            aug[[col, pivot]] = aug[[pivot, col]]
+        row = aug[col, col:] * pow(int(aug[col, col]), -1, p) % p
+        aug[col, col:] = row
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        rows = np.flatnonzero(factors)
+        if rows.size:
+            aug[rows, col:] = (aug[rows, col:]
+                               - factors[rows, None] * row) % p
+    return aug[:, n]
+
+
+def reconstruct(residues, modulus):
+    """(L, [x L]) for the entries x rebuilt from their residues, or None if
+    one fails.
+
+    Entries share most of their denominator, so each entry is first tried
+    as (L u mod modulus) / L with L the lcm of the denominators so far; only
+    when that numerator is too large is the entry reconstructed on its own,
+    by Wang's extended Euclid (unique when 2 bound^2 < modulus).
+    """
+    bound, half = math.isqrt((modulus - 1) // 2), modulus // 2
+    common, entries = 1, []
+    for u in residues:
+        num, den = u * common % modulus, common
+        if num > half:
+            num -= modulus
+        if abs(num) > bound:
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+                return None
+            num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
+            common = math.lcm(common, den)
+        entries.append((num, den))
+    return common, [num * (common // den) for num, den in entries]
+
+
+def modular_solve(rows, rhs):
+    """(L, x) with A (x / L) = b for a square system of sparse integer rows
+    {column: value}, modulo 31-bit primes: the multi-modular solver the
+    library used before fraction-free elimination.
+
+    Each prime that does not divide det A gives x mod p by ``solve_mod``;
+    the residues are joined by the Chinese remainder theorem and each
+    entry is rebuilt by ``reconstruct`` (Wang 1981) and checked exactly
+    against every row.  Cramer's rule and the Hadamard bound H of the rows
+    bound the loop: once the modulus exceeds 2 H^2 reconstruction cannot
+    fail, and once the skipped primes multiply past H the determinant is
+    zero (NumericalError).
+    """
+    n = len(rows)
+    hadamard = math.isqrt(math.prod(sum(a * a for a in row.values()) + b * b
+                                    for row, b in zip(rows, rhs)))
+    row_index = np.repeat(np.arange(n), [len(row) for row in rows])
+    cols = np.array([j for row in rows for j in row], dtype=np.intp)
+    entries = [a for row in rows for a in row.values()] + rhs
+    stored = len(entries) - n
+    small = all(abs(v) < 2**63 for v in entries)
+    entries = np.array(entries, dtype=np.int64 if small else object)
+    aug = np.empty((n, n + 1), dtype=np.int64)
+
+    modulus, residues = 1, [0] * n
+    skipped, index = 1, 0
+    while skipped <= hadamard:
+        p = prime(index)
+        index += 1
+        reduced = entries % p
+        aug.fill(0)
+        aug[row_index, cols] = reduced[:stored]
+        aug[:, n] = reduced[stored:]
+        x = solve_mod(aug, p)
+        if x is None:
+            skipped *= p
+            continue
+        # CRT: the new residues agree with the old ones mod modulus.
+        inverse = pow(modulus % p, -1, p)
+        old = np.array([u % p for u in residues], dtype=np.int64)
+        step = (x - old) % p * inverse % p
+        residues = [u + modulus * int(t) for u, t in zip(residues, step)]
+        modulus *= p
+        candidate = reconstruct(residues, modulus)
+        if candidate is not None and all(
+                sum(a * candidate[1][j] for j, a in row.items())
+                == b * candidate[0] for row, b in zip(rows, rhs)):
+            return candidate
+        if modulus > 2 * hadamard**2:
+            raise td.NumericalError(
+                "rational reconstruction failed past the Hadamard bound")
+    raise td.NumericalError("singular rational system")
 
 
 def exact_absorption(model, decomposition, background):

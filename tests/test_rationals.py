@@ -1,15 +1,17 @@
 """Certified exact solves against dense Gauss-Jordan over Fraction.
 
-``rationals.solve_linear_exact`` solves modulo primes, and
+``rationals.solve_linear_exact`` solves by fraction-free elimination, and
 ``stationary_exact`` by float-guided lifting wherever it can prove its block
-nonsingular; both certify the candidate exactly, so their answers must equal
+nonsingular; both certify the answer exactly, so their answers must equal
 the ``oracles`` elimination ``Fraction`` for ``Fraction``, and their error
-paths must match the old ones.
+paths must match the old ones.  The multi-modular solver that elimination
+replaced is ``oracles.modular_solve``, and ``_solve`` must equal it.
 The library takes sparse rows; every case here is written densely, as the
 oracle takes it, and handed to the library through ``sparse``.
 """
 
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -160,12 +162,13 @@ def test_singular_system_raises():
 
 
 def test_prime_dividing_the_determinant_is_skipped():
-    p = rationals._prime(0)
+    p = oracles.prime(0)
     aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % p
-    assert rationals._solve_mod(aug, p) is None
-    aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % rationals._prime(1)
-    assert rationals._solve_mod(aug, rationals._prime(1)) is not None
-    # det = p: the first prime is skipped and the second one certifies.
+    assert oracles.solve_mod(aug, p) is None
+    aug = np.array([[p, 1, 1], [0, 1, 2]], dtype=np.int64) % oracles.prime(1)
+    assert oracles.solve_mod(aug, oracles.prime(1)) is not None
+    # det = p: the modular oracle skips the first prime and the second one
+    # certifies; the library's elimination gives the same answer.
     assert rationals.solve_linear_exact(sparse([[p, 1], [0, 1]]), [1, 2]) == \
         [Fraction(-1, p), Fraction(2)]
 
@@ -183,14 +186,13 @@ def test_bad_column_sum_message():
 
 def test_two_closed_classes_raise():
     # States 0 and 1 each absorb; 2 splits between them.  The balance
-    # system is singular, and the prime loop stops at the Hadamard bound.
+    # system is singular, and elimination finds a column with no pivot.
     block = [[Fraction(1), Fraction(0), Fraction(1, 3)],
              [Fraction(0), Fraction(1), Fraction(2, 3)],
              [Fraction(0), Fraction(0), Fraction(0)]]
     with pytest.raises(td.NumericalError, match="singular"):
         rationals.stationary_exact(sparse(block))
-    # Two closed random classes side by side, with large denominators: about
-    # 40 primes are skipped before they pass the Hadamard bound.
+    # Two closed random classes side by side, with large denominators.
     rng = random.Random(5606)
     first, second = random_block(rng, 20, 10**6), random_block(rng, 25, 10**6)
     block = ([row + [Fraction(0)] * 25 for row in first]
@@ -293,7 +295,7 @@ def test_blocks_outside_the_lifting_proof_reach_the_modular_solver(monkeypatch):
 def test_lifted_solver_matches_the_modular_solver_on_signed_systems():
     # Strictly diagonally dominant rows are nonsingular and well conditioned,
     # so the float guide must carry each system, negative entries and
-    # answers included, to the answer of the modular solver.
+    # answers included, to the answer of the elimination in `_solve`.
     rng = random.Random(9606)
     for _ in range(30):
         n = rng.randint(1, 40)
@@ -308,6 +310,147 @@ def test_lifted_solver_matches_the_modular_solver_on_signed_systems():
         common, x = rationals._solve(rows, rhs)
         assert [Fraction(v, lifted[0]) for v in lifted[1]] == \
             [Fraction(v, common) for v in x]
+
+
+def solved_or_message(solve, rows, rhs):
+    """A solver's answer as Fractions, or the message of its NumericalError."""
+    try:
+        common, x = solve(rows, rhs)
+    except td.NumericalError as exc:
+        return str(exc)
+    return [Fraction(v, common) for v in x]
+
+
+def test_elimination_matches_the_modular_oracle():
+    rng = random.Random(10606)
+    systems = []
+    # Random sparse systems of up to 40 unknowns, a few of them singular.
+    for _ in range(64):
+        n = rng.randint(1, 40)
+        rows = [{j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in range(n)
+                 if rng.random() < 0.4} for _ in range(n)]
+        systems.append((rows, [rng.randint(-99, 99) for _ in range(n)]))
+    # Rank-deficient: one row a combination of two others, with a
+    # consistent and an inconsistent right-hand side.
+    for _ in range(6):
+        n = rng.randint(3, 20)
+        rows = [{j: rng.randint(-9, 9) for j in range(n)} for _ in range(n)]
+        rhs = [rng.randint(-99, 99) for _ in range(n)]
+        a, b, c = rng.sample(range(n), 3)
+        rows[c] = {j: 2 * rows[a][j] - 3 * rows[b][j] for j in range(n)}
+        rhs[c] = 2 * rhs[a] - 3 * rhs[b] + rng.choice((0, 1))
+        systems.append((rows, rhs))
+    # Blocks with two closed classes: the stationary system is singular.
+    first, second = random_block(rng, 7, 100), random_block(rng, 9, 10**6)
+    block = ([row + [Fraction(0)] * 9 for row in first]
+             + [[Fraction(0)] * 7 + row for row in second])
+    balance = []
+    for j, row in enumerate(block[:-1]):
+        _, ints = rationals.scale_to_integers(row[:j] + [row[j] - 1]
+                                              + row[j + 1:])
+        balance.append({i: a for i, a in enumerate(ints) if a})
+    systems.append((balance + [dict.fromkeys(range(16), 1)], [0] * 15 + [1]))
+    # Near-singular: the last row is 10^k times the sum of the others plus
+    # one unit, so det A is tiny against the entries.
+    for k in (6, 12, 30):
+        n = rng.randint(2, 12)
+        rows = [{j: rng.randint(-9, 9) for j in range(n)} for _ in range(n - 1)]
+        last = {j: 10**k * sum(row[j] for row in rows) for j in range(n)}
+        last[rng.randrange(n)] += 1
+        systems.append((rows + [last], [rng.randint(-9, 9) for _ in range(n)]))
+    # Signed entries past int64, and in two systems one entry past the
+    # float range.
+    for bits, n in ((70, 8), (70, 3), (1100, 3), (1100, 2)):
+        rows = [{j: rng.choice((-1, 1)) * rng.getrandbits(70)
+                 for j in range(n) if rng.random() < 0.7} for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = rng.getrandbits(70) | 1
+        rows[0][n - 1] = -rng.getrandbits(bits)
+        systems.append((rows, [rng.choice((-1, 1)) * rng.getrandbits(70)
+                               for _ in range(n)]))
+    # Signed, strictly diagonally dominant systems.
+    for _ in range(6):
+        n = rng.randint(1, 40)
+        rows = [{j: rng.randint(-50, 50)
+                 for j in rng.sample(range(n), min(n, 3))} for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = rng.choice([-1, 1]) * (
+                sum(abs(a) for j, a in row.items() if j != i) + rng.randint(1, 9))
+        systems.append((rows, [rng.randint(-10**6, 10**6) for _ in range(n)]))
+    outcomes = [solved_or_message(oracles.modular_solve, rows, rhs)
+                for rows, rhs in systems]
+    for (rows, rhs), expected in zip(systems, outcomes):
+        assert solved_or_message(rationals._solve, rows, rhs) == expected
+    singular = outcomes.count("singular rational system")
+    assert 8 <= singular and len(systems) - singular >= 60
+
+
+class UnreadRow(dict):
+    """A row that fails the test if the solver reads a cell of it."""
+
+    def get(self, *args):
+        raise AssertionError("a cell was read")
+
+
+def test_solver_cells_count_against_the_cell_cap(monkeypatch):
+    rows, rhs = [{0: 2, 1: 1}, {1: 3}, {2: 1}, {0: 1, 3: 5}], [1, 2, 3, 4]
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "20")
+    assert solved_or_message(rationals._solve, rows, rhs) == \
+        solved_or_message(oracles.modular_solve, rows, rhs)
+    monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "19")
+    with pytest.raises(td.CapExceededError,
+                       match=r"^4 x 5 solver cells exceed the cell cap 19$"):
+        rationals._solve([UnreadRow(row) for row in rows], rhs)
+    with pytest.raises(td.CapExceededError):
+        rationals.solve_linear_exact(rows, rhs)
+    # A block outside the lifting proof reaches the same cap.
+    with pytest.raises(td.CapExceededError):
+        rationals.stationary_exact(sparse(
+            [[Fraction(1, 2), 0, 0, Fraction(1, 4)],
+             [Fraction(1, 2), Fraction(1), 0, 0],
+             [0, 0, Fraction(1), Fraction(1, 4)],
+             [0, 0, 0, Fraction(1, 2)]]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   True, False, "x", None, "1/0"])
+def test_bad_entries_raise_validation_errors_naming_them(value):
+    shown = f"'{value}'"
+    block = [{0: Fraction(1, 2), 1: Fraction(1, 3)},
+             {0: Fraction(1, 2), 1: value}]
+    with pytest.raises(td.ValidationError,
+                       match=rf"^block\[1\]\[1\] = {re.escape(shown)} is "
+                             "not a finite rational$"):
+        rationals.stationary_exact(block)
+    matrix, rhs = [{0: 1, 1: value}, {1: 2}], [1, 2]
+    with pytest.raises(td.ValidationError,
+                       match=r"^matrix\[0\]\[1\] = .* is not a finite"):
+        rationals.solve_linear_exact(matrix, rhs)
+    with pytest.raises(td.ValidationError,
+                       match=r"^rhs\[1\] = .* is not a finite rational$"):
+        rationals.solve_linear_exact([{0: 1}, {1: 2}], [1, value])
+
+
+@pytest.mark.parametrize("key", ["a", 0.0, 1.5, None, True, (0,)])
+def test_column_keys_must_be_integers(key):
+    with pytest.raises(td.ValidationError,
+                       match=r"column index lies outside 0\.\.1: "
+                             rf"block\[1\] has {re.escape(repr(key))}$"):
+        rationals.stationary_exact([{0: Fraction(1)}, {key: Fraction(1)}])
+    with pytest.raises(td.ValidationError, match=r"matrix\[0\] has"):
+        rationals.solve_linear_exact([{key: 1}, {1: 1}], [1, 2])
+
+
+def test_numpy_integer_keys_and_entries_are_exact():
+    matrix = [{np.int64(0): np.int64(2), 1: 1}, {np.int32(1): 3}]
+    assert rationals.solve_linear_exact(matrix, [1, np.int64(2)]) == \
+        [Fraction(1, 6), Fraction(2, 3)]
+
+
+def test_an_empty_block_raises():
+    with pytest.raises(td.ValidationError, match="^block has no states$"):
+        rationals.stationary_exact([])
+    assert rationals.solve_linear_exact([], []) == []
 
 
 def seeded_block(rng, size):

@@ -708,6 +708,19 @@ def test_exact_absorption_matches_the_dense_oracle(example_a, example_b,
     assert with_transient >= 8
 
 
+def test_exact_absorption_takes_the_lifted_path(monkeypatch, example_a,
+                                                example_b, random_pl_system):
+    # D (I - Q) is nonsingular wherever transient mass decays, so the
+    # absorption shares never need the elimination fallback.
+    def refuse(rows, rhs):
+        raise AssertionError("the elimination fallback was reached")
+
+    monkeypatch.setattr(td.rationals, "_solve", refuse)
+    test_exact_absorption_matches_the_dense_oracle(example_a, example_b,
+                                                   random_pl_system)
+    test_report_rejects_unabsorbed_transient_mass()
+
+
 def test_birkhoff_histogram_smoke(example_a):
     result = td.decode_orbit_histogram(
         td.tractability_report_pl(example_a), (0, 1), segments=2000,

@@ -111,6 +111,23 @@ def test_j_must_be_surjective():
         td.build_model(("a",), ("s", "u"), ("s",), ("s",), [1])
 
 
+@pytest.mark.parametrize("field", ["j_map", "gamma"])
+@pytest.mark.parametrize("index", [1.7, 1.0, True, None, np.float64(1)])
+def test_indices_must_be_labels_or_integers(field, index):
+    args = {"kstar": ("a", "b"), "k": ("s", "u"), "j_map": ["s", "u"],
+            "gamma": ["s", "u"], "nu": [1, 1]}
+    args[field] = ["s", index]
+    with pytest.raises(td.ValidationError,
+                       match=rf"^{'J' if field == 'j_map' else 'gamma'}"
+                             r"\['b'\] = .* is neither a K label nor an "
+                             "integer index into K$"):
+        td.build_model(**args)
+    # Labels, ints and numpy integers name the same elements.
+    for value in ("u", 1, np.int64(1)):
+        args[field][1] = value
+        assert getattr(td.build_model(**args), field) == (0, 1)
+
+
 def test_word_pair_model_builds():
     model = shift_pair_model()
     assert model.kstar == ("00", "10", "01", "11")
