@@ -35,7 +35,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,6 +79,13 @@ def parse_rational(value) -> Fraction:
             raise ValidationError(
                 f"not a rational literal: {_quoted(value)}") from exc
     raise ValidationError(f"not a rational literal: {value!r}")
+
+
+def as_index(value) -> int:
+    """``operator.index(value)``, and a TypeError for a bool too."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an index")
+    return index(value)
 
 
 def format_rational(value: Fraction) -> str:

@@ -10,7 +10,11 @@ block code rounds to such a g with k = max(m-1, 1).
 
 Words are stored packed: a word of length L over A = {0..N-1} is the integer
 sum(digit_i * N^i), digit 0 first.  Python integers are arbitrary precision,
-so long words cost nothing but bits.
+so long words cost nothing but bits.  The dynamics are integer arithmetic on
+these values: a g-step is gamma[v mod N^(n+k)] + (v div N^(n+k)) N^n, a block
+code reads v mod N^m at each window, and decoding adds each word's packed tail
+at its place.  ``Word`` is the boundary type: callers give and receive words
+as ``Word`` objects, checked once each, and no intermediate word is built.
 
 Tables are dense lists indexed by packed value; their size N^(n+k) is guarded
 by a configurable cell cap (TRACTABLE_DYN_CELL_CAP, default 2^24 entries).
@@ -25,7 +29,7 @@ from fractions import Fraction
 from . import two_alphabet
 from .config import resolve_cell_cap
 from .errors import CapExceededError, ValidationError, WordError
-from .rationals import format_rational
+from .rationals import as_index, format_rational
 from .relation import tractability_json
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -34,6 +38,26 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 def _check_alphabet(n_symbols: int):
     if n_symbols < 2:
         raise ValidationError("alphabet size must be at least 2")
+
+
+def _check_ints(values, what: str):
+    # type, not isinstance: a bool (JSON true and false too) is an int.
+    if not set(map(type, values)) <= {int}:
+        raise ValidationError(f"{what} must be integers")
+
+
+def _check_table(table, n_symbols: int, width: int, entry_width: int,
+                 what: str):
+    """A dense table over the words of a width whose entries are packed
+    words of entry_width symbols; N^width is checked before it is built."""
+    if _power_upto(n_symbols, width, len(table)) != len(table):
+        raise ValidationError(f"{what} table has {len(table)} entries, "
+                              f"expected {n_symbols}^{width}")
+    _check_ints(table, f"{what} entries")
+    bound = n_symbols ** entry_width
+    for entry in table:
+        if not (0 <= entry < bound):
+            raise ValidationError(f"{what} entry {entry} out of range")
 
 
 def _power_upto(n_symbols: int, length: int, limit: int) -> int | None:
@@ -54,6 +78,8 @@ class Word:
     value: int
 
     def __post_init__(self):
+        _check_ints((self.n_symbols, self.length, self.value),
+                    "N, length and value of a word")
         _check_alphabet(self.n_symbols)
         if self.length < 0:
             raise ValidationError("word length must be >= 0")
@@ -63,10 +89,12 @@ class Word:
 
     @classmethod
     def from_digits(cls, n_symbols: int, digits) -> "Word":
-        digits = list(digits)
+        try:
+            digits = list(map(as_index, digits))
+        except TypeError:
+            raise ValidationError("word digits must be integers") from None
         value = 0
         for pos, d in enumerate(digits):
-            d = int(d)
             if not (0 <= d < n_symbols):
                 raise ValidationError(f"digit {d} out of range for N={n_symbols}")
             value += d * n_symbols ** pos
@@ -161,17 +189,11 @@ class SlidingBlockCode:
     phi: tuple[int, ...]
 
     def __post_init__(self):
+        _check_ints((self.n_symbols, self.window), "N and m")
         _check_alphabet(self.n_symbols)
         if self.window < 1:
             raise ValidationError("window width must be >= 1")
-        if _power_upto(self.n_symbols, self.window, len(self.phi)) \
-                != len(self.phi):
-            raise ValidationError(
-                f"phi table has {len(self.phi)} entries, expected "
-                f"{self.n_symbols}^{self.window}")
-        for entry in self.phi:
-            if not (0 <= entry < self.n_symbols):
-                raise ValidationError(f"phi entry {entry} out of range")
+        _check_table(self.phi, self.n_symbols, self.window, 1, "phi")
 
     def apply(self, word: Word) -> Word:
         """Image prefix: length shrinks by window - 1."""
@@ -180,16 +202,20 @@ class SlidingBlockCode:
         if word.length < self.window:
             raise WordError(
                 f"need at least {self.window} symbols, got {word.length}")
-        base = self.n_symbols
+        count = word.length - self.window + 1
+        return Word(self.n_symbols, count, self._image(word.value, count))
+
+    def _image(self, value: int, count: int) -> int:
+        """Packed image of the first ``count`` windows of a packed value."""
+        base, phi = self.n_symbols, self.phi
         window_mod = base ** self.window
         out = 0
         place = 1
-        rest = word.value
-        for _ in range(word.length - self.window + 1):
-            out += self.phi[rest % window_mod] * place
+        for _ in range(count):
+            out += phi[value % window_mod] * place
             place *= base
-            rest //= base
-        return Word(base, word.length - self.window + 1, out)
+            value //= base
+        return out
 
 
 @dataclass(frozen=True)
@@ -202,22 +228,21 @@ class ShiftLikeSystem:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
+        _check_ints((self.n_symbols, self.n, self.k), "N, n, k")
         _check_alphabet(self.n_symbols)
         if self.n < 1 or self.k < 1:
             raise ValidationError("n and k must be >= 1")
-        width = self.n + self.k
-        if _power_upto(self.n_symbols, width, len(self.gamma)) \
-                != len(self.gamma):
-            raise ValidationError(
-                f"gamma table has {len(self.gamma)} entries, expected "
-                f"{self.n_symbols}^{width}")
-        out_range = self.n_symbols ** self.n
         # Every entry is an n-word, so g(t x) = gamma(t) x is shift
         # compatible by construction: dropping n symbols of the image
         # leaves x.
-        for entry in self.gamma:
-            if not (0 <= entry < out_range):
-                raise ValidationError(f"gamma entry {entry} out of range")
+        _check_table(self.gamma, self.n_symbols, self.n + self.k, self.n,
+                     "gamma")
+
+    def _g(self, value: int) -> int:
+        """g on a packed value: gamma of its leading (n+k)-block, then its
+        tail."""
+        fine = self.n_symbols ** (self.n + self.k)
+        return self.gamma[value % fine] + value // fine * self.n_symbols ** self.n
 
 
 def derive_gamma(code: SlidingBlockCode, n: int) -> ShiftLikeSystem:
@@ -239,10 +264,8 @@ def derive_gamma(code: SlidingBlockCode, n: int) -> ShiftLikeSystem:
 def _rounded_table(code: SlidingBlockCode, n: int, k: int) -> tuple[int, ...]:
     """First n symbols of the code's image of each (n+k)-word, in packed
     order: the table that rounds the code at n."""
-    out_mod = code.n_symbols ** n
-    return tuple(
-        code.apply(Word(code.n_symbols, n + k, value)).value % out_mod
-        for value in range(code.n_symbols ** (n + k)))
+    return tuple(code._image(value, n)
+                 for value in range(code.n_symbols ** (n + k)))
 
 
 def apply_g(system: ShiftLikeSystem, word: Word) -> Word:
@@ -253,11 +276,8 @@ def apply_g(system: ShiftLikeSystem, word: Word) -> Word:
     if word.length < width:
         raise WordError(
             f"need at least {width} symbols to apply g, got {word.length}")
-    head = word.value % system.n_symbols ** width
-    image_head = system.gamma[head]
-    tail = word.drop(width)
-    return Word(system.n_symbols, system.n,
-                image_head).concat(tail)
+    return Word(system.n_symbols, word.length - system.k,
+                system._g(word.value))
 
 
 def code_R(source, prefix: Word, depth: int,
@@ -274,7 +294,8 @@ def code_R(source, prefix: Word, depth: int,
         k = source.k if k is None else k
         if (n, k) != (source.n, source.k):
             raise ValidationError("n, k overrides do not match the system")
-        shrink, step = k, lambda word: apply_g(source, word)
+        shrink, what = k, "system"
+        step = lambda value, length: source._g(value)
     elif isinstance(source, SlidingBlockCode):
         if n is None or k is None:
             raise ValidationError("coding a block map requires explicit n and k")
@@ -283,18 +304,23 @@ def code_R(source, prefix: Word, depth: int,
         if k < source.window - 1:
             raise ValidationError(
                 f"k={k} too small: the code reads {source.window} symbols")
-        shrink, step = source.window - 1, source.apply
+        shrink, what = source.window - 1, "code"
+        step = lambda value, length: source._image(value, length - shrink)
     else:
         raise ValidationError(f"cannot code orbits of {type(source).__name__}")
     needed = n + k + depth * shrink
     if prefix.length < needed:
         raise WordError(
             f"prefix length {prefix.length} below required {needed}")
-    words = []
-    current = prefix
-    for _ in range(depth + 1):
-        words.append(current.prefix(n + k))
-        current = step(current)
+    if prefix.n_symbols != source.n_symbols:
+        raise ValidationError(f"word alphabet does not match the {what}")
+    base, width = source.n_symbols, n + k
+    fine = base ** width
+    value, length = prefix.value, prefix.length
+    words = [Word(base, width, value % fine)]
+    for _ in range(depth):
+        value, length = step(value, length), length - shrink
+        words.append(Word(base, width, value % fine))
     return words
 
 
@@ -313,14 +339,16 @@ def decode_H(system: ShiftLikeSystem, sequence) -> Word:
         if not isinstance(word, Word) or word.length != width \
                 or word.n_symbols != system.n_symbols:
             raise WordError(f"coding entries must be {width}-symbol words")
+    base, coarse = system.n_symbols, system.n_symbols ** system.n
+    value, place = words[0].value, base ** width
     for first, second in zip(words, words[1:]):
-        if second.prefix(system.n).value != system.gamma[first.value]:
+        tail, head = divmod(second.value, coarse)
+        if head != system.gamma[first.value]:
             raise WordError(
                 f"({first}, {second}) is not an edge of the fine relation")
-    out = words[0]
-    for word in words[1:]:
-        out = out.concat(word.drop(system.n))
-    return out
+        value += tail * place
+        place *= base ** system.k
+    return Word(base, width + system.k * (len(words) - 1), value)
 
 
 def shadow_Q(code: SlidingBlockCode, system: ShiftLikeSystem,
@@ -414,22 +442,25 @@ def tractability_report_shiftlike(system: ShiftLikeSystem) -> ShiftlikeReport:
         system, two_alphabet.analyze(to_two_alphabet(system)))
 
 
-def system_from_json(data) -> ShiftLikeSystem:
+def _json_fields(data, names: tuple[str, ...], what: str) -> list:
+    """The values of a JSON object that has exactly the named fields."""
     if not isinstance(data, dict):
-        raise ValidationError("gamma-table file must be a JSON object")
-    required = {"N", "n", "k", "gamma"}
-    missing = required - set(data)
+        raise ValidationError(f"{what} file must be a JSON object")
+    missing = set(names) - set(data)
     if missing:
-        raise ValidationError(f"gamma-table file missing: {sorted(missing)}")
-    unknown = set(data) - required
+        raise ValidationError(f"{what} file missing: {sorted(missing)}")
+    unknown = set(data) - set(names)
     if unknown:
-        raise ValidationError(f"unknown gamma-table fields: {sorted(unknown)}")
-    n_symbols, n, k = data["N"], data["n"], data["k"]
-    # type, not isinstance: JSON true and false are bools, and bool is an int.
-    if not all(type(x) is int for x in (n_symbols, n, k)):
-        raise ValidationError("N, n, k must be integers")
-    gamma = data["gamma"]
-    if not (isinstance(gamma, list) and all(type(x) is int for x in gamma)):
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    return [data[name] for name in names]
+
+
+def system_from_json(data) -> ShiftLikeSystem:
+    n_symbols, n, k, gamma = _json_fields(data, ("N", "n", "k", "gamma"),
+                                          "gamma-table")
+    # The cap is checked before the table, on integer sizes.
+    _check_ints((n_symbols, n, k), "N, n, k")
+    if not isinstance(gamma, list):
         raise ValidationError("'gamma' must be a list of integers")
     limit = resolve_cell_cap()
     if n_symbols >= 2 and n >= 1 and k >= 1 and \
@@ -445,19 +476,7 @@ def system_to_json(system: ShiftLikeSystem) -> dict:
 
 
 def code_from_json(data) -> SlidingBlockCode:
-    if not isinstance(data, dict):
-        raise ValidationError("code file must be a JSON object")
-    required = {"N", "m", "phi"}
-    missing = required - set(data)
-    if missing:
-        raise ValidationError(f"code file missing: {sorted(missing)}")
-    unknown = set(data) - required
-    if unknown:
-        raise ValidationError(f"unknown code fields: {sorted(unknown)}")
-    n_symbols, window, phi = data["N"], data["m"], data["phi"]
-    # type, not isinstance: JSON true and false are bools, and bool is an int.
-    if not (type(n_symbols) is int and type(window) is int):
-        raise ValidationError("N and m must be integers")
-    if not (isinstance(phi, list) and all(type(x) is int for x in phi)):
+    n_symbols, window, phi = _json_fields(data, ("N", "m", "phi"), "code")
+    if not isinstance(phi, list):
         raise ValidationError("'phi' must be a list of integers")
     return SlidingBlockCode(n_symbols, window, tuple(phi))

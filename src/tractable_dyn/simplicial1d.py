@@ -51,8 +51,8 @@ from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, DegenerateMapError,
                      MapRangeError, NotTerminalError, NumericalError,
                      SubdivisionError, ValidationError, WordError)
-from .rationals import (_solve_nonsingular, format_rational, parse_rational,
-                        scale_to_integers)
+from .rationals import (_solve_nonsingular, as_index, format_rational,
+                        parse_rational, scale_to_integers)
 from .relation import tractability_json
 
 
@@ -418,7 +418,7 @@ def column_stochastic_norm_bound(matrix, theta_value,
 
 def _check_star_word(system: SimplicialSystem1D, word) -> tuple[int, ...]:
     try:
-        word = tuple(map(operator.index, word))
+        word = tuple(map(as_index, word))
     except TypeError:
         raise WordError("fine edge indices must be integers") from None
     if not word:

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
 
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
-from .rationals import parse_rational, scale_to_integers, stationary_exact
+from .rationals import (as_index, parse_rational, scale_to_integers,
+                        stationary_exact)
 from .relation import BasicSetDecomposition, FiniteRelation, basic_sets
 
 
@@ -102,11 +102,12 @@ def _as_index_map(values, kstar, k, what: str) -> tuple[int, ...]:
                     f"{what}[{kstar[pos]!r}] = {target!r} is not a K element")
             out.append(k_index[target])
         else:
-            if isinstance(target, bool) or not isinstance(target, Integral):
+            try:
+                target = as_index(target)
+            except TypeError:
                 raise ValidationError(
                     f"{what}[{kstar[pos]!r}] = {target!r} is neither a K "
-                    "label nor an integer index into K")
-            target = int(target)
+                    "label nor an integer index into K") from None
             if not (0 <= target < len(k)):
                 raise ValidationError(f"{what} index {target} out of range")
             out.append(target)
@@ -137,18 +138,18 @@ def build_model(kstar, k, j_map, gamma, nu) -> TwoAlphabetModel:
 
     model = TwoAlphabetModel(kstar, k, j_idx, gamma_idx, tuple(
         parse_rational(x) for x in _per_kstar(nu, kstar, "nu")))
-    for label, value in zip(kstar, model.nu):
-        if value <= 0:
-            raise ValidationError(f"nu[{label!r}] must be positive")
-    # Over D, the lcm of nu's denominators, a fiber sums to 1 exactly when
-    # its integer weights a[t] = nu(t) D sum to D.
+    # Over D > 0, the lcm of nu's denominators, a[t] = nu(t) D has the sign
+    # of nu(t), and a fiber sums to 1 exactly when its a[t] sum to D.
     common, a = model.scaled_nu
-    for i in range(len(k)):
-        fiber = model.fiber(i)
-        if sum(a[t] for t in fiber) != common:
-            total = sum(model.nu[t] for t in fiber)
-            raise ValidationError(
-                f"nu over the fiber of {k[i]!r} sums to {total}, expected 1")
+    sums = [0] * len(k)
+    for label, i, weight in zip(kstar, j_idx, a):
+        if weight <= 0:
+            raise ValidationError(f"nu[{label!r}] must be positive")
+        sums[i] += weight
+    for label, total in zip(k, sums):
+        if total != common:
+            raise ValidationError(f"nu over the fiber of {label!r} sums to "
+                                  f"{Fraction(total, common)}, expected 1")
     return model
 
 
@@ -400,8 +401,13 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
     the word is a G* word starting inside the class, and 0 otherwise, as an
     exact Fraction.  Each call recomputes the correspondence.
     """
+    try:
+        members = tuple(sorted(set(map(as_index, star_class))))
+        word = tuple(map(as_index, word))
+    except TypeError:
+        raise ValidationError("class members and word symbols must be "
+                              "integer indices into K*") from None
     correspondence = basic_set_correspondence(model)
-    members = tuple(sorted(set(int(t) for t in star_class)))
     pair = next((p for p in correspondence.pairs
                  if tuple(sorted(p.star_members)) == members), None)
     if pair is None:
@@ -410,7 +416,6 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
         raise NotTerminalError(
             "ergodic cylinder measures exist only over terminal classes")
 
-    word = tuple(int(t) for t in word)
     if not word:
         raise ValidationError("empty word has no cylinder")
     for t in word:

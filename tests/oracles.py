@@ -11,7 +11,14 @@ the ``Fraction`` referee for the integer chart and live only here.
 powers, where the library pushes one mass vector along the edge list, and
 ``exact_transient_mass`` is that mass over ``Fraction``.  The
 block-code image uses a fresh power per symbol, and ``splitmix64`` steps
-the generator's state one draw at a time.  The uniform cover and the
+the generator's state one draw at a time.  ``word_apply``,
+``derive_gamma``, ``apply_g``, ``code_R``, ``decode_H`` and ``shadow_Q`` are
+the shift-like dynamics on ``Word`` objects: every step builds, checks and
+splits words, where the library steps packed integers and builds a ``Word``
+only for a value it returns.  ``build_model`` reads J and gamma through the
+``Integral`` ABC, compares each nu with zero as a ``Fraction`` and sums each
+fiber in ``Fraction`` by a scan of K*, where the library checks signs and
+fiber sums on nu's integers over one denominator.  The uniform cover and the
 decoder's float G* cover are filled cell by cell in loops over the
 successors, where the library keeps one weight per edge in sorted edge
 order and builds the dense matrix from them in one assignment.  The cover-support scan,
@@ -65,6 +72,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -620,6 +628,190 @@ def block_code_image(code, word):
         out += code.phi[rest % window_mod] * base ** pos
         rest //= base
     return td.Word(base, word.length - code.window + 1, out)
+
+
+def word_apply(code, word):
+    """``SlidingBlockCode.apply`` through one ``Word`` per call, place value
+    kept as a running product."""
+    if word.n_symbols != code.n_symbols:
+        raise td.ValidationError("word alphabet does not match the code")
+    if word.length < code.window:
+        raise td.WordError(
+            f"need at least {code.window} symbols, got {word.length}")
+    base = code.n_symbols
+    window_mod = base ** code.window
+    out = 0
+    place = 1
+    rest = word.value
+    for _ in range(word.length - code.window + 1):
+        out += code.phi[rest % window_mod] * place
+        place *= base
+        rest //= base
+    return td.Word(base, word.length - code.window + 1, out)
+
+
+def rounded_table(code, n, k):
+    """The code's image of each (n+k)-word as a ``Word``, cut to n symbols."""
+    out_mod = code.n_symbols ** n
+    return tuple(
+        word_apply(code, td.Word(code.n_symbols, n + k, value)).value % out_mod
+        for value in range(code.n_symbols ** (n + k)))
+
+
+def derive_gamma(code, n):
+    """``derive_gamma`` with the table built through two ``Word``s per
+    entry."""
+    if n < 1:
+        raise td.ValidationError("n must be >= 1")
+    k = max(code.window - 1, 1)
+    limit = td.shiftlike.resolve_cell_cap()
+    if td.shiftlike._power_upto(code.n_symbols, n + k, limit) is None:
+        raise td.CapExceededError(f"table of {code.n_symbols}^{n + k} entries "
+                                  f"exceeds the cell cap {limit}")
+    return td.ShiftLikeSystem(code.n_symbols, n, k, rounded_table(code, n, k))
+
+
+def apply_g(system, word):
+    """One g-step through ``Word.drop``, ``Word`` and ``Word.concat``."""
+    if word.n_symbols != system.n_symbols:
+        raise td.ValidationError("word alphabet does not match the system")
+    width = system.n + system.k
+    if word.length < width:
+        raise td.WordError(
+            f"need at least {width} symbols to apply g, got {word.length}")
+    head = word.value % system.n_symbols ** width
+    return td.Word(system.n_symbols, system.n,
+                   system.gamma[head]).concat(word.drop(width))
+
+
+def code_R(source, prefix, depth, n=None, k=None):
+    """``code_R`` stepping whole ``Word``s, one step past the last word."""
+    if depth < 0:
+        raise td.ValidationError("depth must be >= 0")
+    if isinstance(source, td.ShiftLikeSystem):
+        n = source.n if n is None else n
+        k = source.k if k is None else k
+        if (n, k) != (source.n, source.k):
+            raise td.ValidationError("n, k overrides do not match the system")
+        shrink, step = k, lambda word: apply_g(source, word)
+    elif isinstance(source, td.SlidingBlockCode):
+        if n is None or k is None:
+            raise td.ValidationError(
+                "coding a block map requires explicit n and k")
+        if n < 1 or k < 1:
+            raise td.ValidationError("n and k must be >= 1")
+        if k < source.window - 1:
+            raise td.ValidationError(
+                f"k={k} too small: the code reads {source.window} symbols")
+        shrink, step = source.window - 1, lambda word: word_apply(source, word)
+    else:
+        raise td.ValidationError(
+            f"cannot code orbits of {type(source).__name__}")
+    needed = n + k + depth * shrink
+    if prefix.length < needed:
+        raise td.WordError(
+            f"prefix length {prefix.length} below required {needed}")
+    words = []
+    current = prefix
+    for _ in range(depth + 1):
+        words.append(current.prefix(n + k))
+        current = step(current)
+    return words
+
+
+def decode_H(system, sequence):
+    """``decode_H`` overlaying the words by ``Word.drop`` and
+    ``Word.concat``."""
+    words = list(sequence)
+    if not words:
+        raise td.WordError("empty coding sequence")
+    width = system.n + system.k
+    for word in words:
+        if not isinstance(word, td.Word) or word.length != width \
+                or word.n_symbols != system.n_symbols:
+            raise td.WordError(f"coding entries must be {width}-symbol words")
+    for first, second in zip(words, words[1:]):
+        if second.prefix(system.n).value != system.gamma[first.value]:
+            raise td.WordError(
+                f"({first}, {second}) is not an edge of the fine relation")
+    out = words[0]
+    for word in words[1:]:
+        out = out.concat(word.drop(system.n))
+    return out
+
+
+def shadow_Q(code, system, prefix, depth):
+    """``shadow_Q`` through the ``Word`` references above."""
+    if code.n_symbols != system.n_symbols:
+        raise td.ValidationError("code and system use different alphabets")
+    if system.k < code.window - 1:
+        raise td.ValidationError(
+            f"system k={system.k} cannot capture a width-{code.window} code")
+    if tuple(system.gamma) != rounded_table(code, system.n, system.k):
+        raise td.ValidationError(
+            "system table is not the rounding of this code at its n")
+    return decode_H(system, code_R(code, prefix, depth, n=system.n,
+                                   k=system.k))
+
+
+def _per_kstar(values, kstar, what):
+    if isinstance(values, dict):
+        raise td.ValidationError(f"{what} must be a sequence in K* order, "
+                                 "not a dict")
+    raw = list(values)
+    if len(raw) != len(kstar):
+        raise td.ValidationError(f"{what} must have one entry per K* element")
+    return raw
+
+
+def _as_index_map(values, kstar, k, what):
+    k_index = {label: i for i, label in enumerate(k)}
+    out = []
+    for pos, target in enumerate(_per_kstar(values, kstar, what)):
+        if isinstance(target, str):
+            if target not in k_index:
+                raise td.ValidationError(
+                    f"{what}[{kstar[pos]!r}] = {target!r} is not a K element")
+            out.append(k_index[target])
+        else:
+            if isinstance(target, bool) or not isinstance(target, Integral):
+                raise td.ValidationError(
+                    f"{what}[{kstar[pos]!r}] = {target!r} is neither a K "
+                    "label nor an integer index into K")
+            target = int(target)
+            if not (0 <= target < len(k)):
+                raise td.ValidationError(f"{what} index {target} out of range")
+            out.append(target)
+    return tuple(out)
+
+
+def build_model(kstar, k, j_map, gamma, nu):
+    """``build_model`` with J and gamma read through the ``Integral`` ABC,
+    nu's signs compared as ``Fraction``s and each fiber summed in
+    ``Fraction``."""
+    kstar = tuple(kstar)
+    k = tuple(k)
+    if len(set(kstar)) != len(kstar) or len(set(k)) != len(k):
+        raise td.ValidationError("alphabet labels must be distinct")
+    if not kstar or not k:
+        raise td.ValidationError("alphabets must be non-empty")
+    j_idx = _as_index_map(j_map, kstar, k, "J")
+    gamma_idx = _as_index_map(gamma, kstar, k, "gamma")
+    if set(j_idx) != set(range(len(k))):
+        missing = [k[i] for i in range(len(k)) if i not in set(j_idx)]
+        raise td.ValidationError(
+            f"J is not surjective; nothing lies over {missing}")
+    weights = tuple(parse_rational(x) for x in _per_kstar(nu, kstar, "nu"))
+    for label, value in zip(kstar, weights):
+        if value <= 0:
+            raise td.ValidationError(f"nu[{label!r}] must be positive")
+    for i in range(len(k)):
+        total = sum((weights[t] for t in range(len(kstar)) if j_idx[t] == i),
+                    Fraction(0))
+        if total != 1:
+            raise td.ValidationError(
+                f"nu over the fiber of {k[i]!r} sums to {total}, expected 1")
+    return td.TwoAlphabetModel(kstar, k, j_idx, gamma_idx, weights)
 
 
 def splitmix64(state):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +101,15 @@ def test_code_apply_shrinks_by_window_minus_one():
     assert identity.apply(w2("0110")) == w2("0110")
 
 
+def test_apply_rejects_another_alphabet_and_short_words():
+    code = td.SlidingBlockCode(2, 3, (0, 1) * 4)
+    with pytest.raises(td.ValidationError,
+                       match="^word alphabet does not match the code$"):
+        code.apply(Word(3, 4, 0))
+    with pytest.raises(td.WordError, match="^need at least 3 symbols, got 2$"):
+        code.apply(w2("01"))
+
+
 def test_derive_gamma_identity_code():
     system = td.derive_gamma(td.SlidingBlockCode(2, 1, (0, 1)), 1)
     assert (system.n, system.k) == (1, 1)
@@ -173,6 +183,13 @@ def test_apply_g_reports_required_length():
         td.apply_g(system, w2("011"))
 
 
+def test_apply_g_rejects_another_alphabet():
+    system = td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1))
+    with pytest.raises(td.ValidationError,
+                       match="^word alphabet does not match the system$"):
+        td.apply_g(system, Word(3, 4, 0))
+
+
 # --- coding and decoding ---
 
 
@@ -225,6 +242,20 @@ def test_code_R_keeps_the_checks_of_each_source():
         code.apply(code.apply(prefix)).prefix(3)]
 
 
+def test_code_R_checks_the_alphabet_after_the_length():
+    code = td.SlidingBlockCode(2, 2, (0, 0, 1, 1))
+    system = td.derive_gamma(code, 1)
+    for depth in (0, 3):
+        with pytest.raises(td.ValidationError,
+                           match="^word alphabet does not match the system$"):
+            td.code_R(system, Word(3, 8, 0), depth)
+        with pytest.raises(td.ValidationError,
+                           match="^word alphabet does not match the code$"):
+            td.code_R(code, Word(3, 8, 0), depth, n=1, k=1)
+    with pytest.raises(td.WordError, match="^prefix length 3 below required 5$"):
+        td.code_R(system, Word(3, 3, 0), 3)
+
+
 def test_code_R_reports_required_length():
     system = td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1))
     with pytest.raises(td.WordError, match="12"):
@@ -247,6 +278,17 @@ def test_decode_rejects_broken_tracks():
     system = td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1))
     with pytest.raises(td.WordError):
         td.decode_H(system, [w2("01"), w2("01")])
+
+
+def test_decode_rejects_empty_and_malformed_sequences():
+    system = td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1))
+    with pytest.raises(td.WordError, match="^empty coding sequence$"):
+        td.decode_H(system, [])
+    for bad in (w2("011"), w2("0"), Word(3, 2, 0), "01", 1):
+        for track in ([bad], [w2("01"), bad]):
+            with pytest.raises(td.WordError,
+                               match="^coding entries must be 2-symbol words$"):
+                td.decode_H(system, track)
 
 
 def test_round_trip_small_systems_exhaustively():
@@ -321,6 +363,17 @@ def test_shadow_rejects_a_table_that_is_not_the_rounding():
         td.shadow_Q(code, td.ShiftLikeSystem(2, 1, 1, tuple(gamma)), x, 5)
     with pytest.raises(td.ValidationError, match="not the rounding"):
         td.shadow_Q(td.SlidingBlockCode(2, 2, (0, 1, 0, 1)), system, x, 5)
+
+
+def test_shadow_rejects_a_code_of_another_alphabet_or_width():
+    system = td.ShiftLikeSystem(2, 1, 1, (0, 0, 1, 1))
+    x = w2("0110" * 5)
+    with pytest.raises(td.ValidationError,
+                       match="^code and system use different alphabets$"):
+        td.shadow_Q(td.SlidingBlockCode(3, 1, (0, 1, 2)), system, x, 3)
+    with pytest.raises(td.ValidationError,
+                       match="^system k=1 cannot capture a width-3 code$"):
+        td.shadow_Q(td.SlidingBlockCode(2, 3, (0, 1) * 4), system, x, 3)
 
 
 # --- measures and reports ---
@@ -490,3 +543,158 @@ def test_two_alphabet_model_matches_the_word_oracle(n_symbols, monkeypatch):
     with pytest.raises(td.CapExceededError) as want:
         oracles.shiftlike_two_alphabet(system)
     assert str(got.value) == str(want.value)
+
+
+# --- integer fields and entries ---
+
+
+@pytest.mark.parametrize("fields", [
+    (2, 2, 1.5), (2, 2.0, 1), (2.0, 2, 1), (2, True, 1), (2, 2, True),
+    (2, 2, Fraction(1)),
+])
+def test_word_rejects_non_integer_fields(fields):
+    with pytest.raises(td.ValidationError, match="must be integers"):
+        Word(*fields)
+
+
+@pytest.mark.parametrize("fields", [
+    (2, 2, (0, 1, 1.0, True)), (2, 2, (0, 1, 1, True)), (2, 1, (0, 0.5)),
+    (2.0, 1, (0, 1)), (2, True, (0, 1)), (2, 1.0, (0, 1)),
+])
+def test_code_rejects_non_integer_fields_and_entries(fields):
+    with pytest.raises(td.ValidationError, match="integers"):
+        td.SlidingBlockCode(*fields)
+
+
+@pytest.mark.parametrize("fields", [
+    (2, 1, 1, (0, 1, 0.5, 1)), (2, 1, 1, (0, 1, True, 1)),
+    (2, 1.0, 1, (0, 1, 0, 1)), (2, 1, True, (0, 1, 0, 1)),
+    (2.0, 1, 1, (0, 1, 0, 1)),
+])
+def test_system_rejects_non_integer_fields_and_entries(fields):
+    with pytest.raises(td.ValidationError, match="integers"):
+        td.ShiftLikeSystem(*fields)
+
+
+def test_tables_reject_entries_out_of_range():
+    cases = [
+        (lambda: td.SlidingBlockCode(2, 1, (0, 2)), "phi entry 2 out of range"),
+        (lambda: td.SlidingBlockCode(3, 1, (0, -1, 2)),
+         "phi entry -1 out of range"),
+        (lambda: td.ShiftLikeSystem(2, 1, 1, (0, 1, 2, 0)),
+         "gamma entry 2 out of range"),
+        (lambda: td.ShiftLikeSystem(2, 2, 1, (3,) * 7 + (4,)),
+         "gamma entry 4 out of range"),
+    ]
+    for call, message in cases:
+        with pytest.raises(td.ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_from_digits_does_not_truncate():
+    for digits in ([0.9, 1.7], ["1", True], [1, False], [Fraction(1)]):
+        with pytest.raises(td.ValidationError,
+                           match="^word digits must be integers$"):
+            Word.from_digits(2, digits)
+    assert Word.from_digits(2, np.array([0, 1])) == w2("01")
+
+
+# --- packed integers against the Word oracles ---
+
+
+def outcome(call, *args, **kwargs):
+    """The result, or the type and message of the library error raised."""
+    try:
+        return call(*args, **kwargs)
+    except td.TractableDynError as exc:
+        return type(exc), str(exc)
+
+
+def random_prefix(rng, n_symbols, needed):
+    length = max(0, needed + rng.randint(-2, 5))
+    if rng.random() < 0.1:
+        n_symbols += 1
+    return random_word(rng, length, n_symbols)
+
+
+def corrupted(rng, track):
+    """The track with one word replaced by a random word of its length."""
+    track = list(track)
+    if len(track) > 1 and rng.random() < 0.5:
+        at = rng.randrange(len(track))
+        track[at] = random_word(rng, track[at].length, track[at].n_symbols)
+    return track
+
+
+@pytest.mark.parametrize("n_symbols", [2, 3])
+def test_packed_dynamics_match_the_word_oracles(n_symbols):
+    rng = random.Random(60 + n_symbols)
+    raised = 0
+    for window in range(1, 5):
+        for _ in range(5):
+            phi = tuple(rng.randrange(n_symbols)
+                        for _ in range(n_symbols ** window))
+            code = td.SlidingBlockCode(n_symbols, window, phi)
+            n = rng.randint(1, 2)
+            system = td.derive_gamma(code, n)
+            assert system == oracles.derive_gamma(code, n)
+            word = random_prefix(rng, n_symbols, window + 3)
+            assert outcome(code.apply, word) == \
+                outcome(oracles.word_apply, code, word)
+            for k in sorted({system.k, window, window + 1}):
+                if k > system.k:
+                    system = td.ShiftLikeSystem(
+                        n_symbols, n, k, oracles.rounded_table(code, n, k))
+                if rng.random() < 0.2:
+                    gamma = list(system.gamma)
+                    gamma[rng.randrange(len(gamma))] = \
+                        rng.randrange(n_symbols ** n)
+                    system = td.ShiftLikeSystem(n_symbols, n, k, tuple(gamma))
+                depth = rng.randint(0, 6)
+                checks = []
+                prefix = random_prefix(rng, n_symbols, n + k + depth * k)
+                checks.append((td.apply_g, oracles.apply_g, system, prefix))
+                checks.append((td.code_R, oracles.code_R, system, prefix,
+                               depth))
+                prefix = random_prefix(rng, n_symbols,
+                                       n + k + depth * (window - 1))
+                checks.append((td.code_R, oracles.code_R, code, prefix,
+                               depth, n, k))
+                checks.append((td.shadow_Q, oracles.shadow_Q, code, system,
+                               prefix, depth))
+                coding = outcome(td.code_R, code, prefix, depth, n=n, k=k)
+                if isinstance(coding, list):
+                    checks.append((td.decode_H, oracles.decode_H, system,
+                                   corrupted(rng, coding)))
+                for library, oracle, *args in checks:
+                    got = outcome(library, *args)
+                    assert got == outcome(oracle, *args)
+                    raised += isinstance(got, tuple)
+    assert raised >= 20
+
+
+def test_packed_dynamics_build_only_the_words_they_return(monkeypatch):
+    rng = random.Random(71)
+    code = td.SlidingBlockCode(3, 3, tuple(rng.randrange(3)
+                                           for _ in range(27)))
+    prefix = random_word(rng, 40, 3)
+    built = []
+    post_init = Word.__post_init__
+
+    def counting(word):
+        built.append(word)
+        post_init(word)
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    system = td.derive_gamma(code, 2)
+    assert built == []
+    depth = 6
+    for source, kwargs in ((system, {}), (code, {"n": 2, "k": 2})):
+        coding = td.code_R(source, prefix, depth, **kwargs)
+        assert len(built) == depth + 1
+        built.clear()
+    decoded = td.decode_H(system, coding)
+    assert len(built) == 1 and built[0] is decoded
+    built.clear()
+    stepped = td.apply_g(system, prefix)
+    assert len(built) == 1 and built[0] is stepped

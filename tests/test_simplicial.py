@@ -239,9 +239,11 @@ def test_code_word_rejects_non_words(example_a):
         td.code_H_1d(example_a, (0, 2))
 
 
-@pytest.mark.parametrize("word", [[0.9, 1.7], ["a"], [0, F(1)], [None]])
+@pytest.mark.parametrize("word", [[0.9, 1.7], ["a"], [0, F(1)], [None],
+                                  [0, True]])
 def test_code_word_rejects_non_integer_symbols(example_a, word):
-    # int() would truncate [0.9, 1.7] to the word [0, 1].
+    # int() would truncate [0.9, 1.7] to the word [0, 1], and a bool is
+    # not a number.
     with pytest.raises(td.WordError, match="must be integers"):
         td.code_H_1d(example_a, word)
 

@@ -111,6 +111,39 @@ def test_j_must_be_surjective():
         td.build_model(("a",), ("s", "u"), ("s",), ("s",), [1])
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"j_map": ["s"]}, "J must have one entry per K* element"),
+    ({"gamma": ["s", "u", "s"]}, "gamma must have one entry per K* element"),
+    ({"nu": [1]}, "nu must have one entry per K* element"),
+    ({"j_map": ["s", "x"]}, "J['b'] = 'x' is not a K element"),
+    ({"gamma": [0, "x"]}, "gamma['b'] = 'x' is not a K element"),
+    ({"gamma": ["s", 2]}, "gamma index 2 out of range"),
+    ({"j_map": [-1, 1]}, "J index -1 out of range"),
+    ({"kstar": ("a", "a")}, "alphabet labels must be distinct"),
+    ({"k": ("s", "s")}, "alphabet labels must be distinct"),
+    ({"kstar": (), "j_map": [], "gamma": [], "nu": []},
+     "alphabets must be non-empty"),
+    ({"k": ()}, "alphabets must be non-empty"),
+    ({"nu": [0, 1]}, "nu['a'] must be positive"),
+    ({"nu": [1, "-1"]}, "nu['b'] must be positive"),
+    # Every weight is checked for its sign before any fiber for its sum.
+    ({"kstar": ("a", "b", "c"), "j_map": ["s", "s", "u"],
+      "gamma": ["s", "s", "u"], "nu": [Fraction(1, 3), Fraction(1, 3), -1]},
+     "nu['c'] must be positive"),
+    # J and gamma are read before nu, and J before gamma.
+    ({"j_map": ["s", "x"], "gamma": ["s", 2], "nu": [0, 1]},
+     "J['b'] = 'x' is not a K element"),
+    ({"gamma": ["s", 2], "nu": [0, 1]}, "gamma index 2 out of range"),
+])
+def test_malformed_models_are_rejected(change, message):
+    args = {"kstar": ("a", "b"), "k": ("s", "u"), "j_map": ["s", "u"],
+            "gamma": ["s", "u"], "nu": [1, 1]}
+    args.update(change)
+    with pytest.raises(td.ValidationError) as info:
+        td.build_model(**args)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("field", ["j_map", "gamma"])
 @pytest.mark.parametrize("index", [1.7, 1.0, True, None, np.float64(1)])
 def test_indices_must_be_labels_or_integers(field, index):
@@ -126,6 +159,54 @@ def test_indices_must_be_labels_or_integers(field, index):
     for value in ("u", 1, np.int64(1)):
         args[field][1] = value
         assert getattr(td.build_model(**args), field) == (0, 1)
+
+
+def corrupt(rng, args):
+    """One random defect in build_model's arguments, or none."""
+    args = dict(args)
+    kstar, k = list(args["kstar"]), list(args["k"])
+    t = rng.randrange(len(kstar))
+    field = rng.choice(["j_map", "gamma", "nu"])
+    entries = list(args[field])
+    choice = rng.randrange(10)
+    if choice == 0:
+        entries[t] = rng.choice(["x", -1, len(k), 1.0, True, None])
+    elif choice == 1:
+        entries[t] = k[entries[t]] if field != "nu" else str(entries[t])
+    elif choice == 2:
+        entries[t] = np.int64(entries[t]) if field != "nu" else \
+            -entries[t] * rng.randint(0, 1)
+    elif choice == 3:
+        entries[t] = entries[t] + Fraction(1, 7) if field == "nu" else \
+            rng.randrange(len(k))
+    elif choice == 4:
+        entries.pop(t)
+    elif choice == 5:
+        kstar[t] = kstar[0] if t else kstar[-1]
+    elif choice == 6:
+        args["k"] = k + [k[0]] if rng.random() < 0.5 else k + ["new"]
+    args[field] = entries
+    args["kstar"] = kstar
+    return args
+
+
+def test_build_model_matches_the_fraction_oracle():
+    rng = random.Random(37)
+    rejected = 0
+    for _ in range(400):
+        model = random_model(rng)
+        args = corrupt(rng, {"kstar": model.kstar, "k": model.k,
+                             "j_map": model.j_map, "gamma": model.gamma,
+                             "nu": model.nu})
+        outcomes = []
+        for build in (td.build_model, oracles.build_model):
+            try:
+                outcomes.append(build(**args))
+            except td.ValidationError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        rejected += isinstance(outcomes[0], tuple)
+    assert 150 <= rejected <= 350
 
 
 def test_word_pair_model_builds():
@@ -537,6 +618,18 @@ def test_word_pair_cylinders_are_eighths():
             else:
                 assert value == 0
     assert legal == 8
+
+
+def test_cylinder_star_does_not_truncate():
+    model = td.build_model(("a", "b"), ("s",), ("s", "s"), ("s", "s"),
+                           [Fraction(1, 2), Fraction(1, 2)])
+    assert td.ergodic_cylinder_measure_star(
+        model, (0, np.int64(1)), (np.int64(0), 1)) == Fraction(1, 4)
+    for members, word in [((0.5, 1.9), (0, 1)), ((0, 1), (0.2, 1.4)),
+                          ((0, True), (0, 1)), ((0, 1), (0, False)),
+                          (("0", 1), (0, 1))]:
+        with pytest.raises(td.ValidationError, match="integer indices"):
+            td.ergodic_cylinder_measure_star(model, members, word)
 
 
 def test_cylinder_zero_outside_the_class(example_b):
