@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (CoverError, DomainError, ElementMismatchError,
                      NotStationaryError, NotTerminalError, NumericalError,
                      ValidationError)
+from .rationals import as_indices
 from .relation import (BasicSetDecomposition, FiniteRelation,
                        _strong_components, _terminal_class_at, basic_sets,
                        check_word, tractability_json)
@@ -317,7 +318,8 @@ def transient_decay(cover: StochasticCover,
 
 
 def _check_terminal_class(cover: StochasticCover, class_members) -> tuple[int, ...]:
-    members = tuple(sorted(set(int(i) for i in class_members)))
+    members = tuple(sorted(set(as_indices(
+        class_members, "class members must be integer element indices"))))
     size = cover.size
     if not members:
         raise NotTerminalError("empty class")
@@ -462,7 +464,8 @@ def ergodic_measure_spec(cover: StochasticCover,
                          decomposition: BasicSetDecomposition,
                          terminal_class) -> MarkovMeasureSpec:
     """The shift-ergodic Markov measure attached to one terminal class."""
-    members = tuple(sorted(set(int(i) for i in terminal_class)))
+    members = tuple(sorted(set(as_indices(
+        terminal_class, "class members must be integer element indices"))))
     matching = [c for c in decomposition.terminal_classes()
                 if decomposition.classes[c] == members]
     if not matching:

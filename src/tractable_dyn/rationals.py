@@ -88,6 +88,14 @@ def as_index(value) -> int:
     return index(value)
 
 
+def as_indices(values, message: str, error=ValidationError) -> tuple[int, ...]:
+    """``as_index`` of each value, else ``error(message)``."""
+    try:
+        return tuple(map(as_index, values))
+    except TypeError:
+        raise error(message) from None
+
+
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import two_alphabet
 from .config import resolve_cell_cap
 from .errors import CapExceededError, ValidationError, WordError
-from .rationals import as_index, format_rational
+from .rationals import as_indices, format_rational
 from .relation import tractability_json
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -89,10 +89,7 @@ class Word:
 
     @classmethod
     def from_digits(cls, n_symbols: int, digits) -> "Word":
-        try:
-            digits = list(map(as_index, digits))
-        except TypeError:
-            raise ValidationError("word digits must be integers") from None
+        digits = as_indices(digits, "word digits must be integers")
         value = 0
         for pos, d in enumerate(digits):
             if not (0 <= d < n_symbols):

@@ -1,8 +1,8 @@
 """Piecewise-linear interval dynamics via simplicial maps, in exact rationals.
 
 A 1-D interval complex K is a strictly increasing list of rational vertices,
-each found through one vertex-to-index map built on first use; its simplices
-are the vertices and the closed edges between neighbours.  A
+kept as integer numerators over one scale, the lcm of their denominators;
+its simplices are the vertices and the closed edges between neighbours.  A
 simplicial system is a proper subdivision K* of K (every K edge split at
 least once) together with a non-degenerate vertex map into V(K); the induced
 map g is affine on each K* edge and sends it onto a full K edge.  Because
@@ -22,12 +22,13 @@ geometrically.  That yields:
 
 All geometry in this module is exact: results are fractions.Fraction, and
 g and its local inverses run only on the system's integer chart, as integer
-affine ratios, so no gcd is taken until a result is returned (``pl_eval``,
-the one Fraction evaluator of g, is kept for callers).  Floating point
-appears only in the norm-bound spot check, in Markov sampling, and in the
-screen that bins decoded windows: it evaluates them in float beside a proven
-error bound and hands every window it cannot settle to the exact chain, so
-each bin count is exact.  Forward float iteration of g is deliberately
+affine ratios, with every refinement composed over one denominator, so no
+gcd is taken until a result is returned (``pl_eval``, the one Fraction
+evaluator of g, is kept for callers).  Floating point appears only in the
+norm-bound spot check, in Markov sampling, and in the screen that bins
+decoded windows: it evaluates them in float beside a proven error bound and
+hands every window it cannot settle to the exact chain, so each bin count is
+exact.  Forward float iteration of g is deliberately
 avoided (binary orbits of tent-like maps collapse); orbit statistics are
 gathered by sampling symbolic paths and decoding them.
 """
@@ -51,44 +52,54 @@ from .config import resolve_cell_cap
 from .errors import (CapExceededError, CorrespondenceError, DegenerateMapError,
                      MapRangeError, NotTerminalError, NumericalError,
                      SubdivisionError, ValidationError, WordError)
-from .rationals import (_solve_nonsingular, as_index, format_rational,
-                        parse_rational, scale_to_integers)
+from .rationals import (_rational, _solve_nonsingular, as_indices,
+                        format_rational, parse_rational, scale_to_integers)
 from .relation import tractability_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class IntervalComplex:
     """Strictly increasing rational vertices; edges join neighbours.
-    ``position``, built on first use, maps each vertex to its index.
 
-    The complex that ``refine`` returns keeps its cells, which it has
-    proved in integers to tile the space in strictly increasing order, and
-    builds its ``Fraction`` vertices on first read; equality, hashing and
-    every method see the vertices the constructor would hold."""
+    Vertex i is ``numerators[i] / scale``, with ``scale`` the lcm of the
+    reduced vertex denominators, so the form is canonical and equality and
+    hashing compare it.  ``vertices``, the same points as Fractions, and
+    ``position``, mapping each vertex to its index, are built on first use;
+    the constructor keeps the Fractions it converted."""
 
-    vertices: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    scale: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(
-            v if isinstance(v, Fraction) else Fraction(v)
-            for v in self.vertices))
-        if len(self.vertices) < 2:
+    def __new__(cls, vertices):
+        vertices = tuple(v if isinstance(v, Fraction)
+                         else Fraction(_rational(v, "vertices", i))
+                         for i, v in enumerate(vertices))
+        complex_ = cls._over(*scale_to_integers(vertices))
+        vars(complex_)["vertices"] = vertices
+        return complex_
+
+    @classmethod
+    def _over(cls, scale: int, numerators: Sequence[int]) -> IntervalComplex:
+        """The complex of vertices numerators[i] / scale (scale > 0)."""
+        common = math.gcd(scale, *numerators)
+        numerators = tuple(n // common for n in numerators)
+        if len(numerators) < 2:
             raise ValidationError("an interval complex needs at least 2 vertices")
-        if not all(map(operator.lt, self.vertices, self.vertices[1:])):
+        if not all(map(operator.lt, numerators, numerators[1:])):
             raise ValidationError("vertices must be strictly increasing")
+        complex_ = super().__new__(cls)
+        vars(complex_).update(numerators=numerators, scale=scale // common)
+        return complex_
 
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: a refinement's vertices
-        # before their first read.
-        state = vars(self)
-        if name != "vertices" or "_cells" not in state:
-            raise AttributeError(
-                f"'IntervalComplex' object has no attribute '{name}'")
-        cells, scale, hi = state["_cells"]
-        vertices = tuple(Fraction(lo, d * scale) for lo, _, d, _ in cells)
-        object.__setattr__(self, "vertices", vertices + (hi,))
-        del state["_cells"]
-        return self.vertices
+    def __reduce__(self):
+        return IntervalComplex, (self.vertices,)
+
+    def __repr__(self) -> str:
+        return f"IntervalComplex(vertices={self.vertices!r})"
+
+    @cached_property
+    def vertices(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.scale) for n in self.numerators)
 
     @cached_property
     def position(self) -> dict[Fraction, int]:
@@ -96,7 +107,7 @@ class IntervalComplex:
 
     @property
     def n_edges(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.numerators) - 1
 
     @property
     def lo(self) -> Fraction:
@@ -116,7 +127,7 @@ class IntervalComplex:
         return b - a
 
     def mesh(self) -> Fraction:
-        return max(self.edge_length(i) for i in range(self.n_edges))
+        return max(map(operator.sub, self.vertices[1:], self.vertices))
 
     def contains(self, x) -> bool:
         x = Fraction(x)
@@ -242,19 +253,14 @@ class IntegerChart:
 
 def _integer_chart(k: IntervalComplex, kstar: IntervalComplex,
                    vertex_images: Sequence[int]) -> IntegerChart:
-    scale = math.lcm(*(v.denominator for v in k.vertices + kstar.vertices))
-    x = tuple(v.numerator * (scale // v.denominator) for v in kstar.vertices)
-    coarse_x = tuple(v.numerator * (scale // v.denominator)
-                     for v in k.vertices)
+    scale = math.lcm(k.scale, kstar.scale)
+    x = tuple(n * (scale // kstar.scale) for n in kstar.numerators)
+    coarse_x = tuple(n * (scale // k.scale) for n in k.numerators)
     j_edge = tuple(bisect.bisect_right(coarse_x, a) - 1 for a in x[:-1])
-    length, rise, offset, image_edge = [], [], [], []
-    for j in range(len(x) - 1):
-        p0 = coarse_x[vertex_images[j]]
-        p1 = coarse_x[vertex_images[j + 1]]
-        length.append(x[j + 1] - x[j])
-        rise.append(p1 - p0)
-        offset.append(x[j] * (p1 - p0) - (x[j + 1] - x[j]) * p0)
-        image_edge.append(min(vertex_images[j], vertex_images[j + 1]))
+    p = [coarse_x[i] for i in vertex_images]
+    length = tuple(map(operator.sub, x[1:], x))
+    rise = tuple(map(operator.sub, p[1:], p))
+    offset = tuple(a * r - ell * p0 for a, r, ell, p0 in zip(x, rise, length, p))
 
     # theta: least positive coarse barycentric coordinate of a fine vertex
     # interior to a coarse edge.
@@ -264,10 +270,11 @@ def _integer_chart(k: IntervalComplex, kstar: IntervalComplex,
                for w, i in zip(x[1:-1], j_edge[1:]) if w not in coarse_set]
     if not weights:
         raise SubdivisionError("no interior fine vertices; subdivision improper")
-    return IntegerChart(scale=scale, x=x, coarse_x=coarse_x,
-                        length=tuple(length), rise=tuple(rise),
-                        offset=tuple(offset), j_edge=j_edge,
-                        image_edge=tuple(image_edge), theta=min(weights))
+    return IntegerChart(scale=scale, x=x, coarse_x=coarse_x, length=length,
+                        rise=rise, offset=offset, j_edge=j_edge,
+                        image_edge=tuple(map(min, vertex_images,
+                                             vertex_images[1:])),
+                        theta=min(weights))
 
 
 @dataclass(frozen=True)
@@ -417,10 +424,7 @@ def column_stochastic_norm_bound(matrix, theta_value,
 
 
 def _check_star_word(system: SimplicialSystem1D, word) -> tuple[int, ...]:
-    try:
-        word = tuple(map(as_index, word))
-    except TypeError:
-        raise WordError("fine edge indices must be integers") from None
+    word = as_indices(word, "fine edge indices must be integers", WordError)
     if not word:
         raise WordError("empty fine-edge word")
     for j in word:
@@ -494,66 +498,54 @@ def refine(system: SimplicialSystem1D,
     length = max(depth, 1)
     limit = resolve_cell_cap()
     chart = system.chart
-    x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
-    fibers: list[list[int]] = [[] for _ in range(system.k.n_edges)]
-    for j, base in enumerate(chart.j_edge):
-        fibers[base].append(j)
-    successors = [fibers[i] for i in chart.image_edge]
+    # j_edge increases, so the fine edges over a coarse edge form a range.
+    successors = [range(bisect.bisect_left(chart.j_edge, i),
+                        bisect.bisect_right(chart.j_edge, i))
+                  for i in chart.image_edge]
 
-    # A cell is [lo / den, hi / den] in chart coordinates, den > 0; root is
-    # the word's first edge.  The chain y -> (n y + b) / d maps a fine edge's
-    # successors, in order, left to right when d > 0 and right to left when
-    # d < 0, so pushing them reversed or as they are pops the cells in
-    # spatial order.
-    cells: list[tuple[int, int, int, int]] = []
-    stack = [(j, 1, 1, 0, 1, j) for j in reversed(range(len(lengths)))]
-    while stack:
-        j, at, n, b, d, root = stack.pop()
-        if at == length:
-            lo, hi = n * x[j] + b, n * x[j + 1] + b
-            if d < 0:
-                lo, hi, d = -hi, -lo, -d
-            cells.append((lo, hi, d, root))
-            if len(cells) > limit:
-                raise CapExceededError(
-                    f"refinement would exceed the cell cap {limit}")
-            continue
-        n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
-        stack.extend((j2, at + 1, n, b, d, root) for j2 in
-                     (reversed(successors[j]) if d > 0 else successors[j]))
+    # Over R = lcm |rise|, branch j is y -> (slope[j] y + shift[j]) / R, so a
+    # chain of k branches is y -> (n y + b) / R^k; composing branch j on the
+    # right gives (n slope[j], n shift[j] + b R).  A chain (j, n, b) ends at
+    # fine edge j and maps its successors left to right when n > 0, right to
+    # left when n < 0, so each level of chains stays in spatial order.
+    common = math.lcm(*chart.rise)
+    slope = [common // r * ell for r, ell in zip(chart.rise, chart.length)]
+    shift = [common // r * o for r, o in zip(chart.rise, chart.offset)]
+    capped = f"refinement would exceed the cell cap {limit}"
+    chains = [(j, 1, 0) for j in range(len(chart.length))]
+    for _ in range(length - 1):
+        longer = []
+        for j, n, b in chains:
+            n, b = n * slope[j], n * shift[j] + b * common
+            longer.extend([(j2, n, b) for j2 in
+                           (successors[j] if n > 0 else successors[j][::-1])])
+            if len(longer) > limit:
+                raise CapExceededError(capped)
+        chains = longer
+    if len(chains) > limit:
+        raise CapExceededError(capped)
 
-    cursor, cursor_den = chart.coarse_x[0], 1
-    mesh_num, mesh_den = 0, 1
-    for lo, hi, d, root in cells:
-        if lo * cursor_den != cursor * d:
-            raise NumericalError("decoded cells do not tile the space")
-        if hi <= lo:
-            raise NumericalError("a decoded cell is empty")
-        cursor, cursor_den = hi, d
-        num = 2 * (hi - lo)
-        den = d * chart.coarse_length(chart.j_edge[root])
-        if num * mesh_den > mesh_num * den:
-            mesh_num, mesh_den = num, den
-    if cursor != chart.coarse_x[-1] * cursor_den:
+    # Cell i is [lo[i], hi[i]] over R^(length - 1); n < 0 reverses its edge.
+    den = common ** (length - 1)
+    lo = [n * chart.x[j + (n < 0)] + b for j, n, b in chains]
+    hi = [n * chart.x[j + (n > 0)] + b for j, n, b in chains]
+    if [chart.coarse_x[0] * den] + hi[:-1] != lo:
+        raise NumericalError("decoded cells do not tile the space")
+    if not all(map(operator.lt, lo, hi)):
+        raise NumericalError("a decoded cell is empty")
+    if hi[-1] != chart.coarse_x[-1] * den:
         raise NumericalError("decoded cells do not reach the end of the space")
 
-    mesh_d = Fraction(mesh_num, mesh_den)
+    # The cells of coarse edge i are cells cuts[i], ..., cuts[i + 1] - 1.
+    cuts = [bisect.bisect_left(lo, v * den) for v in chart.coarse_x]
+    mesh_d = 2 * max(Fraction(max(map(operator.sub, hi[a:b], lo[a:b])),
+                              den * chart.coarse_length(i))
+                     for i, (a, b) in enumerate(zip(cuts, cuts[1:])))
     bound = 2 * (1 - chart.theta) ** depth
     if mesh_d > bound:
         raise NumericalError(f"refined mesh {mesh_d} exceeds its bound {bound}")
-    report = MeshReport(depth=depth, cells=len(cells), mesh_d=mesh_d,
-                        bound=bound)
-    return _refined(cells, chart.scale, system.k.hi), report
-
-
-def _refined(cells: list[tuple[int, int, int, int]], scale: int,
-             hi: Fraction) -> IntervalComplex:
-    """The complex of cells (lo, hi, d, root), each [lo / d, hi / d] in chart
-    coordinates with d > 0, that tile the space up to hi in increasing
-    order: their left ends and hi are its vertices, built on first read."""
-    complex_ = object.__new__(IntervalComplex)
-    vars(complex_)["_cells"] = (cells, scale, hi)
-    return complex_
+    return (IntervalComplex._over(den * chart.scale, lo + hi[-1:]),
+            MeshReport(depth, len(chains), mesh_d, bound))
 
 
 def lebesgue_distribution_data(system: SimplicialSystem1D) -> list[Fraction]:
@@ -615,27 +607,27 @@ def _repair(k: IntervalComplex, kstar: IntervalComplex,
                 f"edge [{w0}, {w1}] maps onto non-adjacent "
                 "vertices; cannot repair a torn map")
 
-    new_verts: list[Fraction] = []
+    # Fine vertices over 2 kstar.scale, so that midpoints are integers.
+    new_x: list[int] = []
     new_images: list[int] = []
     reassigned = inserted = 0
     sup_change = Fraction(0)
-    for v, run in itertools.groupby(zip(kstar.vertices, images),
-                                    key=lambda pair: pair[1]):
-        run_verts = [w for w, _ in run]
-        if len(run_verts) % 2 == 0:
-            run_verts.insert(1, (run_verts[0] + run_verts[1]) / 2)
+    for v, run in itertools.groupby(zip(kstar.numerators, images),
+                                    key=operator.itemgetter(1)):
+        run_x = [2 * w for w, _ in run]
+        if len(run_x) % 2 == 0:
+            run_x.insert(1, (run_x[0] + run_x[1]) // 2)
             inserted += 1
         u = v - 1 if v >= 1 else v + 1
-        reassigned += len(run_verts) // 2
-        new_verts.extend(run_verts)
-        new_images.extend(u if offset % 2 else v
-                          for offset in range(len(run_verts)))
+        reassigned += len(run_x) // 2
+        new_x.extend(run_x)
+        new_images.extend([v, u] * (len(run_x) // 2) + [v])
         # Each run vertex moves from v to v or u, and both maps are affine
         # between repaired vertices: the largest vertex move is the sup.
-        if len(run_verts) > 1:
+        if len(run_x) > 1:
             sup_change = max(sup_change, abs(k.vertices[v] - k.vertices[u]))
 
-    system = _system(k, IntervalComplex(tuple(new_verts)), new_images)
+    system = _system(k, IntervalComplex._over(2 * kstar.scale, new_x), new_images)
     bound = 4 * k.mesh()
     if sup_change > bound:
         raise NumericalError(
@@ -682,37 +674,33 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
     if lip <= 0:
         raise ValidationError("Lipschitz bound must be positive")
 
-    edges = list(zip(k.vertices, k.vertices[1:]))
-    mids = [(a + b) / 2 for a, b in edges]
+    ends = k.numerators
+    lengths = list(map(operator.sub, ends[1:], ends))
     parts = [1] * k.n_edges
-    if len(mids) >= 2:
-        # Cells no longer than the Lebesgue number over 2 lip.
-        delta = min(m2 - m1 for m1, m2 in zip(mids, mids[1:])) / (2 * lip)
-        parts = [max(1, -(-(b - a) // delta)) for a, b in edges]
+    if len(lengths) >= 2:
+        # Cells no longer than the least gap of edge midpoints over 2 lip.
+        gap = min(map(operator.add, lengths, lengths[1:]))
+        parts = [max(1, -(-4 * lip * ell // gap)) for ell in lengths]
     limit = resolve_cell_cap()
     if sum(parts) > limit:
         raise CapExceededError(
             f"roundoff subdivision would exceed the cell cap {limit}")
-    cells = [k.lo]
-    for (a, b), count in zip(edges, parts):
-        step = (b - a) / count
-        cells.extend(a + piece * step for piece in range(1, count + 1))
 
     lo_f, hi_f = float(k.lo), float(k.hi)
 
-    def sample(x: Fraction) -> float:
-        value = float(f(float(x)))
+    def sample(x: float) -> float:
+        value = float(f(x))
         if not (lo_f - 1e-9 <= value <= hi_f + 1e-9):
-            raise MapRangeError(
-                f"f({float(x):.17g}) = {value:.17g} leaves the space")
+            raise MapRangeError(f"f({x:.17g}) = {value:.17g} leaves the space")
         return value
 
     # In the derived subdivision the open star of coarse vertex i runs
     # between the float midpoints of edges i - 1 and i, that of edge i
     # between the midpoints of edges i - 1 and i + 1; both are unbounded
-    # past the ends of the space.
-    float_mids = [float(m) for m in mids]
-    float_vertices = [float(v) for v in k.vertices]
+    # past the ends of the space.  An int quotient is correctly rounded, so
+    # each float below is that of the Fraction it stands for.
+    float_mids = [(a + b) / (2 * k.scale) for a, b in zip(ends, ends[1:])]
+    float_vertices = [a / k.scale for a in ends]
 
     def nearest_vertex(img_lo: float, img_hi: float, target: float) -> int:
         """The vertex nearest target of the first vertex star, else the first
@@ -735,26 +723,30 @@ def roundoff(f: Callable[[float], float], k: IntervalComplex,
         return below if nearer_left else below + 1
 
     # Derived subdivision: cell vertices keep their sample's simplex, cell
-    # midpoints get the simplex of the whole cell's image bound.
-    fine_vertices: list[Fraction] = []
+    # midpoints get the simplex of the whole cell's image bound.  Over the
+    # scale 2 (lcm parts) k.scale, an edge cut into ``count`` cells has fine
+    # vertices ``half`` apart.
+    common = math.lcm(*parts)
+    scale = 2 * common * k.scale
+    fine_x: list[int] = []
     images: list[int] = []
-    for a, b in zip(cells, cells[1:]):
-        value = sample(a)
-        fine_vertices.append(a)
-        images.append(nearest_vertex(value, value, value))
-        mid = (a + b) / 2
-        value = sample(mid)
-        half_span = float(lip * (b - a) / 2)
-        fine_vertices.append(mid)
-        images.append(nearest_vertex(value - half_span, value + half_span,
-                                     value))
-    value = sample(k.hi)
-    fine_vertices.append(k.hi)
+    for a, b, count in zip(ends, ends[1:], parts):
+        half = (b - a) * (common // count)
+        half_span = float(lip * half / scale)
+        for cell in range(2 * common * a, 2 * common * b, 2 * half):
+            value = sample(cell / scale)
+            images.append(nearest_vertex(value, value, value))
+            value = sample((cell + half) / scale)
+            images.append(nearest_vertex(value - half_span, value + half_span,
+                                         value))
+        fine_x.extend(range(2 * common * a, 2 * common * b, half))
+    value = sample(hi_f)
+    fine_x.append(2 * common * ends[-1])
     images.append(nearest_vertex(value, value, value))
 
     # Every coarse vertex is a cell vertex and every cell gains its midpoint,
     # so the subdivision is proper by construction.
-    fine = IntervalComplex(tuple(fine_vertices))
+    fine = IntervalComplex._over(scale, fine_x)
     repair = None
     if any(p0 == p1 for p0, p1 in zip(images, images[1:])):
         system, repair = _repair(k, fine, images)
@@ -1073,7 +1065,8 @@ def decode_orbit_histogram(report: PLReport, star_class,
         raise ValidationError("segments, depth and bins must be positive")
     system = report.system
     model = report.analysis.model
-    members = tuple(sorted(int(t) for t in star_class))
+    members = tuple(sorted(as_indices(
+        star_class, "star_class members must be integer indices into K*")))
     matches = [(pair, v_b) for pair, v_b in zip(report.analysis.terminal_pairs,
                                                 report.analysis.stationary)
                if tuple(sorted(pair.star_members)) == members]

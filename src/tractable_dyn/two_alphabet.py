@@ -30,8 +30,8 @@ from functools import cached_property
 
 from . import markov
 from .errors import CorrespondenceError, NotTerminalError, ValidationError
-from .rationals import (as_index, parse_rational, scale_to_integers,
-                        stationary_exact)
+from .rationals import (as_index, as_indices, parse_rational,
+                        scale_to_integers, stationary_exact)
 from .relation import BasicSetDecomposition, FiniteRelation, basic_sets
 
 
@@ -262,7 +262,8 @@ def base_class_stationary(model: TwoAlphabetModel,
     entry.
     """
     common, a = model.scaled_nu
-    members = tuple(sorted(set(int(i) for i in base_members)))
+    members = tuple(sorted(set(as_indices(
+        base_members, "class members must be integer indices into K"))))
     position = {i: p for p, i in enumerate(members)}
     scaled: list[dict[int, int]] = [{} for _ in members]
     for p, i in enumerate(members):
@@ -401,12 +402,9 @@ def ergodic_cylinder_measure_star(model: TwoAlphabetModel,
     the word is a G* word starting inside the class, and 0 otherwise, as an
     exact Fraction.  Each call recomputes the correspondence.
     """
-    try:
-        members = tuple(sorted(set(map(as_index, star_class))))
-        word = tuple(map(as_index, word))
-    except TypeError:
-        raise ValidationError("class members and word symbols must be "
-                              "integer indices into K*") from None
+    message = "class members and word symbols must be integer indices into K*"
+    members = tuple(sorted(set(as_indices(star_class, message))))
+    word = as_indices(word, message)
     correspondence = basic_set_correspondence(model)
     pair = next((p for p in correspondence.pairs
                  if tuple(sorted(p.star_members)) == members), None)

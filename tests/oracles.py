@@ -58,9 +58,12 @@ vertex, where the library compares the vertex images of each run.
 ``check_subdivision`` and ``vertex_images`` read a system as the library
 did before each complex kept a map from vertex to index: ``vertex_index``
 finds each vertex by bisection over the ``Fraction`` vertices.
-``refine_vertices`` builds a refinement's ``Fraction`` vertices eagerly
-from the integer-chart cells, where the library keeps the cells and builds
-them on first read, and ``screen_windows`` is the decoder's float screen
+``IntervalComplex`` is the interval complex as a tuple of ``Fraction``
+vertices, where the library keeps integer numerators over one scale, and
+``refine_dfs`` refines depth first over a chain (n, b, d) per word, each
+cell over its own denominator d, where the library composes every chain
+over one denominator, level by level; ``refine_vertices`` reads its
+vertices.  ``screen_windows`` is the decoder's float screen
 gathering each table at every step (``screen_points``), where the library
 gathers each one once along the whole path.
 """
@@ -978,31 +981,116 @@ def refine(system, depth):
     return td.IntervalComplex(tuple(vertices)), report
 
 
-def refine_vertices(system, depth):
-    """The vertices of the depth-th refinement as the library built them
-    before it kept the cells: the integer-chart DFS, then one ``Fraction``
-    per cell's left end and the right end of the space."""
+@dataclass(frozen=True)
+class IntervalComplex:
+    """The interval complex as a tuple of ``Fraction`` vertices, converted
+    by ``Fraction`` and checked in ``Fraction``s."""
+
+    vertices: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(
+            v if isinstance(v, Fraction) else Fraction(v)
+            for v in self.vertices))
+        if len(self.vertices) < 2:
+            raise td.ValidationError(
+                "an interval complex needs at least 2 vertices")
+        if not all(a < b for a, b in zip(self.vertices, self.vertices[1:])):
+            raise td.ValidationError("vertices must be strictly increasing")
+
+    @cached_property
+    def position(self):
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @property
+    def n_edges(self):
+        return len(self.vertices) - 1
+
+    @property
+    def lo(self):
+        return self.vertices[0]
+
+    @property
+    def hi(self):
+        return self.vertices[-1]
+
+    def edge(self, i):
+        if not (0 <= i < self.n_edges):
+            raise td.ValidationError(f"edge index {i} out of range")
+        return self.vertices[i], self.vertices[i + 1]
+
+    def mesh(self):
+        return max(b - a for a, b in zip(self.vertices, self.vertices[1:]))
+
+    def locate_edge(self, x):
+        x = Fraction(x)
+        if not self.lo <= x <= self.hi:
+            raise td.ValidationError(f"{x} lies outside [{self.lo}, {self.hi}]")
+        i = bisect.bisect_right(self.vertices, x) - 1
+        return min(max(i, 0), self.n_edges - 1)
+
+
+def refine_dfs(system, depth):
+    """``refine`` as a depth-first walk: each chain an unreduced triple
+    (n, b, d) with n > 0, each cell over its own denominator, cross-multiplied
+    to check the tiling, and an ``IntervalComplex`` of one ``Fraction`` per
+    cell's left end and the right end of the space."""
+    if depth < 0:
+        raise td.ValidationError("depth must be >= 0")
+    length = max(depth, 1)
+    limit = td.config.resolve_cell_cap()
     chart = system.chart
     x, lengths, rise, offset = chart.x, chart.length, chart.rise, chart.offset
     fibers = [[] for _ in range(system.k.n_edges)]
     for j, base in enumerate(chart.j_edge):
         fibers[base].append(j)
     successors = [fibers[i] for i in chart.image_edge]
-    vertices = []
-    stack = [(j, 1, 1, 0, 1) for j in reversed(range(len(lengths)))]
+    cells = []
+    stack = [(j, 1, 1, 0, 1, j) for j in reversed(range(len(lengths)))]
     while stack:
-        j, at, n, b, d = stack.pop()
-        if at == max(depth, 1):
+        j, at, n, b, d, root = stack.pop()
+        if at == length:
             lo, hi = n * x[j] + b, n * x[j + 1] + b
             if d < 0:
                 lo, hi, d = -hi, -lo, -d
-            vertices.append(Fraction(lo, d * chart.scale))
+            cells.append((lo, hi, d, root))
+            if len(cells) > limit:
+                raise td.CapExceededError(
+                    f"refinement would exceed the cell cap {limit}")
             continue
         n, b, d = n * lengths[j], n * offset[j] + b * rise[j], d * rise[j]
-        stack.extend((j2, at + 1, n, b, d) for j2 in
+        stack.extend((j2, at + 1, n, b, d, root) for j2 in
                      (reversed(successors[j]) if d > 0 else successors[j]))
-    vertices.append(system.k.hi)
-    return vertices
+
+    cursor, cursor_den = chart.coarse_x[0], 1
+    mesh_num, mesh_den = 0, 1
+    for lo, hi, d, root in cells:
+        if lo * cursor_den != cursor * d:
+            raise td.NumericalError("decoded cells do not tile the space")
+        if hi <= lo:
+            raise td.NumericalError("a decoded cell is empty")
+        cursor, cursor_den = hi, d
+        num = 2 * (hi - lo)
+        den = d * chart.coarse_length(chart.j_edge[root])
+        if num * mesh_den > mesh_num * den:
+            mesh_num, mesh_den = num, den
+    if cursor != chart.coarse_x[-1] * cursor_den:
+        raise td.NumericalError(
+            "decoded cells do not reach the end of the space")
+    mesh_d = Fraction(mesh_num, mesh_den)
+    bound = 2 * (1 - chart.theta) ** depth
+    if mesh_d > bound:
+        raise td.NumericalError(
+            f"refined mesh {mesh_d} exceeds its bound {bound}")
+    vertices = [Fraction(lo, d * chart.scale) for lo, _, d, _ in cells]
+    return (IntervalComplex(tuple(vertices) + (system.k.hi,)),
+            td.MeshReport(depth=depth, cells=len(cells), mesh_d=mesh_d,
+                          bound=bound))
+
+
+def refine_vertices(system, depth):
+    """The vertices of the depth-th refinement, from ``refine_dfs``."""
+    return list(refine_dfs(system, depth)[0].vertices)
 
 
 def screen_points(system, path, depth, segments):

@@ -6,8 +6,10 @@ examples, the random systems of ``conftest``, systems with vertex
 denominators 3, 5 and 7, and systems shaped like the ``plmap`` benchmark
 schedule (random vertex maps, repaired lazy maps, rounded sampled maps).
 The decoder's float screen must equal, bit for bit, the screen that gathered
-its tables at every step, and ``refine``'s complex, whose vertices are built
-on first read, must equal one built from the eagerly made vertices.
+its tables at every step, and ``refine``, which composes every chain over
+one denominator, must equal the depth-first walk over one denominator per
+cell: its report, and a complex that shows what the ``Fraction``-vertex
+complex of that walk shows.
 The system reader, which finds vertices through each complex's map from
 vertex to index, is compared with the bisecting reader in ``oracles`` on the
 same systems, each also corrupted in seven ways.
@@ -429,6 +431,8 @@ def test_refine_matches_reference(all_systems, monkeypatch):
             if got[1].cells > 2000:
                 break
             assert got == oracles.refine(system, depth)
+            assert list(got[0].vertices) == \
+                oracles.refine_vertices(system, depth)
 
 
 def test_decode_matches_reference(all_systems):
@@ -617,42 +621,67 @@ def test_screen_matches_the_oracle_just_under_its_chart_limit(monkeypatch):
     assert calls == 2 + 2 * 3
 
 
-def _error(call, *args):
-    with pytest.raises(td.ValidationError) as info:
-        call(*args)
-    return str(info.value)
+def _complex_outcomes(complex_):
+    """What a complex shows: its form, vertices and geometry, and the type
+    and message of each error its edge lookups raise."""
+    vertices = complex_.vertices
+    errors = []
+    for call, arg in (("edge", complex_.n_edges), ("edge", -1),
+                      ("locate_edge", complex_.hi + 1),
+                      ("locate_edge", complex_.lo - 1)):
+        with pytest.raises(td.ValidationError) as info:
+            getattr(complex_, call)(arg)
+        errors.append(str(info.value))
+    inside = [complex_.locate_edge(v) for v in vertices] + \
+        [complex_.locate_edge((a + b) / 2) for a, b in zip(vertices, vertices[1:])]
+    return (repr(complex_), vertices, [type(v) for v in vertices],
+            complex_.position, complex_.n_edges, complex_.lo, complex_.hi,
+            complex_.mesh(), inside, errors)
 
 
 def test_refined_complex_matches_the_eager_oracle(all_systems, monkeypatch):
     # Each probe reads a fresh refinement, so each one builds its vertices.
     monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", "20000")
-    for system in all_systems:
-        for depth in range(5):
-            want = td.IntervalComplex(tuple(
-                oracles.refine_vertices(system, depth)))
-            if want.n_edges > 2000:
+    pool = all_systems + [mixed_denominators(random.Random(n), n)
+                          for n in (2, 4)]
+    pool.append(two_blocks(2**31 - 1, 2**31 - 19))
+    for system in pool:
+        for depth in range(6):
+            got, mesh = td.refine(system, depth)
+            old, old_mesh = oracles.refine_dfs(system, depth)
+            assert mesh == old_mesh
+            want = td.IntervalComplex(old.vertices)
+            assert got == want and want == got and hash(got) == hash(want)
+            assert (got.numerators, got.scale) == (want.numerators, want.scale)
+            fresh = td.refine(system, depth)[0]
+            assert _complex_outcomes(fresh) == _complex_outcomes(old)
+            assert set(_complex_outcomes(got)[2]) == {F}
+            assert fresh.vertex_index(old.vertices[-2]) == old.n_edges - 1
+            with pytest.raises(AttributeError):
+                fresh.cells
+            if mesh.cells > 2000:
                 break
 
-            def fresh():
-                return td.refine(system, depth)[0]
-            assert fresh() == want and want == fresh()
-            assert hash(fresh()) == hash(want)
-            vertices = fresh().vertices
-            assert vertices == want.vertices
-            assert all(type(v) is F for v in vertices)
-            assert fresh().position == want.position
-            assert repr(fresh()) == repr(want)
-            for call, arg in ((td.IntervalComplex.edge, want.n_edges),
-                              (td.IntervalComplex.edge, -1),
-                              (td.IntervalComplex.locate_edge, want.hi + 1),
-                              (td.IntervalComplex.locate_edge, want.lo - 1)):
-                assert _error(call, fresh(), arg) == _error(call, want, arg)
-            refined = fresh()
-            assert (refined.n_edges, refined.lo, refined.hi, refined.mesh()) \
-                == (want.n_edges, want.lo, want.hi, want.mesh())
-            assert refined.vertex_index(want.vertices[-2]) == want.n_edges - 1
-            with pytest.raises(AttributeError):
-                refined.cells
+
+def test_refine_cap_matches_the_depth_first_oracle(all_systems, monkeypatch):
+    # A cap of one cell under the count fails on the first level (depth 0
+    # and 1) or on a deeper one; a cap at the count passes.
+    for system in all_systems[:8]:
+        for depth in (0, 1, 3):
+            monkeypatch.delenv("TRACTABLE_DYN_CELL_CAP", raising=False)
+            cells = td.refine(system, depth)[1].cells
+            for cap in (cells - 1, cells):
+                monkeypatch.setenv("TRACTABLE_DYN_CELL_CAP", str(cap))
+                assert _outcome(lambda: td.refine(system, depth)[1]) == \
+                    _outcome(lambda: oracles.refine_dfs(system, depth)[1])
+
+
+def test_complex_constructor_errors_match_the_fraction_oracle():
+    for vertices in ((), (F(1),), (F(0), F(0)), (F(0), F(2), F(1)),
+                     (0, F(1, 3), F(1, 3)), (F(5), 4), ("1/2", 0.5)):
+        got, want = (_outcome(cls, vertices) for cls in
+                     (td.IntervalComplex, oracles.IntervalComplex))
+        assert got == want and got[0] is td.ValidationError
 
 
 def test_refine_rejects_an_empty_cell(example_a):

@@ -1,6 +1,8 @@
 import bisect
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,6 +30,24 @@ def test_complex_needs_increasing_vertices():
         cx(0, 1, 1)
     with pytest.raises(td.ValidationError):
         cx(0, 2, 1)
+
+
+@pytest.mark.parametrize("value", [True, math.nan, math.inf, None, "x"])
+def test_complex_rejects_a_vertex_that_is_not_exact(value):
+    with pytest.raises(td.ValidationError) as info:
+        td.IntervalComplex((0, value, 2))
+    assert str(info.value) == \
+        f"vertices[1] = {str(value)!r} is not a finite rational"
+
+
+def test_complex_reads_exact_numbers():
+    k = td.IntervalComplex((F(-1, 3), 0, "1/2", 0.75, "1e1"))
+    assert k.vertices == (F(-1, 3), F(0), F(1, 2), F(3, 4), F(10))
+    assert (k.numerators, k.scale) == ((-4, 0, 6, 9, 120), 12)
+    assert td.IntervalComplex(k.vertices) == k
+    assert td.IntervalComplex(k.vertices[:2]).scale == 3
+    for clone in (copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert clone == k and clone.vertices == k.vertices
 
 
 def test_complex_geometry_helpers():
@@ -738,6 +758,27 @@ def test_birkhoff_histogram_rejects_leaky_class(example_b):
         td.decode_orbit_histogram(
             td.tractability_report_pl(example_b), (2,), segments=1000,
             depth=10, bins=10, seed=1)
+
+
+@pytest.mark.parametrize("members", [(0.7, 1.2), [0.7], [True], ["1"], 1])
+def test_class_members_must_be_integer_indices(example_a, members):
+    # int() once read 0.7 as 0 and True as 1, and answered for that class.
+    report = td.tractability_report_pl(example_a)
+    analysis = report.analysis
+    cover = analysis.g_cover
+    decomposition = analysis.correspondence.base_decomposition
+    calls = ((lambda m: td.decode_orbit_histogram(report, m, segments=10,
+                                                  depth=2, bins=2, seed=0),
+              [0, np.int64(1)]),
+             (lambda m: td.two_alphabet.base_class_stationary(analysis.model,
+                                                              m), [1]),
+             (lambda m: td.stationary_distribution(cover, m), [1]),
+             (lambda m: td.ergodic_measure_spec(cover, decomposition, m),
+              [np.int64(1)]))
+    for call, valid in calls:
+        with pytest.raises(td.ValidationError, match="must be integer"):
+            call(members)
+        call(valid)
 
 
 def test_plot_smoke(example_a):
